@@ -24,8 +24,7 @@ from .incidence import (CurvePoint, PairClassification, classify_pair, curve_poi
                         k_constant, line_through, partner_points,
                         sample_curve_points, tangent_line)
 from .pencil import (DetRep, KernelBasis, SkewPencil, congruence, decomposable_from,
-                     kernel_at, pfaffian_adjoint_at, pfaffian_by_matchings,
-                     pfaffian_minor, pfaffian_numeric, pfaffian_numeric_by_matchings,
+                     kernel_at, pfaffian_adjoint_at, pfaffian_minor, pfaffian_numeric,
                      wedge_to_matrix)
 from .poly import (HomPoly, LinearForm, ProjPoint, equal_up_to_scale, eval_poly,
                    roots_on_line, univariate_roots)

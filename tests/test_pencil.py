@@ -2,12 +2,20 @@ import numpy as np
 import pytest
 
 from pfaffrep import (DetRep, HomPoly, LinearForm, ProjPoint, RankDeficiency,
-                      SingularTransform, SkewPencil, congruence, decomposable_from,
-                      equal_up_to_scale, kernel_at, pfaffian_adjoint_at,
-                      pfaffian_by_matchings, pfaffian_minor, pfaffian_numeric,
-                      pfaffian_numeric_by_matchings, sample_curve_points,
+                      SingularTransform, SkewPencil, SkewSymmetryViolation, congruence,
+                      decomposable_from, equal_up_to_scale, gauge_action, kernel_at,
+                      pfaffian_adjoint_at, pfaffian_minor, pfaffian_numeric,
+                      sample_curve_points, to_canonical, to_second_canonical,
                       univariate_roots, wedge_to_matrix)
 from conftest import random_pencil, random_skew
+from oracles import (coeff_rel_dev, det_by_laplace, pfaffian_by_expansion,
+                     pfaffian_by_matchings, pfaffian_numeric_by_expansion,
+                     pfaffian_numeric_by_matchings)
+
+
+def random_detrep(rng, d):
+    return DetRep(*(rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+                    for _ in range(3)))
 
 
 def pencil_2x2(c0, c1, c2):
@@ -37,13 +45,79 @@ def test_pfaffian_matchings_oracle(rng):
         P = random_pencil(rng, dim)
         a = P.pfaffian()
         b = pfaffian_by_matchings(P)
-        assert (a - b).max_coeff() <= 1e-10 * a.max_coeff()
+        assert coeff_rel_dev(a, b) <= 1e-10
 
 
 def test_pfaffian_numeric_matchings_oracle(rng):
     for dim in (2, 4, 6, 8):
         A = random_skew(rng, dim)
         assert pfaffian_numeric(A) == pytest.approx(pfaffian_numeric_by_matchings(A), rel=1e-10)
+
+
+def test_pfaffian_numeric_rejects_non_skew(rng):
+    A = random_skew(rng, 4)
+    A[0, 1] += 1e-3
+    with pytest.raises(SkewSymmetryViolation):
+        pfaffian_numeric(A)
+    with pytest.raises(SkewSymmetryViolation):
+        pfaffian_numeric(np.zeros((2, 4)))
+
+
+def test_pfaffian_numeric_zero_pivot():
+    # the first column vanishes, so the pfaffian is exactly zero
+    A = np.zeros((4, 4), dtype=complex)
+    A[1, 2], A[2, 1] = 1.0, -1.0
+    assert pfaffian_numeric(A) == 0
+
+
+def test_pfaffian_library_pencils_expansion_oracle(rng):
+    # canonical forms make the constant part far larger than the x1 and x2
+    # parts; the symbolic pfaffian must keep its small coefficients anyway
+    for d in (5, 6, 7):
+        rep = to_canonical(random_pencil(rng, 2 * d))
+        blocks = []
+        for _ in range(d):
+            R = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
+            blocks.append(R / np.sqrt(np.linalg.det(R)))
+        for P in (rep.pencil, to_second_canonical(rep.pencil),
+                  decomposable_from(random_detrep(rng, d)),
+                  gauge_action(rep.pencil, blocks)):
+            assert coeff_rel_dev(P.pfaffian(), pfaffian_by_expansion(P)) <= 1e-10
+
+
+def test_minors_adjoint_det_expansion_oracle(rng):
+    for dim in (2, 4, 6, 8):
+        P = random_pencil(rng, dim)
+        for i in range(dim):
+            for j in range(i + 1, dim):
+                assert coeff_rel_dev(pfaffian_minor(P, i, j),
+                                     pfaffian_by_expansion(P, (i, j))) <= 1e-10
+        # a general point and a curve point, where A(pt) is singular
+        curve_pt = sample_curve_points(P.pfaffian(), 1, seed=dim)[0].pt.coords
+        for pt in (rng.standard_normal(3) + 1j * rng.standard_normal(3), curve_pt):
+            A = P(pt)
+            adj = pfaffian_adjoint_at(P, pt)
+            for i in range(dim):
+                for j in range(i + 1, dim):
+                    expected = (-1) ** (i + j) * pfaffian_numeric_by_expansion(A, (i, j))
+                    assert abs(adj[i, j] - expected) <= 1e-10 * np.max(np.abs(adj))
+                    assert adj[j, i] == -adj[i, j]
+        M = random_detrep(rng, dim)
+        assert coeff_rel_dev(M.det_poly(), det_by_laplace(M)) <= 1e-10
+
+
+def test_no_polynomial_products_at_dim_16(rng, monkeypatch):
+    # the engine interpolates numeric values; a HomPoly product would mean
+    # an expansion whose cost grows exponentially with the dimension
+    def refuse(*_):
+        raise AssertionError("HomPoly multiplication")
+    monkeypatch.setattr(HomPoly, "__mul__", refuse)
+    monkeypatch.setattr(HomPoly, "__rmul__", refuse)
+    P = random_pencil(rng, 16)
+    assert P.pfaffian().degree == 8
+    assert pfaffian_minor(P, 3, 11).degree == 7
+    assert pfaffian_adjoint_at(P, [1.0, 0.5, -0.25]).shape == (16, 16)
+    assert random_detrep(rng, 16).det_poly().degree == 16
 
 
 def test_pf_squared_equals_det(rng):
