@@ -1,13 +1,20 @@
 """Command-line front end.
 
-One subcommand per library operation plus a batch mode; every command
-reads a JSON problem document (file argument or stdin), dispatches to
-the library, and emits either a human-readable report or a
-deterministic JSON run report.  Commands that transform a pencil always
-append a pfaffian-invariance residual.
+One command per library operation, plus ``run`` (kind taken from the
+file) and ``batch``; every command reads a JSON problem document (file
+argument or stdin), dispatches to the library, and emits either a
+human-readable report or a deterministic JSON run report.  Commands that
+transform a pencil always append a pfaffian-invariance residual.
+``batch`` runs a JSON array of problems in input order; a problem that
+fails gets an error entry in its slot instead of a report.
+
+Only numpy and the core modules are imported here; each handler imports
+the library functions it calls, so a process loads only what its
+command uses.
 
 Exit codes: 0 all residuals within their declared tolerances, 1 usage,
-2 schema, 3 numerical failure, 4 violated precondition.
+2 schema, 3 numerical failure, 4 violated precondition.  A batch exits
+with the highest code of its problems.
 """
 
 from __future__ import annotations
@@ -18,23 +25,14 @@ import json
 import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
 from . import jsonio as io
-from .bridge import bridge_to_decomposable
-from .canonical import (gauge_action, second_canonical_transform, structure_report,
-                        to_canonical, to_second_canonical)
 from .errors import NumericalError, PfaffrepError, PreconditionError, SchemaError
-from .incidence import classify_pair, k_constant, line_through, partner_points, tangent_line
 from .pencil import kernel_at, pfaffian_adjoint_at, pfaffian_minor
 from .poly import HomPoly, equal_up_to_scale
-from .quartic import (aronhold_invariant, bitangent_from_octad, factor_three_lines,
-                      identify_theta, integrate_polar, polar_cubic, polar_triangle,
-                      scorza_map, scorza_related)
 from .tolerances import DEFAULT_POLICY, TolerancePolicy
-from .transforms import bundle_maps_check, conint, type1, type2, verify_replay
 
 _PF_TOL = 1e-7
 _EXIT_USAGE, _EXIT_SCHEMA, _EXIT_NUMERICAL, _EXIT_PRECONDITION = 1, 2, 3, 4
@@ -90,6 +88,7 @@ def _h_kernel(payload, policy, seed):
 
 
 def _h_canon(payload, policy, seed):
+    from .canonical import to_canonical
     P = io.dec_pencil(_need(payload, "pencil"), "$.payload.pencil", policy)
     rep = to_canonical(P, policy, seed)
     scale = equal_up_to_scale(P.pfaffian(), rep.pencil.pfaffian(), policy)
@@ -101,6 +100,7 @@ def _h_canon(payload, policy, seed):
 
 
 def _h_canon2(payload, policy, seed):
+    from .canonical import second_canonical_transform, to_second_canonical
     P = io.dec_pencil(_need(payload, "pencil"), "$.payload.pencil", policy)
     out = to_second_canonical(P, policy)
     detq = float(np.linalg.det(second_canonical_transform(P.half_deg)).real)
@@ -111,6 +111,7 @@ def _h_canon2(payload, policy, seed):
 
 
 def _h_gauge(payload, policy, seed):
+    from .canonical import gauge_action
     P = io.dec_pencil(_need(payload, "pencil"), "$.payload.pencil", policy)
     blocks = [io.dec_matrix(b, f"$.payload.blocks[{i}]")
               for i, b in enumerate(_need(payload, "blocks"))]
@@ -119,11 +120,13 @@ def _h_gauge(payload, policy, seed):
 
 
 def _h_structure(payload, policy, seed):
+    from .canonical import structure_report
     P = io.dec_pencil(_need(payload, "pencil"), "$.payload.pencil", policy)
     return {"report": io.enc_structure(structure_report(P, policy))}, {}
 
 
 def _h_tangent(payload, policy, seed):
+    from .incidence import tangent_line
     P = io.dec_pencil(_need(payload, "pencil"), "$.payload.pencil", policy)
     pt = io.dec_point(_need(payload, "point"), "$.payload.point", policy)
     ell = tangent_line(P, pt, policy)
@@ -133,6 +136,7 @@ def _h_tangent(payload, policy, seed):
 
 
 def _h_line(payload, policy, seed):
+    from .incidence import line_through
     P = io.dec_pencil(_need(payload, "pencil"), "$.payload.pencil", policy)
     lam = io.dec_point(_need(payload, "lambda"), "$.payload.lambda", policy)
     mu = io.dec_point(_need(payload, "mu"), "$.payload.mu", policy)
@@ -149,6 +153,7 @@ def _h_line(payload, policy, seed):
 
 
 def _h_classify_pair(payload, policy, seed):
+    from .incidence import classify_pair
     P = io.dec_pencil(_need(payload, "pencil"), "$.payload.pencil", policy)
     lam = io.dec_point(_need(payload, "lambda"), "$.payload.lambda", policy)
     mu = io.dec_point(_need(payload, "mu"), "$.payload.mu", policy)
@@ -157,6 +162,7 @@ def _h_classify_pair(payload, policy, seed):
 
 
 def _h_k_const(payload, policy, seed):
+    from .incidence import k_constant
     P = io.dec_pencil(_need(payload, "pencil"), "$.payload.pencil", policy)
     lam = io.dec_point(_need(payload, "lambda"), "$.payload.lambda", policy)
     mu = io.dec_point(_need(payload, "mu"), "$.payload.mu", policy)
@@ -173,6 +179,7 @@ def _h_k_const(payload, policy, seed):
 
 
 def _h_partners(payload, policy, seed):
+    from .incidence import partner_points
     P = io.dec_pencil(_need(payload, "pencil"), "$.payload.pencil", policy)
     lam = io.dec_point(_need(payload, "lambda"), "$.payload.lambda", policy)
     v = io.dec_vector(_need(payload, "v"), "$.payload.v")
@@ -184,6 +191,7 @@ def _h_partners(payload, policy, seed):
 
 
 def _h_type1(payload, policy, seed):
+    from .transforms import type1
     P = io.dec_pencil(_need(payload, "pencil"), "$.payload.pencil", policy)
     lam = io.dec_point(_need(payload, "lambda"), "$.payload.lambda", policy)
     mu = io.dec_point(_need(payload, "mu"), "$.payload.mu", policy)
@@ -195,6 +203,7 @@ def _h_type1(payload, policy, seed):
 
 
 def _h_type2(payload, policy, seed):
+    from .transforms import type2
     P = io.dec_pencil(_need(payload, "pencil"), "$.payload.pencil", policy)
     lam = io.dec_point(_need(payload, "lambda"), "$.payload.lambda", policy)
     v = io.dec_vector(_need(payload, "v"), "$.payload.v")
@@ -205,6 +214,7 @@ def _h_type2(payload, policy, seed):
 
 
 def _h_conint(payload, policy, seed):
+    from .transforms import conint
     P = io.dec_pencil(_need(payload, "pencil"), "$.payload.pencil", policy)
     pts = [io.dec_point(p, f"$.payload.points[{i}]", policy)
            for i, p in enumerate(_need(payload, "points"))]
@@ -218,6 +228,7 @@ def _h_conint(payload, policy, seed):
 
 
 def _h_bundle_check(payload, policy, seed):
+    from .transforms import bundle_maps_check
     P = io.dec_pencil(_need(payload, "pencil"), "$.payload.pencil", policy)
     rec = io.dec_record(_need(payload, "record"), "$.payload.record", policy)
     samples = [io.dec_point(p, f"$.payload.samples[{i}]", policy)
@@ -234,6 +245,7 @@ def _h_bundle_check(payload, policy, seed):
 
 
 def _h_bridge(payload, policy, seed):
+    from .bridge import bridge_to_decomposable
     P = io.dec_pencil(_need(payload, "pencil"), "$.payload.pencil", policy)
     budget = int(payload.get("budget", 50))
     res = bridge_to_decomposable(P, budget=budget, seed=seed, policy=policy)
@@ -248,11 +260,13 @@ def _h_bridge(payload, policy, seed):
 
 
 def _h_polar_cubic(payload, policy, seed):
+    from .quartic import polar_cubic
     F = io.dec_poly(_need(payload, "quartic"), "$.payload.quartic", policy)
     return {"coeffs": io.enc_cubic_coeffs(polar_cubic(F))}, {}
 
 
 def _h_aronhold(payload, policy, seed):
+    from .quartic import aronhold_invariant
     w = io.dec_cubic_coeffs(_need(payload, "coeffs"), "$.payload.coeffs")
     pf = aronhold_invariant(w)
     if isinstance(pf, HomPoly):
@@ -261,6 +275,7 @@ def _h_aronhold(payload, policy, seed):
 
 
 def _h_scorza(payload, policy, seed):
+    from .quartic import scorza_map
     F = io.dec_poly(_need(payload, "quartic"), "$.payload.quartic", policy)
     S = scorza_map(F)
     outputs = {"scorza": io.enc_poly(S)}
@@ -278,6 +293,7 @@ def _h_scorza(payload, policy, seed):
 
 
 def _h_integrate_polar(payload, policy, seed):
+    from .quartic import integrate_polar, polar_cubic
     w = io.dec_cubic_coeffs(_need(payload, "coeffs"), "$.payload.coeffs")
     F = integrate_polar(w, policy)
     back = polar_cubic(F)
@@ -288,6 +304,7 @@ def _h_integrate_polar(payload, policy, seed):
 
 
 def _h_triangle(payload, policy, seed):
+    from .quartic import polar_triangle
     F = io.dec_poly(_need(payload, "quartic"), "$.payload.quartic", policy)
     pt = io.dec_point(_need(payload, "point"), "$.payload.point", policy)
     tri = polar_triangle(F, pt, seed=seed, policy=policy)
@@ -296,6 +313,7 @@ def _h_triangle(payload, policy, seed):
 
 
 def _h_factor_lines(payload, policy, seed):
+    from .quartic import factor_three_lines
     cubic = io.dec_poly(_need(payload, "cubic"), "$.payload.cubic", policy)
     lines = factor_three_lines(cubic, seed=seed, policy=policy)
     prod = lines[0].as_poly() * lines[1].as_poly() * lines[2].as_poly()
@@ -307,6 +325,7 @@ def _h_factor_lines(payload, policy, seed):
 
 
 def _h_related(payload, policy, seed):
+    from .quartic import scorza_related
     M = io.dec_detrep(_need(payload, "rep"), "$.payload.rep", symmetric=True)
     lam = io.dec_point(_need(payload, "lambda"), "$.payload.lambda", policy)
     mu = io.dec_point(_need(payload, "mu"), "$.payload.mu", policy)
@@ -317,6 +336,7 @@ def _h_related(payload, policy, seed):
 
 
 def _h_identify_theta(payload, policy, seed):
+    from .quartic import identify_theta
     if "quartic" in payload:
         source = io.dec_poly(payload["quartic"], "$.payload.quartic", policy)
     elif "coeffs" in payload:
@@ -331,6 +351,7 @@ def _h_identify_theta(payload, policy, seed):
 
 
 def _h_bitangent(payload, policy, seed):
+    from .quartic import bitangent_from_octad
     M = io.dec_detrep(_need(payload, "rep"), "$.payload.rep", symmetric=True)
     b_i = io.dec_vector(_need(payload, "b_i"), "$.payload.b_i")
     b_j = io.dec_vector(_need(payload, "b_j"), "$.payload.b_j")
@@ -339,6 +360,7 @@ def _h_bitangent(payload, policy, seed):
 
 
 def _h_verify_replay(payload, policy, seed):
+    from .transforms import verify_replay
     P = io.dec_pencil(_need(payload, "pencil"), "$.payload.pencil", policy)
     recs = [io.dec_record(r, f"$.payload.records[{i}]", policy)
             for i, r in enumerate(_need(payload, "records"))]
@@ -414,6 +436,10 @@ def _format_complex(pair) -> str:
 
 
 def _render_text(report: dict) -> str:
+    if "error" in report:
+        err = report["error"]
+        return (f"command: {report['command']}  (seed {report['seed']})\n"
+                f"  error {err['type']} (exit {err['exit_code']}): {err['message']}")
     lines = [f"command: {report['command']}  (seed {report['seed']}, "
              f"inputs {report['inputs_digest']}, {report['_wall_time_s']:.3f}s)"]
     for name, r in report["residuals"].items():
@@ -440,9 +466,39 @@ def _json_report(report: dict) -> str:
     return json.dumps(clean, sort_keys=True, indent=2)
 
 
+# error family -> exit code and message label, most specific first
+_FAILURES = ((SchemaError, _EXIT_SCHEMA, "schema error"),
+             (NumericalError, _EXIT_NUMERICAL, "numerical error"),
+             (PreconditionError, _EXIT_PRECONDITION, "precondition violated"),
+             (PfaffrepError, _EXIT_NUMERICAL, "error"),
+             (ValueError, _EXIT_SCHEMA, "invalid input"))
+
+
+def _failure(exc: Exception) -> tuple[int, str]:
+    return next((code, label) for cls, code, label in _FAILURES if isinstance(exc, cls))
+
+
 def _exit_code_for(report: dict) -> int:
+    if "error" in report:
+        return report["error"]["exit_code"]
     bad = [r for r in report["residuals"].values() if not r["ok"]]
     return _EXIT_NUMERICAL if bad else 0
+
+
+def _run_batch_problem(doc, index: int, seed: int | None,
+                       base_policy: TolerancePolicy) -> dict:
+    """One batch problem: its run report, or an error entry if it fails."""
+    try:
+        problem = parse_problem(doc, f"$[{index}]")
+        if seed is not None:
+            problem["seed"] = seed
+        return dispatch(problem, base_policy)
+    except (PfaffrepError, ValueError) as exc:
+        raw = doc if isinstance(doc, dict) else {}
+        return {"command": raw.get("kind"),
+                "seed": raw.get("seed", 0) if seed is None else seed,
+                "error": {"type": type(exc).__name__, "message": str(exc),
+                          "exit_code": _failure(exc)[0]}}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -451,23 +507,20 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _build_parser() -> _Parser:
-    parser = _Parser(prog="pfaffrep",
-                     description="pfaffian representations of plane curves")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_common(p):
-        p.add_argument("problem", nargs="?", default="-",
-                       help="problem JSON file ('-' or omitted: stdin)")
-        p.add_argument("--format", choices=("text", "json"), default="text")
-        p.add_argument("--tol", default=os.environ.get("PFAFFREP_TOL"),
-                       help="zero,rank,match tolerance overrides (comma separated)")
-        p.add_argument("--seed", type=int, default=None,
-                       help="override the problem seed")
-
-    for name in sorted(COMMANDS):
-        add_common(sub.add_parser(name, help=f"run the {name} operation"))
-    add_common(sub.add_parser("run", help="run a problem file (kind taken from the file)"))
-    add_common(sub.add_parser("batch", help="run a JSON array of problems in parallel"))
+    commands = [*sorted(COMMANDS), "run", "batch"]
+    parser = _Parser(
+        prog="pfaffrep", description="pfaffian representations of plane curves",
+        epilog=f"commands: {', '.join(commands)}.  'run' takes the kind from the "
+               "problem file; 'batch' runs a JSON array of problems in input order.")
+    parser.add_argument("command", choices=commands, metavar="command",
+                        help="the operation to run (listed below)")
+    parser.add_argument("problem", nargs="?", default="-",
+                        help="problem JSON file ('-' or omitted: stdin)")
+    parser.add_argument("--format", choices=("text", "json"), default="text")
+    parser.add_argument("--tol", default=os.environ.get("PFAFFREP_TOL"),
+                        help="zero,rank,match tolerance overrides (comma separated)")
+    parser.add_argument("--seed", type=int, default=None,
+                        help="override the problem seed")
     return parser
 
 
@@ -496,18 +549,17 @@ def _base_policy(tol_arg: str | None) -> TolerancePolicy:
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    # intermixed: options may stand before, between or after the positionals
+    args = _build_parser().parse_intermixed_args(argv)
     try:
         base_policy = _base_policy(args.tol)
         doc = _load_json(args.problem)
         if args.command == "batch":
             if not isinstance(doc, list):
                 raise SchemaError("batch input must be a JSON array", "$")
-            problems = [parse_problem(p, f"$[{i}]") for i, p in enumerate(doc)]
-            if args.seed is not None:
-                problems = [{**p, "seed": args.seed + i} for i, p in enumerate(problems)]
-            with ThreadPoolExecutor(max_workers=min(8, max(1, len(problems)))) as pool:
-                reports = list(pool.map(lambda p: dispatch(p, base_policy), problems))
+            reports = [_run_batch_problem(p, i, None if args.seed is None else args.seed + i,
+                                          base_policy)
+                       for i, p in enumerate(doc)]
             if args.format == "json":
                 cleaned = [{k: v for k, v in r.items() if not k.startswith("_")}
                            for r in reports]
@@ -528,21 +580,10 @@ def main(argv=None) -> int:
         report = dispatch(problem, base_policy)
         print(_json_report(report) if args.format == "json" else _render_text(report))
         return _exit_code_for(report)
-    except SchemaError as exc:
-        print(f"pfaffrep: schema error: {exc}", file=sys.stderr)
-        return _EXIT_SCHEMA
-    except NumericalError as exc:
-        print(f"pfaffrep: numerical error: {exc}", file=sys.stderr)
-        return _EXIT_NUMERICAL
-    except PreconditionError as exc:
-        print(f"pfaffrep: precondition violated: {exc}", file=sys.stderr)
-        return _EXIT_PRECONDITION
-    except PfaffrepError as exc:
-        print(f"pfaffrep: error: {exc}", file=sys.stderr)
-        return _EXIT_NUMERICAL
-    except ValueError as exc:
-        print(f"pfaffrep: invalid input: {exc}", file=sys.stderr)
-        return _EXIT_SCHEMA
+    except (PfaffrepError, ValueError) as exc:
+        code, label = _failure(exc)
+        print(f"pfaffrep: {label}: {exc}", file=sys.stderr)
+        return code
 
 
 if __name__ == "__main__":

@@ -11,19 +11,21 @@ the document; skew and symmetric matrices are re-validated on load.
 from __future__ import annotations
 
 import math
-from typing import Any
+from typing import TYPE_CHECKING, Any
 
 import numpy as np
 
-from .canonical import CanonicalReport, StructureReport
 from .errors import SchemaError, SkewSymmetryViolation
-from .incidence import PairClassification
 from .pencil import DetRep, KernelBasis, SkewPencil
 from .poly import HomPoly, LinearForm, ProjPoint
-from .quartic import (CUBIC_FIELDS, CubicCoeffs, PolarTriangle, ScorzaRelation,
-                      SymDetRep, ThetaIdentification)
 from .tolerances import DEFAULT_POLICY, TolerancePolicy
-from .transforms import BundleCheckReport, TransformRecord
+
+if TYPE_CHECKING:  # annotations only; importing jsonio loads none of these layers
+    from .canonical import CanonicalReport, StructureReport
+    from .incidence import PairClassification
+    from .quartic import (CubicCoeffs, PolarTriangle, ScorzaRelation,
+                          ThetaIdentification)
+    from .transforms import BundleCheckReport, TransformRecord
 
 # -- encoding -------------------------------------------------------------------
 
@@ -71,6 +73,7 @@ def enc_kernel(kb: KernelBasis) -> dict:
 
 
 def enc_cubic_coeffs(w: CubicCoeffs) -> dict:
+    from .quartic import CUBIC_FIELDS
     out = {}
     for name in CUBIC_FIELDS:
         v = getattr(w, name)
@@ -247,12 +250,16 @@ def dec_detrep(obj: Any, path: str = "$", symmetric: bool = False) -> DetRep:
             _fail(f"missing {name}", path)
         mats.append(dec_matrix(obj[name], f"{path}.{name}"))
     try:
-        return SymDetRep(*mats) if symmetric else DetRep(*mats)
+        if symmetric:
+            from .quartic import SymDetRep
+            return SymDetRep(*mats)
+        return DetRep(*mats)
     except ValueError as exc:
         _fail(str(exc), path)
 
 
 def dec_cubic_coeffs(obj: Any, path: str = "$") -> CubicCoeffs:
+    from .quartic import CUBIC_FIELDS, CubicCoeffs
     if not isinstance(obj, dict):
         _fail("expected an object of cubic coefficients", path)
     vals = {}
@@ -271,6 +278,7 @@ def dec_cubic_coeffs(obj: Any, path: str = "$") -> CubicCoeffs:
 
 def dec_record(obj: Any, path: str = "$",
                policy: TolerancePolicy = DEFAULT_POLICY) -> TransformRecord:
+    from .transforms import TransformRecord
     if not isinstance(obj, dict) or obj.get("kind") not in ("I", "II", "CONINT"):
         _fail("expected a record with kind I, II or CONINT", path)
     def opt(key, f):

@@ -126,10 +126,21 @@ def test_cli_exit_codes(pencil_doc):
     p = run_cli(["classify-pair", "-"], {"kind": "classify-pair", "payload": {
         "pencil": doc, "lambda": pt, "mu": pt}})
     assert p.returncode == 4
-    # usage: missing file
-    proc = subprocess.run([sys.executable, "-m", "pfaffrep.cli", "pf", "/no/such/file"],
+    # usage: missing file, unknown command, bad --format value, no command at all
+    for args in (["pf", "/no/such/file"], ["bogus", "-"], ["pf", "-", "--format", "xml"], []):
+        proc = subprocess.run([sys.executable, "-m", "pfaffrep.cli", *args],
+                              input="{}", capture_output=True, text=True)
+        assert proc.returncode == 1, args
+        assert proc.stderr.startswith("pfaffrep: ") and not proc.stdout, args
+    proc = subprocess.run([sys.executable, "-m", "pfaffrep.cli", "--help"],
                           capture_output=True, text=True)
-    assert proc.returncode == 1
+    assert proc.returncode == 0 and "verify-replay" in proc.stdout
+    # options may stand before the command and between the positionals
+    for args in (["--format", "json", "--seed", "3", "pf", "-"],
+                 ["pf", "--format", "json", "-", "--seed", "3"]):
+        p = run_cli(args, {"kind": "pf", "payload": {"pencil": doc}})
+        assert p.returncode == 0, args
+        assert json.loads(p.stdout)["seed"] == 3
 
 
 def test_cli_kind_mismatch(pencil_doc):
@@ -172,8 +183,6 @@ def test_cli_batch_order_and_seeds(pencil_doc):
     problems = [{"kind": "pf", "payload": {"pencil": doc}, "seed": 7},
                 {"kind": "structure", "payload": {"pencil": doc}},
                 {"kind": "pf", "payload": {"pencil": doc}, "seed": 9}]
-    # structure on a non-canonical pencil violates a precondition;
-    # keep the batch green by using pf twice and a valid structure input
     d = 2
     ps = [0.4, -1.1]
     A1 = np.block([[np.zeros((d, d)), np.eye(d)], [-np.eye(d), np.zeros((d, d))]])
@@ -186,6 +195,27 @@ def test_cli_batch_order_and_seeds(pencil_doc):
     reports = json.loads(p.stdout)
     assert [r["command"] for r in reports] == ["pf", "structure", "pf"]
     assert reports[0]["seed"] == 7 and reports[2]["seed"] == 9
+
+
+def test_cli_batch_isolates_failures(pencil_doc):
+    _, doc = pencil_doc
+    good = [{"kind": "pf", "payload": {"pencil": doc}, "seed": 7},
+            {"kind": "pf", "payload": {"pencil": doc}, "seed": 9}]
+    alone = [json.loads(run_cli(["run", "-", "--format", "json"], g).stdout) for g in good]
+    # structure needs a second-canonical pencil: a precondition violation, exit 4
+    bad = {"kind": "structure", "payload": {"pencil": doc}, "seed": 8}
+    p = run_cli(["batch", "-", "--format", "json"], [good[0], bad, good[1]])
+    assert p.returncode == 4
+    reports = json.loads(p.stdout)
+    assert [reports[0], reports[2]] == alone
+    assert reports[1] == {"command": "structure", "seed": 8, "error": {
+        "type": "NotInCanonicalForm", "message": reports[1]["error"]["message"],
+        "exit_code": 4}}
+    # an envelope schema error takes its slot too; the text report shows it
+    p = run_cli(["batch", "-"], [good[0], {"kind": "bogus", "payload": {}}])
+    assert p.returncode == 2
+    assert "command: pf  (seed 7" in p.stdout
+    assert "command: bogus  (seed 0)\n  error SchemaError (exit 2): unknown kind" in p.stdout
 
 
 def test_cli_tol_override(pencil_doc):

@@ -1,0 +1,97 @@
+"""The lazy package surface and the modules each CLI process loads."""
+
+import json
+import subprocess
+import sys
+from importlib import import_module
+
+import numpy as np
+import pytest
+
+import pfaffrep
+from pfaffrep import jsonio as io
+from conftest import random_pencil
+
+# Every public name of the package, by defining module.
+EXPORTS = {
+    "bridge": ["BridgeResult", "bridge_to_decomposable"],
+    "canonical": ["CanonicalReport", "StructureReport", "gauge_action", "off_pattern_norm",
+                  "second_canonical_transform", "structure_report", "to_canonical",
+                  "to_second_canonical", "validate_canonical", "validate_second_canonical"],
+    "errors": ["CorankNotOne", "DegenerateDenominator", "DegenerateHessian",
+               "InconsistentPolarData", "MultipleMatches", "NoAdmissiblePartner", "NoMatch",
+               "NotAProductOfLines", "NotAdmissible", "NotInCanonicalForm", "NotOnBaseLocus",
+               "NotUnimodular", "NumericalError", "PfaffrepError", "PreconditionError",
+               "RankDeficiency", "RepeatedRoots", "SamePoint", "SampleOnExceptionalLine",
+               "SchemaError", "SingularGamma", "SingularTransform", "SkewSymmetryViolation",
+               "SpanFailure", "TangencyCheckFailed", "VectorNotInKernel"],
+    "incidence": ["CurvePoint", "PairClassification", "classify_pair", "curve_point",
+                  "k_constant", "line_through", "partner_points", "sample_curve_points",
+                  "tangent_line"],
+    "pencil": ["DetRep", "KernelBasis", "SkewPencil", "congruence", "decomposable_from",
+               "kernel_at", "pfaffian_adjoint_at", "pfaffian_minor", "pfaffian_numeric",
+               "wedge_to_matrix"],
+    "poly": ["HomPoly", "LinearForm", "ProjPoint", "equal_up_to_scale", "eval_poly",
+             "roots_on_line", "univariate_roots"],
+    "quartic": ["CubicCoeffs", "PolarTriangle", "ScorzaRelation", "SymDetRep",
+                "ThetaIdentification", "aronhold_invariant", "aronhold_matrix",
+                "bitangent_from_octad", "corank_one_kernel", "factor_three_lines",
+                "hessian_det", "identify_theta", "integrate_polar", "polar_cubic",
+                "polar_cubic_at", "polar_triangle", "scorza_map", "scorza_related"],
+    "tolerances": ["DEFAULT_POLICY", "TolerancePolicy"],
+    "transforms": ["BundleCheckReport", "TransformRecord", "apply_record", "bundle_maps_check",
+                   "conint", "conint_rho_for_type2", "inverse_step", "type1", "type2",
+                   "verify_replay"],
+}
+
+# Layers no command needs before its handler runs.
+DEFERRED = ["pfaffrep.quartic", "pfaffrep.bridge", "pfaffrep.transforms",
+            "pfaffrep.canonical", "pfaffrep.incidence", "concurrent.futures"]
+
+
+@pytest.mark.parametrize("module", sorted(EXPORTS))
+def test_public_names_resolve_to_defining_module(module):
+    mod = import_module(f"pfaffrep.{module}")
+    listing = dir(pfaffrep)
+    for name in EXPORTS[module]:
+        assert name in pfaffrep.__all__
+        assert name in listing
+        assert getattr(pfaffrep, name) is getattr(mod, name)
+
+
+def test_all_lists_exactly_the_public_names():
+    assert sorted(pfaffrep.__all__) == sorted(n for names in EXPORTS.values() for n in names)
+    assert pfaffrep.__version__ == "0.1.0"
+
+
+def test_unknown_attribute_raises():
+    with pytest.raises(AttributeError, match="no_such_name"):
+        pfaffrep.no_such_name
+    with pytest.raises(ImportError):
+        from pfaffrep import no_such_name  # noqa: F401
+
+
+def _loaded_after(script: str, stdin: str = "") -> list:
+    """Modules in ``sys.modules`` after running ``script`` in a fresh interpreter."""
+    proc = subprocess.run(
+        [sys.executable, "-c", script + "\nimport sys, json\n"
+         "print(json.dumps(sorted(sys.modules)), file=sys.stderr)"],
+        input=stdin, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stderr.strip().splitlines()[-1])
+
+
+def test_cli_import_loads_no_deferred_layer():
+    loaded = _loaded_after("import pfaffrep.cli")
+    assert "pfaffrep.pencil" in loaded
+    assert [m for m in DEFERRED if m in loaded] == []
+
+
+def test_pf_command_loads_no_deferred_layer():
+    P = random_pencil(np.random.default_rng(3), 4)
+    doc = {"kind": "pf", "payload": {"pencil": io.enc_pencil(P)}}
+    loaded = _loaded_after(
+        "import pfaffrep.cli as cli\n"
+        "assert cli.main(['pf', '-', '--format', 'json']) == 0",
+        json.dumps(doc))
+    assert [m for m in DEFERRED if m in loaded] == []
