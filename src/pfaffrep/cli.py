@@ -8,6 +8,15 @@ transform a pencil always append a pfaffian-invariance residual.
 ``batch`` runs a JSON array of problems in input order; a problem that
 fails gets an error entry in its slot instead of a report.
 
+``COMMANDS`` maps each kind to its handler and its payload fields, one
+word per field: ``name:kind``, or ``kind`` alone when the name is the
+kind.  A kind is ``int`` (a nonnegative JSON integer) or the suffix of a
+jsonio decoder (``pencil`` means ``jsonio.dec_pencil``); ``kind[]`` is a
+list of them.  A field is required unless it ends in ``=default``, a JSON
+literal.  ``_decode`` turns the payload into the handler's arguments, so
+a missing or wrong-typed field is a :class:`SchemaError` at
+``$.payload.<name>`` before any handler runs.
+
 Only numpy and the core modules are imported here; each handler imports
 the library functions it calls, so a process loads only what its
 command uses.
@@ -43,35 +52,86 @@ def _residual(value: float, tol: float) -> dict:
     return {"value": value, "tolerance": tol, "ok": bool(value <= tol)}
 
 
+def _deviation(target: HomPoly, other: HomPoly, scale=1.0) -> float:
+    """Largest coefficient of ``target - scale * other`` relative to ``target``'s.
+
+    ``scale`` is ``None`` when no scale matches the two; the deviation is
+    then infinite.
+    """
+    if scale is None:
+        return float("inf")
+    return (target - other.scaled(scale)).max_coeff() / max(target.max_coeff(), 1e-300)
+
+
 def _pf_invariance(P_before, P_after) -> dict:
-    pf0 = P_before.pfaffian()
-    dev = (P_after.pfaffian() - pf0).max_coeff() / max(pf0.max_coeff(), 1e-300)
-    return _residual(dev, _PF_TOL)
+    return _residual(_deviation(P_before.pfaffian(), P_after.pfaffian()), _PF_TOL)
 
 
-def _need(payload: dict, key: str):
-    if key not in payload:
-        raise SchemaError(f"missing payload field {key!r}", f"$.payload.{key}")
-    return payload[key]
+def _transformed(P, out, rec=None) -> tuple[dict, dict]:
+    """Outputs and residuals of a command that maps pencil ``P`` to ``out``."""
+    outputs = {"pencil": io.enc_pencil(out)}
+    if rec is not None:
+        outputs["record"] = io.enc_record(rec)
+    return outputs, {"pf_invariance": _pf_invariance(P, out)}
+
+
+# -- payload fields ---------------------------------------------------------------
+
+def _path(name: str) -> str:
+    return f"$.payload.{name}"
+
+
+def _field(kind: str, obj, path: str, policy: TolerancePolicy):
+    """One decoded payload value, or :class:`SchemaError` naming ``path``."""
+    if kind.endswith("[]"):
+        if not isinstance(obj, list):
+            raise SchemaError("expected a list", path)
+        return [_field(kind[:-2], x, f"{path}[{i}]", policy) for i, x in enumerate(obj)]
+    if kind == "int":
+        if not isinstance(obj, int) or isinstance(obj, bool) or obj < 0:
+            raise SchemaError("expected a nonnegative integer", path)
+        return obj
+    # looked up per call, so a decoder rebound in jsonio (as tracing does) is used
+    dec = getattr(io, f"dec_{kind}")
+    if kind == "detrep":
+        return dec(obj, path, symmetric=True)
+    if kind in ("pencil", "point", "poly", "record"):
+        return dec(obj, path, policy)
+    return dec(obj, path)
+
+
+def _decode(spec: str, payload: dict, policy: TolerancePolicy) -> list:
+    """The payload fields that ``spec`` declares, decoded in declaration order."""
+    args = []
+    for word in spec.split():
+        name, _, kind = word.partition(":")
+        kind, has_default, default = (kind or name).partition("=")
+        if name in payload:
+            args.append(_field(kind, payload[name], _path(name), policy))
+        elif has_default:
+            args.append(json.loads(default))
+        else:
+            raise SchemaError(f"missing payload field {name!r}", _path(name))
+    return args
 
 
 # -- handlers -------------------------------------------------------------------
-# Each handler: (payload, policy, seed) -> (outputs, residuals)
+# Each handler: (policy, seed, *decoded payload fields) -> (outputs, residuals)
 
-def _h_pf(payload, policy, seed):
-    P = io.dec_pencil(_need(payload, "pencil"), "$.payload.pencil", policy)
+def _h_pf(policy, seed, P):
     return {"pfaffian": io.enc_poly(P.pfaffian())}, {}
 
 
-def _h_pf_minor(payload, policy, seed):
-    P = io.dec_pencil(_need(payload, "pencil"), "$.payload.pencil", policy)
-    i, j = int(_need(payload, "i")), int(_need(payload, "j"))
+def _h_pf_minor(policy, seed, P, i, j):
+    for name, k in (("i", i), ("j", j)):
+        if k >= P.dim:
+            raise SchemaError(f"index {k} out of range for dimension {P.dim}", _path(name))
+    if i == j:
+        raise SchemaError("minor indices must differ", _path("j"))
     return {"minor": io.enc_poly(pfaffian_minor(P, i, j))}, {}
 
 
-def _h_adjoint(payload, policy, seed):
-    P = io.dec_pencil(_need(payload, "pencil"), "$.payload.pencil", policy)
-    pt = io.dec_point(_need(payload, "point"), "$.payload.point", policy)
+def _h_adjoint(policy, seed, P, pt):
     adj = pfaffian_adjoint_at(P, pt)
     A = P(pt)
     dev = np.max(np.abs(adj @ A - P.pfaffian()(pt) * np.eye(P.dim)))
@@ -80,16 +140,13 @@ def _h_adjoint(payload, policy, seed):
             {"adjoint_identity": _residual(dev / scale, policy.match_tol)})
 
 
-def _h_kernel(payload, policy, seed):
-    P = io.dec_pencil(_need(payload, "pencil"), "$.payload.pencil", policy)
-    pt = io.dec_point(_need(payload, "point"), "$.payload.point", policy)
+def _h_kernel(policy, seed, P, pt):
     kb = kernel_at(P, pt, policy)
     return {"kernel": io.enc_kernel(kb)}, {"kernel_residual": _residual(kb.residual, policy.rank_tol)}
 
 
-def _h_canon(payload, policy, seed):
+def _h_canon(policy, seed, P):
     from .canonical import to_canonical
-    P = io.dec_pencil(_need(payload, "pencil"), "$.payload.pencil", policy)
     rep = to_canonical(P, policy, seed)
     scale = equal_up_to_scale(P.pfaffian(), rep.pencil.pfaffian(), policy)
     detb = np.linalg.det(rep.basis_change)
@@ -99,9 +156,8 @@ def _h_canon(payload, policy, seed):
              "pf_scaling": _residual(dev, policy.match_tol)})
 
 
-def _h_canon2(payload, policy, seed):
+def _h_canon2(policy, seed, P):
     from .canonical import second_canonical_transform, to_second_canonical
-    P = io.dec_pencil(_need(payload, "pencil"), "$.payload.pencil", policy)
     out = to_second_canonical(P, policy)
     detq = float(np.linalg.det(second_canonical_transform(P.half_deg)).real)
     scale = equal_up_to_scale(P.pfaffian(), out.pfaffian(), policy)
@@ -110,38 +166,26 @@ def _h_canon2(payload, policy, seed):
             {"pf_scaling": _residual(dev, policy.match_tol)})
 
 
-def _h_gauge(payload, policy, seed):
+def _h_gauge(policy, seed, P, blocks):
     from .canonical import gauge_action
-    P = io.dec_pencil(_need(payload, "pencil"), "$.payload.pencil", policy)
-    blocks = [io.dec_matrix(b, f"$.payload.blocks[{i}]")
-              for i, b in enumerate(_need(payload, "blocks"))]
-    out = gauge_action(P, blocks, policy)
-    return {"pencil": io.enc_pencil(out)}, {"pf_invariance": _pf_invariance(P, out)}
+    return _transformed(P, gauge_action(P, blocks, policy))
 
 
-def _h_structure(payload, policy, seed):
+def _h_structure(policy, seed, P):
     from .canonical import structure_report
-    P = io.dec_pencil(_need(payload, "pencil"), "$.payload.pencil", policy)
     return {"report": io.enc_structure(structure_report(P, policy))}, {}
 
 
-def _h_tangent(payload, policy, seed):
+def _h_tangent(policy, seed, P, pt):
     from .incidence import tangent_line
-    P = io.dec_pencil(_need(payload, "pencil"), "$.payload.pencil", policy)
-    pt = io.dec_point(_need(payload, "point"), "$.payload.point", policy)
     ell = tangent_line(P, pt, policy)
     dev = abs(ell(pt)) / max(float(np.max(np.abs(ell.coeffs))), 1e-300)
     return ({"line": io.enc_linear_form(ell)},
             {"vanishing_at_point": _residual(dev, policy.match_tol)})
 
 
-def _h_line(payload, policy, seed):
+def _h_line(policy, seed, P, lam, mu, v, u):
     from .incidence import line_through
-    P = io.dec_pencil(_need(payload, "pencil"), "$.payload.pencil", policy)
-    lam = io.dec_point(_need(payload, "lambda"), "$.payload.lambda", policy)
-    mu = io.dec_point(_need(payload, "mu"), "$.payload.mu", policy)
-    v = io.dec_vector(_need(payload, "v"), "$.payload.v")
-    u = io.dec_vector(_need(payload, "u"), "$.payload.u")
     ell = line_through(P, lam, v, mu, u, policy)
     outputs = {"line": io.enc_linear_form(ell), "is_zero": ell.is_zero(policy)}
     residuals = {}
@@ -152,24 +196,14 @@ def _h_line(payload, policy, seed):
     return outputs, residuals
 
 
-def _h_classify_pair(payload, policy, seed):
+def _h_classify_pair(policy, seed, P, lam, mu):
     from .incidence import classify_pair
-    P = io.dec_pencil(_need(payload, "pencil"), "$.payload.pencil", policy)
-    lam = io.dec_point(_need(payload, "lambda"), "$.payload.lambda", policy)
-    mu = io.dec_point(_need(payload, "mu"), "$.payload.mu", policy)
     pc = classify_pair(P, lam, mu, seed=seed, policy=policy)
     return {"classification": io.enc_classification(pc)}, {}
 
 
-def _h_k_const(payload, policy, seed):
+def _h_k_const(policy, seed, P, lam, mu, v, u, t1, t2):
     from .incidence import k_constant
-    P = io.dec_pencil(_need(payload, "pencil"), "$.payload.pencil", policy)
-    lam = io.dec_point(_need(payload, "lambda"), "$.payload.lambda", policy)
-    mu = io.dec_point(_need(payload, "mu"), "$.payload.mu", policy)
-    v = io.dec_vector(_need(payload, "v"), "$.payload.v")
-    u = io.dec_vector(_need(payload, "u"), "$.payload.u")
-    t1 = io.dec_complex(_need(payload, "t1"), "$.payload.t1")
-    t2 = io.dec_complex(_need(payload, "t2"), "$.payload.t2")
     K = k_constant(P, lam, v, mu, u, t1, t2, policy)
     rng = np.random.default_rng(seed)
     s = rng.standard_normal(2) + 1j * rng.standard_normal(2)
@@ -178,63 +212,31 @@ def _h_k_const(payload, policy, seed):
             {"parameter_independence": _residual(abs(K - K2) / (1 + abs(K)), policy.rank_tol)})
 
 
-def _h_partners(payload, policy, seed):
+def _h_partners(policy, seed, P, lam, v, u):
     from .incidence import partner_points
-    P = io.dec_pencil(_need(payload, "pencil"), "$.payload.pencil", policy)
-    lam = io.dec_point(_need(payload, "lambda"), "$.payload.lambda", policy)
-    v = io.dec_vector(_need(payload, "v"), "$.payload.v")
-    u = io.dec_vector(_need(payload, "u"), "$.payload.u")
     pts = partner_points(P, lam, v, u, policy)
     worst = max((p.curve_residual for p in pts), default=0.0)
     return ({"points": [io.enc_point(p.pt) for p in pts]},
             {"curve_residual": _residual(worst, policy.match_tol)})
 
 
-def _h_type1(payload, policy, seed):
+def _h_type1(policy, seed, P, lam, mu, v, u):
     from .transforms import type1
-    P = io.dec_pencil(_need(payload, "pencil"), "$.payload.pencil", policy)
-    lam = io.dec_point(_need(payload, "lambda"), "$.payload.lambda", policy)
-    mu = io.dec_point(_need(payload, "mu"), "$.payload.mu", policy)
-    v = io.dec_vector(_need(payload, "v"), "$.payload.v")
-    u = io.dec_vector(_need(payload, "u"), "$.payload.u")
-    out, rec = type1(P, lam, mu, v, u, seed=seed, policy=policy)
-    return ({"pencil": io.enc_pencil(out), "record": io.enc_record(rec)},
-            {"pf_invariance": _pf_invariance(P, out)})
+    return _transformed(P, *type1(P, lam, mu, v, u, seed=seed, policy=policy))
 
 
-def _h_type2(payload, policy, seed):
+def _h_type2(policy, seed, P, lam, v, rho):
     from .transforms import type2
-    P = io.dec_pencil(_need(payload, "pencil"), "$.payload.pencil", policy)
-    lam = io.dec_point(_need(payload, "lambda"), "$.payload.lambda", policy)
-    v = io.dec_vector(_need(payload, "v"), "$.payload.v")
-    rho = io.dec_complex(_need(payload, "rho"), "$.payload.rho")
-    out, rec = type2(P, lam, v, rho, policy=policy)
-    return ({"pencil": io.enc_pencil(out), "record": io.enc_record(rec)},
-            {"pf_invariance": _pf_invariance(P, out)})
+    return _transformed(P, *type2(P, lam, v, rho, policy=policy))
 
 
-def _h_conint(payload, policy, seed):
+def _h_conint(policy, seed, P, pts, vecs, rhos):
     from .transforms import conint
-    P = io.dec_pencil(_need(payload, "pencil"), "$.payload.pencil", policy)
-    pts = [io.dec_point(p, f"$.payload.points[{i}]", policy)
-           for i, p in enumerate(_need(payload, "points"))]
-    vecs = [io.dec_vector(v, f"$.payload.vectors[{i}]")
-            for i, v in enumerate(_need(payload, "vectors"))]
-    rhos = [io.dec_complex(r, f"$.payload.rhos[{i}]")
-            for i, r in enumerate(_need(payload, "rhos"))]
-    out, rec = conint(P, pts, vecs, rhos, seed=seed, policy=policy)
-    return ({"pencil": io.enc_pencil(out), "record": io.enc_record(rec)},
-            {"pf_invariance": _pf_invariance(P, out)})
+    return _transformed(P, *conint(P, pts, vecs, rhos, seed=seed, policy=policy))
 
 
-def _h_bundle_check(payload, policy, seed):
+def _h_bundle_check(policy, seed, P, rec, samples, curve_samples):
     from .transforms import bundle_maps_check
-    P = io.dec_pencil(_need(payload, "pencil"), "$.payload.pencil", policy)
-    rec = io.dec_record(_need(payload, "record"), "$.payload.record", policy)
-    samples = [io.dec_point(p, f"$.payload.samples[{i}]", policy)
-               for i, p in enumerate(_need(payload, "samples"))]
-    curve_samples = [io.dec_point(p, f"$.payload.curve_samples[{i}]", policy)
-                     for i, p in enumerate(payload.get("curve_samples", []))]
     rep = bundle_maps_check(P, rec, samples, curve_samples, seed=seed, policy=policy)
     residuals = {"intertwining_identity": _residual(rep.identity_residual, 1e-6),
                  "transport_angle": _residual(rep.transport_angle, 1e-5),
@@ -244,10 +246,8 @@ def _h_bundle_check(payload, policy, seed):
     return {"report": io.enc_bundle_report(rep)}, residuals
 
 
-def _h_bridge(payload, policy, seed):
+def _h_bridge(policy, seed, P, budget):
     from .bridge import bridge_to_decomposable
-    P = io.dec_pencil(_need(payload, "pencil"), "$.payload.pencil", policy)
-    budget = int(payload.get("budget", 50))
     res = bridge_to_decomposable(P, budget=budget, seed=seed, policy=policy)
     target = 0.1 * policy.match_tol * max(P.scale(), 1.0)
     return ({"records": [io.enc_record(r) for r in res.records],
@@ -259,42 +259,35 @@ def _h_bridge(payload, policy, seed):
              "pf_invariance": _pf_invariance(P, res.pencil)})
 
 
-def _h_polar_cubic(payload, policy, seed):
+def _h_polar_cubic(policy, seed, F):
     from .quartic import polar_cubic
-    F = io.dec_poly(_need(payload, "quartic"), "$.payload.quartic", policy)
     return {"coeffs": io.enc_cubic_coeffs(polar_cubic(F))}, {}
 
 
-def _h_aronhold(payload, policy, seed):
+def _h_aronhold(policy, seed, w):
     from .quartic import aronhold_invariant
-    w = io.dec_cubic_coeffs(_need(payload, "coeffs"), "$.payload.coeffs")
     pf = aronhold_invariant(w)
     if isinstance(pf, HomPoly):
         return {"pfaffian": io.enc_poly(pf)}, {}
     return {"pfaffian": io.enc_complex(pf)}, {}
 
 
-def _h_scorza(payload, policy, seed):
+def _h_scorza(policy, seed, F, expected):
     from .quartic import scorza_map
-    F = io.dec_poly(_need(payload, "quartic"), "$.payload.quartic", policy)
     S = scorza_map(F)
     outputs = {"scorza": io.enc_poly(S)}
     residuals = {}
-    if "expected" in payload:
-        expected = io.dec_poly(payload["expected"], "$.payload.expected", policy)
+    if expected is not None:
         scale = equal_up_to_scale(S, expected, policy)
-        if scale is None:
-            residuals["match_up_to_scale"] = _residual(float("inf"), policy.match_tol)
-        else:
+        if scale is not None:
             outputs["scale_vs_expected"] = io.enc_complex(scale)
-            dev = (expected - S.scaled(scale)).max_coeff() / max(expected.max_coeff(), 1e-300)
-            residuals["match_up_to_scale"] = _residual(dev, policy.match_tol)
+        residuals["match_up_to_scale"] = _residual(_deviation(expected, S, scale),
+                                                   policy.match_tol)
     return outputs, residuals
 
 
-def _h_integrate_polar(payload, policy, seed):
+def _h_integrate_polar(policy, seed, w):
     from .quartic import integrate_polar, polar_cubic
-    w = io.dec_cubic_coeffs(_need(payload, "coeffs"), "$.payload.coeffs")
     F = integrate_polar(w, policy)
     back = polar_cubic(F)
     dev = float(np.max(np.abs(back.flatten() - w.flatten())))
@@ -303,83 +296,85 @@ def _h_integrate_polar(payload, policy, seed):
             {"round_trip": _residual(dev / scale, policy.match_tol)})
 
 
-def _h_triangle(payload, policy, seed):
+def _h_triangle(policy, seed, F, pt):
     from .quartic import polar_triangle
-    F = io.dec_poly(_need(payload, "quartic"), "$.payload.quartic", policy)
-    pt = io.dec_point(_need(payload, "point"), "$.payload.point", policy)
     tri = polar_triangle(F, pt, seed=seed, policy=policy)
     return ({"triangle": io.enc_triangle(tri)},
             {"three_cube_residual": _residual(tri.residual, policy.match_tol)})
 
 
-def _h_factor_lines(payload, policy, seed):
+def _h_factor_lines(policy, seed, cubic):
     from .quartic import factor_three_lines
-    cubic = io.dec_poly(_need(payload, "cubic"), "$.payload.cubic", policy)
     lines = factor_three_lines(cubic, seed=seed, policy=policy)
     prod = lines[0].as_poly() * lines[1].as_poly() * lines[2].as_poly()
-    scale = equal_up_to_scale(prod, cubic, policy)
-    dev = (float("inf") if scale is None else
-           (cubic - prod.scaled(scale)).max_coeff() / max(cubic.max_coeff(), 1e-300))
+    dev = _deviation(cubic, prod, equal_up_to_scale(prod, cubic, policy))
     return ({"lines": [io.enc_linear_form(l) for l in lines]},
             {"product_residual": _residual(dev, policy.match_tol)})
 
 
-def _h_related(payload, policy, seed):
+def _h_related(policy, seed, M, lam, mu):
     from .quartic import scorza_related
-    M = io.dec_detrep(_need(payload, "rep"), "$.payload.rep", symmetric=True)
-    lam = io.dec_point(_need(payload, "lambda"), "$.payload.lambda", policy)
-    mu = io.dec_point(_need(payload, "mu"), "$.payload.mu", policy)
     rel = scorza_related(M, lam, mu, policy)
     return ({"relation": io.enc_relation(rel)},
             {"pairing_residual": _residual(max(rel.residuals),
                                            policy.match_tol if rel.related else float("inf"))})
 
 
-def _h_identify_theta(payload, policy, seed):
+def _h_identify_theta(policy, seed, quartic, coeffs, cands, samples):
     from .quartic import identify_theta
-    if "quartic" in payload:
-        source = io.dec_poly(payload["quartic"], "$.payload.quartic", policy)
-    elif "coeffs" in payload:
-        source = io.dec_cubic_coeffs(payload["coeffs"], "$.payload.coeffs")
-    else:
+    source = quartic if quartic is not None else coeffs
+    if source is None:
         raise SchemaError("need either 'quartic' or 'coeffs'", "$.payload")
-    cands = [io.dec_detrep(c, f"$.payload.candidates[{i}]", symmetric=True)
-             for i, c in enumerate(_need(payload, "candidates"))]
-    samples = int(payload.get("samples", 3))
     ident = identify_theta(source, cands, samples=samples, seed=seed, policy=policy)
     return {"identification": io.enc_theta(ident)}, {}
 
 
-def _h_bitangent(payload, policy, seed):
+def _h_bitangent(policy, seed, M, b_i, b_j):
     from .quartic import bitangent_from_octad
-    M = io.dec_detrep(_need(payload, "rep"), "$.payload.rep", symmetric=True)
-    b_i = io.dec_vector(_need(payload, "b_i"), "$.payload.b_i")
-    b_j = io.dec_vector(_need(payload, "b_j"), "$.payload.b_j")
     ell = bitangent_from_octad(M, b_i, b_j, seed=seed, policy=policy)
     return {"line": io.enc_linear_form(ell)}, {}
 
 
-def _h_verify_replay(payload, policy, seed):
+def _h_verify_replay(policy, seed, P, recs):
     from .transforms import verify_replay
-    P = io.dec_pencil(_need(payload, "pencil"), "$.payload.pencil", policy)
-    recs = [io.dec_record(r, f"$.payload.records[{i}]", policy)
-            for i, r in enumerate(_need(payload, "records"))]
     devs = verify_replay(P, recs, policy)
     return ({"step_residuals": devs},
             {"pf_invariance": _residual(max(devs, default=0.0), _PF_TOL)})
 
 
+# kind -> (handler, payload fields)
 COMMANDS = {
-    "pf": _h_pf, "pf-minor": _h_pf_minor, "adjoint": _h_adjoint, "kernel": _h_kernel,
-    "canon": _h_canon, "canon2": _h_canon2, "gauge": _h_gauge, "structure": _h_structure,
-    "tangent": _h_tangent, "line": _h_line, "classify-pair": _h_classify_pair,
-    "k-const": _h_k_const, "partners": _h_partners, "type1": _h_type1,
-    "type2": _h_type2, "conint": _h_conint, "bundle-check": _h_bundle_check,
-    "bridge": _h_bridge, "polar-cubic": _h_polar_cubic, "aronhold": _h_aronhold,
-    "scorza": _h_scorza, "integrate-polar": _h_integrate_polar, "triangle": _h_triangle,
-    "factor-lines": _h_factor_lines, "related": _h_related,
-    "identify-theta": _h_identify_theta, "bitangent": _h_bitangent,
-    "verify-replay": _h_verify_replay,
+    "pf": (_h_pf, "pencil"),
+    "pf-minor": (_h_pf_minor, "pencil i:int j:int"),
+    "adjoint": (_h_adjoint, "pencil point"),
+    "kernel": (_h_kernel, "pencil point"),
+    "canon": (_h_canon, "pencil"),
+    "canon2": (_h_canon2, "pencil"),
+    "gauge": (_h_gauge, "pencil blocks:matrix[]"),
+    "structure": (_h_structure, "pencil"),
+    "tangent": (_h_tangent, "pencil point"),
+    "line": (_h_line, "pencil lambda:point mu:point v:vector u:vector"),
+    "classify-pair": (_h_classify_pair, "pencil lambda:point mu:point"),
+    "k-const": (_h_k_const,
+                "pencil lambda:point mu:point v:vector u:vector t1:complex t2:complex"),
+    "partners": (_h_partners, "pencil lambda:point v:vector u:vector"),
+    "type1": (_h_type1, "pencil lambda:point mu:point v:vector u:vector"),
+    "type2": (_h_type2, "pencil lambda:point v:vector rho:complex"),
+    "conint": (_h_conint, "pencil points:point[] vectors:vector[] rhos:complex[]"),
+    "bundle-check": (_h_bundle_check,
+                     "pencil record samples:point[] curve_samples:point[]=[]"),
+    "bridge": (_h_bridge, "pencil budget:int=50"),
+    "polar-cubic": (_h_polar_cubic, "quartic:poly"),
+    "aronhold": (_h_aronhold, "coeffs:cubic_coeffs"),
+    "scorza": (_h_scorza, "quartic:poly expected:poly=null"),
+    "integrate-polar": (_h_integrate_polar, "coeffs:cubic_coeffs"),
+    "triangle": (_h_triangle, "quartic:poly point"),
+    "factor-lines": (_h_factor_lines, "cubic:poly"),
+    "related": (_h_related, "rep:detrep lambda:point mu:point"),
+    "identify-theta": (_h_identify_theta, "quartic:poly=null coeffs:cubic_coeffs=null "
+                                          "candidates:detrep[] samples:int=3"),
+    "bitangent": (_h_bitangent, "rep:detrep b_i:vector b_j:vector"),
+    "verify-replay": (_h_verify_replay, "pencil records:record[]"),
 }
 
 
@@ -421,9 +416,10 @@ def dispatch(problem: dict, base_policy: TolerancePolicy = DEFAULT_POLICY) -> di
     policy = _policy_from(problem["tolerances"], base_policy)
     digest = hashlib.sha256(
         json.dumps(problem["payload"], sort_keys=True).encode()).hexdigest()[:16]
+    handler, fields = COMMANDS[problem["kind"]]
     start = time.perf_counter()
-    outputs, residuals = COMMANDS[problem["kind"]](problem["payload"], policy,
-                                                   problem["seed"])
+    outputs, residuals = handler(policy, problem["seed"],
+                                 *_decode(fields, problem["payload"], policy))
     elapsed = time.perf_counter() - start
     return {"command": problem["kind"], "inputs_digest": digest,
             "seed": problem["seed"], "outputs": outputs, "residuals": residuals,

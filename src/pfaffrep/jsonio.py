@@ -4,8 +4,9 @@ Wire conventions: a complex scalar is ``[re, im]``; a linear form is a
 list of three such pairs (coefficients of x0, x1, x2); a matrix is a
 list of rows of pairs; a polynomial is ``{"degree": d, "terms": [...]}``
 with terms in graded-lex order, which makes output byte-reproducible.
-Decoders validate shapes and raise :class:`SchemaError` with a path into
-the document; skew and symmetric matrices are re-validated on load.
+Decoders validate shapes and types and raise :class:`SchemaError` with a
+path into the document; skew and symmetric matrices are re-validated on
+load by the constructors of the types that hold them.
 """
 
 from __future__ import annotations
@@ -156,6 +157,10 @@ def _fail(msg: str, path: str):
     raise SchemaError(msg, path)
 
 
+def _is_int(obj: Any) -> bool:
+    return isinstance(obj, int) and not isinstance(obj, bool)
+
+
 def dec_complex(obj: Any, path: str = "$") -> complex:
     if not (isinstance(obj, (list, tuple)) and len(obj) == 2
             and all(isinstance(x, (int, float)) for x in obj)):
@@ -201,6 +206,10 @@ def dec_poly(obj: Any, path: str = "$",
              policy: TolerancePolicy = DEFAULT_POLICY) -> HomPoly:
     if not isinstance(obj, dict) or "degree" not in obj or "terms" not in obj:
         _fail("expected {degree, terms}", path)
+    if not _is_int(obj["degree"]):
+        _fail("degree must be an integer", f"{path}.degree")
+    if not isinstance(obj["terms"], list):
+        _fail("terms must be a list", f"{path}.terms")
     terms = {}
     for i, t in enumerate(obj["terms"]):
         tp = f"{path}.terms[{i}]"
@@ -212,43 +221,42 @@ def dec_poly(obj: Any, path: str = "$",
             _fail("exp must be three nonnegative integers", tp)
         terms[tuple(exp)] = terms.get(tuple(exp), 0) + dec_complex(t["coeff"], tp)
     try:
-        return HomPoly(int(obj["degree"]), terms, policy=policy)
+        return HomPoly(obj["degree"], terms, policy=policy)
     except ValueError as exc:
         _fail(str(exc), path)
+
+
+def _matrices(obj: dict, path: str, names: tuple[str, ...]) -> list[np.ndarray]:
+    """The matrices stored under ``names`` in ``obj``, each required."""
+    for name in names:
+        if name not in obj:
+            _fail(f"missing {name}", path)
+    return [dec_matrix(obj[name], f"{path}.{name}") for name in names]
 
 
 def dec_pencil(obj: Any, path: str = "$",
                policy: TolerancePolicy = DEFAULT_POLICY) -> SkewPencil:
     if not isinstance(obj, dict):
         _fail("expected a pencil object", path)
-    mats = []
-    for name in ("A0", "A1", "A2"):
-        if name not in obj:
-            _fail(f"missing {name}", path)
-        mats.append(dec_matrix(obj[name], f"{path}.{name}"))
-    for name, m in zip(("A0", "A1", "A2"), mats):
-        dev = float(np.max(np.abs(m + m.T)))
-        if dev > policy.zero_tol * max(1.0, float(np.max(np.abs(m)))):
-            k, l = np.unravel_index(int(np.argmax(np.abs(m + m.T))), m.shape)
-            raise SkewSymmetryViolation(
-                f"{name}[{k},{l}] breaks skew-symmetry by {dev:.3g}", f"{path}.{name}")
+    mats = _matrices(obj, path, ("A0", "A1", "A2"))
     try:
         P = SkewPencil(*mats, policy=policy)
+    except SkewSymmetryViolation as exc:
+        raise SkewSymmetryViolation(str(exc), path) from None
     except ValueError as exc:
         _fail(str(exc), path)
-    if "d" in obj and int(obj["d"]) != P.half_deg:
-        _fail(f"declared d={obj['d']} but matrices are {P.dim}x{P.dim}", path)
+    if "d" in obj:
+        if not _is_int(obj["d"]):
+            _fail("d must be an integer", f"{path}.d")
+        if obj["d"] != P.half_deg:
+            _fail(f"declared d={obj['d']} but matrices are {P.dim}x{P.dim}", path)
     return P
 
 
 def dec_detrep(obj: Any, path: str = "$", symmetric: bool = False) -> DetRep:
     if not isinstance(obj, dict):
         _fail("expected a representation object", path)
-    mats = []
-    for name in ("M0", "M1", "M2"):
-        if name not in obj:
-            _fail(f"missing {name}", path)
-        mats.append(dec_matrix(obj[name], f"{path}.{name}"))
+    mats = _matrices(obj, path, ("M0", "M1", "M2"))
     try:
         if symmetric:
             from .quartic import SymDetRep
@@ -281,29 +289,36 @@ def dec_record(obj: Any, path: str = "$",
     from .transforms import TransformRecord
     if not isinstance(obj, dict) or obj.get("kind") not in ("I", "II", "CONINT"):
         _fail("expected a record with kind I, II or CONINT", path)
+    def point(o, p):
+        return dec_point(o, p, policy)
     def opt(key, f):
         return f(obj[key], f"{path}.{key}") if obj.get(key) is not None else None
     conint_data = None
     if obj.get("conint_data") is not None:
-        cd = obj["conint_data"]
+        cd, cp = obj["conint_data"], f"{path}.conint_data"
+        if not isinstance(cd, dict):
+            _fail("expected an object", cp)
+        def each(key, f):
+            items = cd.get(key, [])
+            if not isinstance(items, list):
+                _fail("expected a list", f"{cp}.{key}")
+            return [f(x, f"{cp}.{key}[{i}]") for i, x in enumerate(items)]
         conint_data = {
-            "points": [dec_point(p, f"{path}.conint_data.points[{i}]", policy)
-                       for i, p in enumerate(cd.get("points", []))],
-            "vectors": [dec_vector(v, f"{path}.conint_data.vectors[{i}]")
-                        for i, v in enumerate(cd.get("vectors", []))],
-            "rhos": [dec_complex(r, f"{path}.conint_data.rhos[{i}]")
-                     for i, r in enumerate(cd.get("rhos", []))],
-            "Gamma": dec_matrix(cd["Gamma"], f"{path}.conint_data.Gamma"),
+            "points": each("points", point),
+            "vectors": each("vectors", dec_vector),
+            "rhos": each("rhos", dec_complex),
+            "Gamma": _matrices(cd, cp, ("Gamma",))[0],
         }
+    gamma_before, gamma_after = _matrices(obj, path, ("gamma_before", "gamma_after"))
     return TransformRecord(
         kind=obj["kind"],
-        lam=opt("lambda", lambda o, p: dec_point(o, p, policy)),
-        mu=opt("mu", lambda o, p: dec_point(o, p, policy)),
+        lam=opt("lambda", point),
+        mu=opt("mu", point),
         v=opt("v", dec_vector),
         u=opt("u", dec_vector),
         rho=opt("rho", dec_complex),
         k_value=opt("k_value", dec_complex),
         conint_data=conint_data,
-        gamma_before=dec_matrix(obj["gamma_before"], f"{path}.gamma_before"),
-        gamma_after=dec_matrix(obj["gamma_after"], f"{path}.gamma_after"),
+        gamma_before=gamma_before,
+        gamma_after=gamma_after,
     )

@@ -39,9 +39,13 @@ def _as_square(a, name: str) -> np.ndarray:
 def _check_skew(m: np.ndarray, name: str, tol: float) -> None:
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise SkewSymmetryViolation(f"{name} must be square, got shape {m.shape}")
-    dev = np.max(np.abs(m + m.T)) if m.size else 0.0
-    if dev > tol * max(1.0, float(np.max(np.abs(m))) if m.size else 1.0):
-        raise SkewSymmetryViolation(f"{name} deviates from skew-symmetry by {dev:.3g}")
+    if not m.size:
+        return
+    dev = np.abs(m + m.T)
+    if dev.max() > tol * max(1.0, float(np.max(np.abs(m)))):
+        k, l = np.unravel_index(int(np.argmax(dev)), dev.shape)
+        raise SkewSymmetryViolation(
+            f"{name}[{k},{l}] deviates from skew-symmetry by {dev.max():.3g}")
 
 
 class SkewPencil:
@@ -152,14 +156,6 @@ class DetRep:
 
     def scale(self) -> float:
         return max(float(np.max(np.abs(m))) for m in (self.M0, self.M1, self.M2))
-
-    def transpose(self) -> "DetRep":
-        return DetRep(self.M0.T, self.M1.T, self.M2.T)
-
-    def is_symmetric(self, policy: TolerancePolicy = DEFAULT_POLICY) -> bool:
-        s = max(self.scale(), 1.0)
-        return all(np.max(np.abs(m - m.T)) <= policy.zero_tol * s
-                   for m in (self.M0, self.M1, self.M2))
 
     def entry(self, i: int, j: int) -> LinearForm:
         return LinearForm(self.M0[i, j], self.M1[i, j], self.M2[i, j])

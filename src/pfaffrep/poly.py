@@ -147,12 +147,6 @@ class HomPoly:
         s = complex(s)
         return HomPoly(self.degree, {e: s * v for e, v in self._terms.items()})
 
-    def pow(self, n: int) -> "HomPoly":
-        out = HomPoly.constant(1.0)
-        for _ in range(n):
-            out = out * self
-        return out
-
     # -- constructors ---------------------------------------------------------
 
     @staticmethod
@@ -284,11 +278,6 @@ class ProjPoint:
 
 
 # -- free operations ----------------------------------------------------------
-
-def eval_poly(p: HomPoly, pt: ProjPoint) -> complex:
-    """Evaluate ``p`` at the normalized representative of ``pt``."""
-    return p(pt)
-
 
 def univariate_roots(coeffs: Iterable[complex],
                      policy: TolerancePolicy = DEFAULT_POLICY) -> np.ndarray:

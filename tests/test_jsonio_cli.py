@@ -253,3 +253,185 @@ def test_cli_env_tolerance_profile(pencil_doc):
                           input=json.dumps(payload), capture_output=True, text=True,
                           env=env_bad)
     assert proc.returncode == 2
+
+
+# -- malformed payloads -----------------------------------------------------------
+
+_PT = [[1.0, 0.0], [0.5, 0.0], [0.25, 0.0]]
+_VEC = [[1.0, 0.0], [0.0, 0.0], [0.0, 0.0], [0.0, 0.0]]
+_ONE = [[[1.0, 0.0]]]
+_RECORD = {"kind": "II", "gamma_before": _ONE, "gamma_after": _ONE}
+_QUARTIC = {"degree": 4, "terms": [{"exp": [4, 0, 0], "coeff": [1.0, 0.0]}]}
+_REP = {"M0": _ONE, "M1": _ONE, "M2": _ONE}
+
+# A value that decodes, for each payload field name; a problem made of
+# these need not make sense, since a malformed field fails before any
+# handler runs.
+FIELD_VALUES = {
+    "point": _PT, "lambda": _PT, "mu": _PT, "v": _VEC, "u": _VEC, "b_i": _VEC, "b_j": _VEC,
+    "t1": [0.5, 0.0], "t2": [0.5, 0.0], "rho": [0.5, 0.0], "i": 0, "j": 1,
+    "blocks": [[[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]],
+    "points": [_PT], "vectors": [_VEC], "rhos": [[0.5, 0.0]], "record": _RECORD,
+    "samples": [_PT], "records": [_RECORD], "quartic": _QUARTIC,
+    "cubic": {"degree": 3, "terms": [{"exp": [3, 0, 0], "coeff": [1.0, 0.0]}]},
+    "coeffs": {name: [1.0, 0.0] for name in ("w000", "w111", "w222", "w012", "w001",
+                                             "w002", "w011", "w022", "w112", "w122")},
+    "rep": _REP, "candidates": [_REP],
+}
+
+# The required payload fields of every command.
+REQUIRED = {
+    "pf": "pencil", "pf-minor": "pencil i j", "adjoint": "pencil point",
+    "kernel": "pencil point", "canon": "pencil", "canon2": "pencil",
+    "gauge": "pencil blocks", "structure": "pencil", "tangent": "pencil point",
+    "line": "pencil lambda mu v u", "classify-pair": "pencil lambda mu",
+    "k-const": "pencil lambda mu v u t1 t2", "partners": "pencil lambda v u",
+    "type1": "pencil lambda mu v u", "type2": "pencil lambda v rho",
+    "conint": "pencil points vectors rhos", "bundle-check": "pencil record samples",
+    "bridge": "pencil", "polar-cubic": "quartic", "aronhold": "coeffs", "scorza": "quartic",
+    "integrate-polar": "coeffs", "triangle": "quartic point", "factor-lines": "cubic",
+    "related": "rep lambda mu", "identify-theta": "candidates",
+    "bitangent": "rep b_i b_j", "verify-replay": "pencil records",
+}
+
+
+def _payload(kind, pencil):
+    """A payload with every required field of ``kind`` present and decodable."""
+    values = {**FIELD_VALUES, "pencil": pencil}
+    payload = {name: values[name] for name in REQUIRED[kind].split()}
+    if kind == "identify-theta":
+        payload["quartic"] = _QUARTIC
+    return payload
+
+
+def _assert_schema_error(text, kind, payload):
+    """Running the problem raises a SchemaError whose message contains ``text``."""
+    with pytest.raises(SchemaError) as exc:
+        dispatch(parse_problem({"kind": kind, "payload": payload}))
+    assert text in str(exc.value)
+
+
+@pytest.mark.parametrize("kind", sorted(COMMANDS))
+def test_missing_or_mistyped_field_is_a_schema_error(kind, pencil_doc):
+    full = _payload(kind, pencil_doc[1])
+    for name in REQUIRED[kind].split():
+        rest = {k: v for k, v in full.items() if k != name}
+        _assert_schema_error(f"$.payload.{name}", kind, rest)
+        wrong = [0] if name in ("i", "j") else 5
+        _assert_schema_error(f"$.payload.{name}", kind, {**rest, name: wrong})
+
+
+def test_identify_theta_needs_quartic_or_coeffs(pencil_doc):
+    payload = _payload("identify-theta", pencil_doc[1])
+    del payload["quartic"]
+    _assert_schema_error("need either 'quartic' or 'coeffs'", "identify-theta", payload)
+
+
+def test_integer_fields_and_minor_indices(pencil_doc):
+    pf_minor = _payload("pf-minor", pencil_doc[1])
+    for i, j in ((4, 1), (0, 4), (True, 1), (2.0, 1)):
+        bad = "$.payload.i" if i != 0 else "$.payload.j"
+        _assert_schema_error(bad, "pf-minor", {**pf_minor, "i": i, "j": j})
+    _assert_schema_error("minor indices must differ", "pf-minor", {**pf_minor, "i": 1, "j": 1})
+    bridge = _payload("bridge", pencil_doc[1])
+    for budget in (2.7, -1, "3", None):
+        _assert_schema_error("$.payload.budget", "bridge", {**bridge, "budget": budget})
+
+
+def test_decoders_raise_schema_errors_with_paths(pencil_doc):
+    doc = pencil_doc[1]
+    cases = [(io.dec_pencil, {**doc, "d": "x"}, "$.d"),
+             (io.dec_pencil, {**doc, "d": [2]}, "$.d"),
+             (io.dec_pencil, {**doc, "d": 3}, "declared d=3"),
+             (io.dec_poly, {"degree": 4, "terms": 5}, "$.terms"),
+             (io.dec_poly, {"degree": [4], "terms": []}, "$.degree"),
+             (io.dec_poly, {"degree": 4.0, "terms": []}, "$.degree"),
+             (io.dec_record, {"kind": "II", "gamma_after": _ONE}, "missing gamma_before"),
+             (io.dec_record, {"kind": "II", "gamma_before": _ONE}, "missing gamma_after"),
+             (io.dec_record, {**_RECORD, "kind": "CONINT", "conint_data": 5}, "$.conint_data"),
+             (io.dec_record, {**_RECORD, "kind": "CONINT", "conint_data": {}},
+              "missing Gamma (at $.conint_data)"),
+             (io.dec_record, {**_RECORD, "kind": "CONINT",
+                              "conint_data": {"Gamma": _ONE, "points": 5}},
+              "$.conint_data.points")]
+    for dec, obj, expected in cases:
+        with pytest.raises(SchemaError) as exc:
+            dec(obj)
+        assert expected in str(exc.value), (obj, str(exc.value))
+
+
+def test_skew_violation_names_the_entry(pencil_doc):
+    bad = json.loads(json.dumps(pencil_doc[1]))
+    bad["A2"][1][3] = [bad["A2"][1][3][0] + 1.0, bad["A2"][1][3][1]]
+    with pytest.raises(SkewSymmetryViolation) as exc:
+        io.dec_pencil(bad, "$.payload.pencil")
+    assert str(exc.value).startswith("A2[1,3] deviates from skew-symmetry by ")
+    assert str(exc.value).endswith("(at $.payload.pencil)")
+
+
+PROBES = [
+    ("gauge", {"blocks": 5}, "$.payload.blocks"),
+    ("conint", {"points": 5}, "$.payload.points"),
+    ("pf-minor", {"i": [0]}, "$.payload.i"),
+    ("pf-minor", {"i": -1}, "$.payload.i"),
+    ("bridge", {"budget": [1]}, "$.payload.budget"),
+    ("polar-cubic", {"quartic": {"degree": 4, "terms": 5}}, "$.payload.quartic.terms"),
+    ("polar-cubic", {"quartic": {"degree": [4], "terms": []}}, "$.payload.quartic.degree"),
+    ("verify-replay", {"records": [{"kind": "II", "gamma_after": _ONE}]},
+     "$.payload.records[0]"),
+    ("pf", {"pencil": {"d": [2]}}, "$.payload.pencil.d"),
+]
+
+
+@pytest.mark.parametrize("kind,edit,path", PROBES)
+def test_cli_malformed_payload_exits_2(kind, edit, path, pencil_doc):
+    # an edit to the pencil is merged into a valid one
+    payload = {**_payload(kind, pencil_doc[1]), **edit}
+    if "pencil" in edit:
+        payload["pencil"] = {**pencil_doc[1], **edit["pencil"]}
+    p = run_cli(["run", "-"], {"kind": kind, "payload": payload})
+    assert p.returncode == 2, p.stderr
+    assert p.stderr.startswith("pfaffrep: schema error: ") and path in p.stderr
+    assert not p.stdout
+
+
+def test_cli_batch_keeps_good_reports_around_a_malformed_payload(pencil_doc):
+    _, doc = pencil_doc
+    good = [{"kind": "pf", "payload": {"pencil": doc}, "seed": 7},
+            {"kind": "canon", "payload": {"pencil": doc}, "seed": 9}]
+    bad = {"kind": "gauge", "payload": {**_payload("gauge", doc), "blocks": 5}}
+    p = run_cli(["batch", "-", "--format", "json"], [good[0], bad, good[1]])
+    assert p.returncode == 2
+    reports = json.loads(p.stdout)
+    for g, rep in zip(good, (reports[0], reports[2])):
+        alone = {k: v for k, v in dispatch(parse_problem(g)).items() if not k.startswith("_")}
+        assert rep == json.loads(json.dumps(alone))
+    assert reports[1]["error"]["type"] == "SchemaError"
+    assert "$.payload.blocks" in reports[1]["error"]["message"]
+
+
+def test_dispatch_looks_up_decoders_and_layers_at_call_time(monkeypatch, rng):
+    import pfaffrep.jsonio
+    import pfaffrep.transforms
+    from pfaffrep import classify_pair
+    calls = []
+
+    def counting(module, name):
+        fn = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+        monkeypatch.setattr(module, name, wrapper)
+
+    P = random_pencil(rng, 4)
+    pts = sample_curve_points(P.pfaffian(), 2, seed=11)
+    pc = classify_pair(P, pts[0].pt, pts[1].pt)
+    counting(pfaffrep.jsonio, "dec_pencil")
+    counting(pfaffrep.transforms, "type1")
+    report = dispatch(parse_problem({"kind": "type1", "payload": {
+        "pencil": io.enc_pencil(P), "lambda": io.enc_point(pts[0].pt),
+        "mu": io.enc_point(pts[1].pt), "v": io.enc_vector(pc.basis_lambda.v1),
+        "u": io.enc_vector(pc.basis_mu.v1)}}))
+    assert report["residuals"]["pf_invariance"]["ok"]
+    assert calls == ["dec_pencil", "type1"]

@@ -31,8 +31,8 @@ EXPORTS = {
     "pencil": ["DetRep", "KernelBasis", "SkewPencil", "congruence", "decomposable_from",
                "kernel_at", "pfaffian_adjoint_at", "pfaffian_minor", "pfaffian_numeric",
                "wedge_to_matrix"],
-    "poly": ["HomPoly", "LinearForm", "ProjPoint", "equal_up_to_scale", "eval_poly",
-             "roots_on_line", "univariate_roots"],
+    "poly": ["HomPoly", "LinearForm", "ProjPoint", "equal_up_to_scale", "roots_on_line",
+             "univariate_roots"],
     "quartic": ["CubicCoeffs", "PolarTriangle", "ScorzaRelation", "SymDetRep",
                 "ThetaIdentification", "aronhold_invariant", "aronhold_matrix",
                 "bitangent_from_octad", "corank_one_kernel", "factor_three_lines",

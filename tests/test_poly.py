@@ -2,23 +2,23 @@ import numpy as np
 import pytest
 
 from pfaffrep import (HomPoly, LinearForm, PreconditionError, ProjPoint,
-                      RepeatedRoots, equal_up_to_scale, eval_poly,
-                      roots_on_line, univariate_roots)
+                      RepeatedRoots, equal_up_to_scale, roots_on_line,
+                      univariate_roots)
 
 
 def test_eval_simple_product():
     p = HomPoly(2, {(1, 1, 0): 1})
-    assert eval_poly(p, ProjPoint(1, 1, 0)) == pytest.approx(1)
+    assert p(ProjPoint(1, 1, 0)) == pytest.approx(1)
 
 
 def test_eval_quartic_at_unit_point(quartic_example):
     # only the -y^4 term survives at (0, 1, 0)
-    assert eval_poly(quartic_example, ProjPoint(0, 1, 0)) == pytest.approx(-1)
+    assert quartic_example(ProjPoint(0, 1, 0)) == pytest.approx(-1)
 
 
 def test_scorza_curve_passes_through_first_vertex(scorza_printed):
     # all x1- and x2-free terms vanish, so (1, 0, 0) is on the curve
-    assert abs(eval_poly(scorza_printed, ProjPoint(1, 0, 0))) < 1e-12
+    assert abs(scorza_printed(ProjPoint(1, 0, 0))) < 1e-12
 
 
 def test_partial_simple():
