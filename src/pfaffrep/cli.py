@@ -19,7 +19,11 @@ a missing or wrong-typed field is a :class:`SchemaError` at
 
 Only numpy and the core modules are imported here; each handler imports
 the library functions it calls, so a process loads only what its
-command uses.
+command uses.  Run as a process (``python -m pfaffrep.cli`` or the
+``pfaffrep`` script, both :func:`process_main`), the module keeps the
+garbage collector off its start-up heap: paused while it imports, frozen
+before the problem runs and again before the interpreter finalizes;
+imported as a library, it leaves the caller's collector alone.
 
 Exit codes: 0 all residuals within their declared tolerances, 1 usage,
 2 schema, 3 numerical failure, 4 violated precondition.  A batch exits
@@ -27,6 +31,12 @@ with the highest code of its problems.
 """
 
 from __future__ import annotations
+
+import gc
+
+if __name__ == "__main__":
+    # A CLI process: no collector passes while numpy and the core modules load.
+    gc.disable()
 
 import argparse
 import hashlib
@@ -88,7 +98,7 @@ def _field(kind: str, obj, path: str, policy: TolerancePolicy):
             raise SchemaError("expected a list", path)
         return [_field(kind[:-2], x, f"{path}[{i}]", policy) for i, x in enumerate(obj)]
     if kind == "int":
-        if not isinstance(obj, int) or isinstance(obj, bool) or obj < 0:
+        if not (io._is_int(obj) and obj >= 0):
             raise SchemaError("expected a nonnegative integer", path)
         return obj
     # looked up per call, so a decoder rebound in jsonio (as tracing does) is used
@@ -380,25 +390,27 @@ COMMANDS = {
 
 # -- problem files and dispatch ---------------------------------------------------
 
-def parse_problem(doc, path: str = "$") -> dict:
+def parse_problem(doc) -> dict:
     """Validate the envelope of a problem document."""
     if not isinstance(doc, dict):
-        raise SchemaError("problem must be a JSON object", path)
+        raise SchemaError("problem must be a JSON object", "$")
     kind = doc.get("kind")
     if kind not in COMMANDS:
         raise SchemaError(
-            f"unknown kind {kind!r}; valid kinds: {', '.join(sorted(COMMANDS))}",
-            f"{path}.kind")
+            f"unknown kind {kind!r}; valid kinds: {', '.join(sorted(COMMANDS))}", "$.kind")
     payload = doc.get("payload")
     if not isinstance(payload, dict):
-        raise SchemaError("payload must be a JSON object", f"{path}.payload")
+        raise SchemaError("payload must be a JSON object", "$.payload")
     tol = doc.get("tolerances", {})
     if not isinstance(tol, dict) or not set(tol) <= {"zero_tol", "rank_tol", "match_tol"}:
         raise SchemaError("tolerances may override zero_tol, rank_tol, match_tol",
-                          f"{path}.tolerances")
+                          "$.tolerances")
+    for name, value in tol.items():
+        if not io._is_number(value):
+            raise SchemaError("expected a number", f"$.tolerances.{name}")
     seed = doc.get("seed", 0)
-    if not isinstance(seed, int) or seed < 0:
-        raise SchemaError("seed must be a nonnegative integer", f"{path}.seed")
+    if not (io._is_int(seed) and seed >= 0):
+        raise SchemaError("seed must be a nonnegative integer", "$.seed")
     return {"kind": kind, "payload": payload, "tolerances": tol, "seed": seed}
 
 
@@ -483,13 +495,19 @@ def _exit_code_for(report: dict) -> int:
 
 def _run_batch_problem(doc, index: int, seed: int | None,
                        base_policy: TolerancePolicy) -> dict:
-    """One batch problem: its run report, or an error entry if it fails."""
+    """One batch problem: its run report, or an error entry if it fails.
+
+    A schema error's path is moved under ``$[index]``, the problem's place
+    in the batch.
+    """
     try:
-        problem = parse_problem(doc, f"$[{index}]")
+        problem = parse_problem(doc)
         if seed is not None:
             problem["seed"] = seed
         return dispatch(problem, base_policy)
     except (PfaffrepError, ValueError) as exc:
+        if isinstance(exc, SchemaError):
+            exc = exc.under(f"$[{index}]")
         raw = doc if isinstance(doc, dict) else {}
         return {"command": raw.get("kind"),
                 "seed": raw.get("seed", 0) if seed is None else seed,
@@ -582,5 +600,23 @@ def main(argv=None) -> int:
         return code
 
 
+def process_main() -> int:
+    """The process entry of ``python -m pfaffrep.cli`` and the ``pfaffrep`` script.
+
+    The objects loaded so far are moved to the collector's permanent
+    generation and the collector runs for the problem, so a long batch
+    still frees its cyclic garbage.  After ``main`` they are frozen again:
+    the collections of interpreter finalization then skip the start-up heap,
+    while stdout is still flushed and atexit handlers still run.  Only a
+    process should call this; ``main`` leaves the caller's collector alone.
+    """
+    gc.freeze()
+    gc.enable()
+    try:
+        return main()
+    finally:
+        gc.freeze()
+
+
 if __name__ == "__main__":
-    raise SystemExit(main())
+    raise SystemExit(process_main())

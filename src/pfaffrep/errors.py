@@ -14,8 +14,14 @@ class SchemaError(PfaffrepError):
     """Malformed or invalid input document."""
 
     def __init__(self, message: str, path: str = ""):
-        self.path = path
+        self.message, self.path = message, path
         super().__init__(f"{message}" + (f" (at {path})" if path else ""))
+
+    def under(self, root: str) -> "SchemaError":
+        """The same error with its document path ``$...`` moved to ``root...``."""
+        if not self.path.startswith("$"):
+            return self
+        return type(self)(self.message, root + self.path[1:])
 
 
 class SkewSymmetryViolation(SchemaError):

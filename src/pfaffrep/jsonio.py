@@ -157,13 +157,22 @@ def _fail(msg: str, path: str):
     raise SchemaError(msg, path)
 
 
+# JSON true and false are Python ints, so both checks exclude bool.
 def _is_int(obj: Any) -> bool:
     return isinstance(obj, int) and not isinstance(obj, bool)
 
 
+def _is_number(obj: Any) -> bool:
+    return isinstance(obj, (int, float)) and not isinstance(obj, bool)
+
+
+def _is_pair(obj: Any) -> bool:
+    return (isinstance(obj, (list, tuple)) and len(obj) == 2
+            and _is_number(obj[0]) and _is_number(obj[1]))
+
+
 def dec_complex(obj: Any, path: str = "$") -> complex:
-    if not (isinstance(obj, (list, tuple)) and len(obj) == 2
-            and all(isinstance(x, (int, float)) for x in obj)):
+    if not _is_pair(obj):
         _fail("expected a [re, im] pair", path)
     return complex(obj[0], obj[1])
 
@@ -217,7 +226,7 @@ def dec_poly(obj: Any, path: str = "$",
             _fail("expected {exp, coeff}", tp)
         exp = t["exp"]
         if not (isinstance(exp, list) and len(exp) == 3
-                and all(isinstance(e, int) and e >= 0 for e in exp)):
+                and all(_is_int(e) and e >= 0 for e in exp)):
             _fail("exp must be three nonnegative integers", tp)
         terms[tuple(exp)] = terms.get(tuple(exp), 0) + dec_complex(t["coeff"], tp)
     try:
@@ -276,8 +285,7 @@ def dec_cubic_coeffs(obj: Any, path: str = "$") -> CubicCoeffs:
             _fail(f"missing {name}", path)
         entry = obj[name]
         p = f"{path}.{name}"
-        if (isinstance(entry, list) and len(entry) == 2
-                and all(isinstance(x, (int, float)) for x in entry)):
+        if _is_pair(entry):
             vals[name] = dec_complex(entry, p)
         else:
             vals[name] = dec_linear_form(entry, p)

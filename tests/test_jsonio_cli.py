@@ -67,6 +67,12 @@ def test_dec_complex_shape_errors():
         io.dec_complex([1.0])
     with pytest.raises(SchemaError):
         io.dec_linear_form([[1, 0], [2, 0]])
+    # JSON booleans are Python ints, but no number
+    for pair in ([True, False], [1.0, True], [False, 0.0]):
+        with pytest.raises(SchemaError, match=r"\(at \$\)"):
+            io.dec_complex(pair)
+    with pytest.raises(SchemaError, match=r"\$\[1\]"):
+        io.dec_vector([[1.0, 0.0], [True, 0.0]])
 
 
 def test_parse_problem_validation(pencil_doc):
@@ -81,6 +87,12 @@ def test_parse_problem_validation(pencil_doc):
         parse_problem({"kind": "pf", "payload": {}, "seed": -1})
     with pytest.raises(SchemaError):
         parse_problem({"kind": "pf", "payload": {}, "tolerances": {"bogus": 1}})
+    # JSON true is a Python int; it is no seed and no tolerance
+    with pytest.raises(SchemaError, match=r"\$\.seed"):
+        parse_problem({"kind": "pf", "payload": {}, "seed": True})
+    for value in (True, None, [1e-5]):
+        with pytest.raises(SchemaError, match=r"\$\.tolerances\.match_tol"):
+            parse_problem({"kind": "pf", "payload": {}, "tolerances": {"match_tol": value}})
 
 
 def test_all_registry_kinds_are_wired():
@@ -216,6 +228,19 @@ def test_cli_batch_isolates_failures(pencil_doc):
     assert p.returncode == 2
     assert "command: pf  (seed 7" in p.stdout
     assert "command: bogus  (seed 0)\n  error SchemaError (exit 2): unknown kind" in p.stdout
+    # payload, decoder and skew paths name the problem's index, as envelope paths do
+    skewless = json.loads(json.dumps(doc))
+    skewless["A1"][0][1] = [skewless["A1"][0][1][0] + 1.0, 0.0]
+    p = run_cli(["batch", "-", "--format", "json"],
+                [{"kind": "pf", "payload": {}}, {"kind": "bogus"},
+                 {"kind": "pf", "payload": {"pencil": {**doc, "d": "x"}}},
+                 {"kind": "pf", "payload": {"pencil": skewless}}])
+    assert p.returncode == 2
+    messages = [r["error"]["message"] for r in json.loads(p.stdout)]
+    assert [m[m.rindex("(at "):] for m in messages] == [
+        "(at $[0].payload.pencil)", "(at $[1].kind)", "(at $[2].payload.pencil.d)",
+        "(at $[3].payload.pencil)"]
+    assert messages[3].startswith("A1[0,1] deviates from skew-symmetry by ")
 
 
 def test_cli_tol_override(pencil_doc):
@@ -353,7 +378,14 @@ def test_decoders_raise_schema_errors_with_paths(pencil_doc):
               "missing Gamma (at $.conint_data)"),
              (io.dec_record, {**_RECORD, "kind": "CONINT",
                               "conint_data": {"Gamma": _ONE, "points": 5}},
-              "$.conint_data.points")]
+              "$.conint_data.points"),
+             (io.dec_poly, {"degree": 2, "terms": [{"exp": [True, 1, 0], "coeff": [1.0, 0.0]}]},
+              "exp must be three nonnegative integers (at $.terms[0])"),
+             (io.dec_poly, {"degree": 2, "terms": [{"exp": [1, 1, 0], "coeff": [True, 0.0]}]},
+              "$.terms[0]"),
+             (io.dec_cubic_coeffs, {**FIELD_VALUES["coeffs"], "w012": [True, False]},
+              "$.w012"),
+             (io.dec_matrix, [[[0.0, 0.0], [False, 1.0]]], "$[0][1]")]
     for dec, obj, expected in cases:
         with pytest.raises(SchemaError) as exc:
             dec(obj)
@@ -380,6 +412,10 @@ PROBES = [
     ("verify-replay", {"records": [{"kind": "II", "gamma_after": _ONE}]},
      "$.payload.records[0]"),
     ("pf", {"pencil": {"d": [2]}}, "$.payload.pencil.d"),
+    ("type2", {"rho": [True, False]}, "$.payload.rho"),
+    ("polar-cubic", {"quartic": {"degree": 4, "terms": [{"exp": [True, 3, 0],
+                                                         "coeff": [1.0, 0.0]}]}},
+     "$.payload.quartic.terms[0]"),
 ]
 
 
@@ -407,7 +443,7 @@ def test_cli_batch_keeps_good_reports_around_a_malformed_payload(pencil_doc):
         alone = {k: v for k, v in dispatch(parse_problem(g)).items() if not k.startswith("_")}
         assert rep == json.loads(json.dumps(alone))
     assert reports[1]["error"]["type"] == "SchemaError"
-    assert "$.payload.blocks" in reports[1]["error"]["message"]
+    assert reports[1]["error"]["message"].endswith("(at $[1].payload.blocks)")
 
 
 def test_dispatch_looks_up_decoders_and_layers_at_call_time(monkeypatch, rng):
