@@ -64,3 +64,15 @@ def __getattr__(name: str):
 
 def __dir__():
     return sorted(set(globals()) | set(__all__))
+
+
+def _console_script():
+    """The ``pfaffrep`` console script: run ``pfaffrep.cli`` as ``__main__``.
+
+    This is what ``python -m pfaffrep.cli`` does, so both entries start
+    the same way.  Only the standard library is loaded before the module
+    runs, so the process set-up at the top of ``cli.py`` takes effect
+    before numpy loads.  The module ends the process with ``SystemExit``.
+    """
+    import runpy
+    runpy.run_module("pfaffrep.cli", run_name="__main__", alter_sys=True)

@@ -20,10 +20,14 @@ a missing or wrong-typed field is a :class:`SchemaError` at
 Only numpy and the core modules are imported here; each handler imports
 the library functions it calls, so a process loads only what its
 command uses.  Run as a process (``python -m pfaffrep.cli`` or the
-``pfaffrep`` script, both :func:`process_main`), the module keeps the
-garbage collector off its start-up heap: paused while it imports, frozen
-before the problem runs and again before the interpreter finalizes;
-imported as a library, it leaves the caller's collector alone.
+``pfaffrep`` script, which both run this module as ``__main__``), the
+module keeps the garbage collector off its start-up heap: paused while it
+imports, frozen before the problem runs and again before the interpreter
+finalizes.  Such a process also asks OpenBLAS for one thread, since its
+small pencils never reach OpenBLAS's threading thresholds, unless the
+caller set ``OPENBLAS_NUM_THREADS``, ``GOTO_NUM_THREADS`` or
+``OMP_NUM_THREADS``.  Imported as a library, the module leaves the
+caller's collector and environment alone.
 
 Exit codes: 0 all residuals within their declared tolerances, 1 usage,
 2 schema, 3 numerical failure, 4 violated precondition.  A batch exits
@@ -33,15 +37,19 @@ with the highest code of its problems.
 from __future__ import annotations
 
 import gc
+import os
 
 if __name__ == "__main__":
-    # A CLI process: no collector passes while numpy and the core modules load.
+    # A CLI process: no collector passes while numpy and the core modules
+    # load, and no idle OpenBLAS workers, which are started when numpy loads.
     gc.disable()
+    if os.environ.keys().isdisjoint(
+            ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")):
+        os.environ["OPENBLAS_NUM_THREADS"] = "1"
 
 import argparse
 import hashlib
 import json
-import os
 import sys
 import time
 
@@ -390,14 +398,26 @@ COMMANDS = {
 
 # -- problem files and dispatch ---------------------------------------------------
 
+def _valid_kind(doc: dict) -> str | None:
+    """The document's ``kind`` if it names a command."""
+    kind = doc.get("kind")
+    return kind if isinstance(kind, str) and kind in COMMANDS else None
+
+
+def _valid_seed(doc: dict) -> int | None:
+    """The document's ``seed``, 0 when absent, if it is a nonnegative integer."""
+    seed = doc.get("seed", 0)
+    return seed if io._is_int(seed) and seed >= 0 else None
+
+
 def parse_problem(doc) -> dict:
     """Validate the envelope of a problem document."""
     if not isinstance(doc, dict):
         raise SchemaError("problem must be a JSON object", "$")
-    kind = doc.get("kind")
-    if kind not in COMMANDS:
-        raise SchemaError(
-            f"unknown kind {kind!r}; valid kinds: {', '.join(sorted(COMMANDS))}", "$.kind")
+    kind = _valid_kind(doc)
+    if kind is None:
+        raise SchemaError(f"unknown kind {doc.get('kind')!r}; "
+                          f"valid kinds: {', '.join(sorted(COMMANDS))}", "$.kind")
     payload = doc.get("payload")
     if not isinstance(payload, dict):
         raise SchemaError("payload must be a JSON object", "$.payload")
@@ -408,8 +428,8 @@ def parse_problem(doc) -> dict:
     for name, value in tol.items():
         if not io._is_number(value):
             raise SchemaError("expected a number", f"$.tolerances.{name}")
-    seed = doc.get("seed", 0)
-    if not (io._is_int(seed) and seed >= 0):
+    seed = _valid_seed(doc)
+    if seed is None:
         raise SchemaError("seed must be a nonnegative integer", "$.seed")
     return {"kind": kind, "payload": payload, "tolerances": tol, "seed": seed}
 
@@ -446,7 +466,8 @@ def _format_complex(pair) -> str:
 def _render_text(report: dict) -> str:
     if "error" in report:
         err = report["error"]
-        return (f"command: {report['command']}  (seed {report['seed']})\n"
+        command, seed = ("null" if v is None else v for v in (report["command"], report["seed"]))
+        return (f"command: {command}  (seed {seed})\n"
                 f"  error {err['type']} (exit {err['exit_code']}): {err['message']}")
     lines = [f"command: {report['command']}  (seed {report['seed']}, "
              f"inputs {report['inputs_digest']}, {report['_wall_time_s']:.3f}s)"]
@@ -498,7 +519,8 @@ def _run_batch_problem(doc, index: int, seed: int | None,
     """One batch problem: its run report, or an error entry if it fails.
 
     A schema error's path is moved under ``$[index]``, the problem's place
-    in the batch.
+    in the batch.  An error entry reports the problem's kind and seed only
+    where they are valid, and ``None`` where they are not.
     """
     try:
         problem = parse_problem(doc)
@@ -509,8 +531,8 @@ def _run_batch_problem(doc, index: int, seed: int | None,
         if isinstance(exc, SchemaError):
             exc = exc.under(f"$[{index}]")
         raw = doc if isinstance(doc, dict) else {}
-        return {"command": raw.get("kind"),
-                "seed": raw.get("seed", 0) if seed is None else seed,
+        return {"command": _valid_kind(raw),
+                "seed": _valid_seed(raw) if seed is None else seed,
                 "error": {"type": type(exc).__name__, "message": str(exc),
                           "exit_code": _failure(exc)[0]}}
 
@@ -539,14 +561,19 @@ def _build_parser() -> _Parser:
 
 
 def _load_json(path: str):
+    # bytes, not text: JSON is UTF-8 whatever the locale's encoding (RFC 8259)
     try:
-        text = sys.stdin.read() if path == "-" else open(path).read()
+        if path == "-":
+            data = sys.stdin.buffer.read()
+        else:
+            with open(path, "rb") as fh:
+                data = fh.read()
     except OSError as exc:
         print(f"pfaffrep: cannot read {path}: {exc}", file=sys.stderr)
         raise SystemExit(_EXIT_USAGE)
     try:
-        return json.loads(text)
-    except json.JSONDecodeError as exc:
+        return json.loads(data)
+    except ValueError as exc:  # a JSONDecodeError, or bytes that are not UTF-8
         raise SchemaError(f"invalid JSON: {exc}", "$")
 
 
@@ -563,8 +590,11 @@ def _base_policy(tol_arg: str | None) -> TolerancePolicy:
 
 
 def main(argv=None) -> int:
+    parser = _build_parser()
     # intermixed: options may stand before, between or after the positionals
-    args = _build_parser().parse_intermixed_args(argv)
+    args = parser.parse_intermixed_args(argv)
+    if args.seed is not None and args.seed < 0:
+        parser.error("argument --seed: expected a nonnegative integer")
     try:
         base_policy = _base_policy(args.tol)
         doc = _load_json(args.problem)
@@ -582,7 +612,7 @@ def main(argv=None) -> int:
                 print("\n".join(_render_text(r) for r in reports))
             return max((_exit_code_for(r) for r in reports), default=0)
 
-        if args.command != "run":
+        if args.command != "run" and isinstance(doc, dict):
             if "kind" in doc and doc["kind"] != args.command:
                 raise SchemaError(
                     f"file kind {doc['kind']!r} does not match subcommand {args.command!r}",

@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 
@@ -227,7 +228,7 @@ def test_cli_batch_isolates_failures(pencil_doc):
     p = run_cli(["batch", "-"], [good[0], {"kind": "bogus", "payload": {}}])
     assert p.returncode == 2
     assert "command: pf  (seed 7" in p.stdout
-    assert "command: bogus  (seed 0)\n  error SchemaError (exit 2): unknown kind" in p.stdout
+    assert "command: null  (seed 0)\n  error SchemaError (exit 2): unknown kind" in p.stdout
     # payload, decoder and skew paths name the problem's index, as envelope paths do
     skewless = json.loads(json.dumps(doc))
     skewless["A1"][0][1] = [skewless["A1"][0][1][0] + 1.0, 0.0]
@@ -241,6 +242,64 @@ def test_cli_batch_isolates_failures(pencil_doc):
         "(at $[0].payload.pencil)", "(at $[1].kind)", "(at $[2].payload.pencil.d)",
         "(at $[3].payload.pencil)"]
     assert messages[3].startswith("A1[0,1] deviates from skew-symmetry by ")
+
+
+def test_cli_unhashable_kind_is_a_schema_error(pencil_doc):
+    _, doc = pencil_doc
+    good = [{"kind": "pf", "payload": {"pencil": doc}, "seed": s} for s in (7, 9)]
+    alone = [json.loads(run_cli(["run", "-", "--format", "json"], g).stdout) for g in good]
+    for kind in (["pf"], {"k": 1}):
+        p = run_cli(["run", "-"], {"kind": kind, "payload": {}})
+        assert p.returncode == 2 and not p.stdout
+        assert p.stderr.startswith("pfaffrep: schema error: unknown kind ")
+        assert p.stderr.rstrip().endswith("(at $.kind)")
+        p = run_cli(["batch", "-", "--format", "json"],
+                    [good[0], {"kind": kind, "payload": {}}, good[1]])
+        assert p.returncode == 2
+        reports = json.loads(p.stdout)
+        assert [reports[0], reports[2]] == alone
+        assert reports[1]["command"] is None and reports[1]["seed"] == 0
+        assert reports[1]["error"]["message"].endswith("(at $[1].kind)")
+
+
+def test_cli_non_object_problem_is_a_schema_error():
+    for doc in ([], "kind"):
+        p = run_cli(["pf", "-"], doc)
+        assert p.returncode == 2 and not p.stdout
+        assert p.stderr == "pfaffrep: schema error: problem must be a JSON object (at $)\n"
+
+
+def test_cli_batch_error_entries_report_only_valid_kinds_and_seeds():
+    problems = [{"kind": "pf", "payload": {}, "seed": True},
+                {"kind": "bogus", "payload": {}, "seed": -3},
+                {"kind": "pf", "payload": {}, "seed": 4}]
+    p = run_cli(["batch", "-", "--format", "json"], problems)
+    assert p.returncode == 2
+    assert [(r["command"], r["seed"]) for r in json.loads(p.stdout)] == [
+        ("pf", None), (None, None), ("pf", 4)]
+    p = run_cli(["batch", "-"], problems)
+    assert p.returncode == 2
+    assert [line for line in p.stdout.splitlines() if line.startswith("command:")] == [
+        "command: pf  (seed null)", "command: null  (seed null)", "command: pf  (seed 4)"]
+    # a --seed override is validated as a problem's seed is
+    p = run_cli(["batch", "-", "--seed", "-3"], problems)
+    assert p.returncode == 1 and not p.stdout
+    assert p.stderr == "pfaffrep: error: argument --seed: expected a nonnegative integer\n"
+
+
+def test_cli_reads_utf8_problems_whatever_the_locale(pencil_doc, tmp_path):
+    _, doc = pencil_doc
+    problem = {"kind": "pf", "payload": {"pencil": doc, "note": "courbe plane, é"}}
+    data = json.dumps(problem, ensure_ascii=False).encode("utf-8")
+    path = tmp_path / "problem.json"
+    path.write_bytes(data)
+    env = {**os.environ, "LC_ALL": "C", "PYTHONUTF8": "0", "PYTHONCOERCECLOCALE": "0"}
+    expected = run_cli(["pf", "-", "--format", "json"], problem).stdout
+    for args, stdin in ((["pf", str(path)], b""), (["pf", "-"], data)):
+        proc = subprocess.run([sys.executable, "-m", "pfaffrep.cli", *args, "--format", "json"],
+                              input=stdin, capture_output=True, env=env)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.decode("ascii") == expected
 
 
 def test_cli_tol_override(pencil_doc):
