@@ -26,8 +26,6 @@ record, so the pfaffian is preserved along the whole path.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .canonical import off_pattern_blocks, off_pattern_norm, validate_second_canonical
@@ -35,15 +33,14 @@ from .errors import PreconditionError, RankDeficiency
 from .incidence import sample_curve_points
 from .pencil import SkewPencil, kernel_at, wedge_to_matrix
 from .poly import ProjPoint
-from .tolerances import DEFAULT_POLICY, TolerancePolicy
+from .tolerances import DEFAULT_POLICY, Record, TolerancePolicy
 from .transforms import TransformRecord, type2
 
 _DECREASE_FACTOR = 1.0 - 1e-3
 _CANDIDATE_POINTS = 32
 
 
-@dataclass(frozen=True)
-class BridgeResult:
+class BridgeResult(Record):
     records: list[TransformRecord]
     pencil: SkewPencil
     off_pattern_norm: float

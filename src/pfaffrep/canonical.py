@@ -12,28 +12,24 @@ representation ``[[0, M], [-M^t, 0]]`` verbatim.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import NotInCanonicalForm, NotUnimodular, SpanFailure
 from .pencil import SkewPencil, congruence
 from .poly import roots_on_line
-from .tolerances import DEFAULT_POLICY, TolerancePolicy
+from .tolerances import DEFAULT_POLICY, Record, TolerancePolicy
 
 _I2 = np.array([[0.0, 1.0], [-1.0, 0.0]], dtype=complex)
 
 
-@dataclass(frozen=True)
-class CanonicalReport:
+class CanonicalReport(Record):
     roots: list[complex]
     basis_change: np.ndarray
     pencil: SkewPencil
     residual: float
 
 
-@dataclass(frozen=True)
-class StructureReport:
+class StructureReport(Record):
     is_decomposable_form: bool
     is_symmetric_blocks: bool
     free_parameter_count: int

@@ -436,7 +436,11 @@ def parse_problem(doc) -> dict:
 
 def _policy_from(tol_dict: dict, base: TolerancePolicy) -> TolerancePolicy:
     kw = {"zero_tol": base.zero_tol, "rank_tol": base.rank_tol, "match_tol": base.match_tol}
-    kw.update({k: float(v) for k, v in tol_dict.items()})
+    for name, value in tol_dict.items():
+        try:
+            kw[name] = float(value)
+        except OverflowError:
+            raise SchemaError("number out of double range", f"$.tolerances.{name}") from None
     try:
         return TolerancePolicy(**kw)
     except ValueError as exc:
@@ -463,6 +467,10 @@ def _format_complex(pair) -> str:
     return f"{re:.6g}{im:+.6g}i"
 
 
+# outputs that are lists of reals, so a two-entry one is not a [re, im] pair
+_REAL_LISTS = ("history", "step_residuals")
+
+
 def _render_text(report: dict) -> str:
     if "error" in report:
         err = report["error"]
@@ -474,11 +482,12 @@ def _render_text(report: dict) -> str:
     for name, r in report["residuals"].items():
         flag = "ok" if r["ok"] else "FAIL"
         lines.append(f"  residual {name}: {r['value']:.3e} <= {r['tolerance']:.1e} [{flag}]")
-    def brief(val, depth=0):
-        if isinstance(val, list) and len(val) == 2 and all(isinstance(x, float) for x in val):
+    def brief(val, depth=0, real=False):
+        if (not real and isinstance(val, list) and len(val) == 2
+                and all(isinstance(x, float) for x in val)):
             return _format_complex(val)
         if isinstance(val, list):
-            inner = ", ".join(brief(v, depth + 1) for v in val[:6])
+            inner = ", ".join(brief(v, depth + 1, real) for v in val[:6])
             return "[" + inner + (", ..." if len(val) > 6 else "") + "]"
         if isinstance(val, dict):
             if depth >= 2:
@@ -486,13 +495,13 @@ def _render_text(report: dict) -> str:
             return "{" + ", ".join(f"{k}: {brief(v, depth + 1)}" for k, v in val.items()) + "}"
         return str(val)
     for key, val in report["outputs"].items():
-        lines.append(f"  {key}: {brief(val)}")
+        lines.append(f"  {key}: {brief(val, real=key in _REAL_LISTS)}")
     return "\n".join(lines)
 
 
 def _json_report(report: dict) -> str:
     clean = {k: v for k, v in report.items() if not k.startswith("_")}
-    return json.dumps(clean, sort_keys=True, indent=2)
+    return json.dumps(clean, sort_keys=True)
 
 
 # error family -> exit code and message label, most specific first
@@ -607,7 +616,7 @@ def main(argv=None) -> int:
             if args.format == "json":
                 cleaned = [{k: v for k, v in r.items() if not k.startswith("_")}
                            for r in reports]
-                print(json.dumps(cleaned, sort_keys=True, indent=2))
+                print(json.dumps(cleaned, sort_keys=True))
             else:
                 print("\n".join(_render_text(r) for r in reports))
             return max((_exit_code_for(r) for r in reports), default=0)

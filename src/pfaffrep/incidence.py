@@ -13,19 +13,16 @@ too close to the line ``x0 = 0``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import (DegenerateDenominator, NoAdmissiblePartner, PreconditionError,
                      SamePoint, VectorNotInKernel)
 from .pencil import KernelBasis, SkewPencil, kernel_at
 from .poly import HomPoly, LinearForm, ProjPoint, univariate_roots
-from .tolerances import DEFAULT_POLICY, TolerancePolicy
+from .tolerances import DEFAULT_POLICY, Record, TolerancePolicy
 
 
-@dataclass(frozen=True)
-class CurvePoint:
+class CurvePoint(Record):
     pt: ProjPoint
     curve_residual: float
 
@@ -136,8 +133,7 @@ def k_constant(P: SkewPencil, lam: ProjPoint, v: np.ndarray,
 _KINDS = ("inadmissible", "semiadmissible", "admissible")
 
 
-@dataclass(frozen=True)
-class PairClassification:
+class PairClassification(Record):
     kind: str
     kappa: np.ndarray
     basis_lambda: KernelBasis

@@ -35,12 +35,17 @@ def enc_complex(z: complex) -> list[float]:
     return [z.real, z.imag]
 
 
+def _enc_pairs(a) -> list:
+    a = np.asarray(a, dtype=complex)
+    return np.stack((a.real, a.imag), -1).tolist()
+
+
 def enc_vector(v) -> list:
-    return [enc_complex(z) for z in np.asarray(v, dtype=complex)]
+    return _enc_pairs(v)
 
 
 def enc_matrix(m) -> list:
-    return [enc_vector(row) for row in np.asarray(m, dtype=complex)]
+    return _enc_pairs(m)
 
 
 def enc_linear_form(f: LinearForm) -> list:
@@ -174,12 +179,41 @@ def _is_pair(obj: Any) -> bool:
 def dec_complex(obj: Any, path: str = "$") -> complex:
     if not _is_pair(obj):
         _fail("expected a [re, im] pair", path)
-    return complex(obj[0], obj[1])
+    try:
+        return complex(obj[0], obj[1])
+    except OverflowError:
+        _fail("number out of double range", path)
+
+
+_NUMBER_TYPES = {int, float}  # exact types: a JSON true or false is a bool
+
+
+def _pairs(obj: list, ndim: int) -> np.ndarray | None:
+    """``obj``, a well-formed nesting of ``[re, im]`` pairs, as a complex
+    array with ``ndim`` axes, converted in one step; ``None`` for anything
+    else, which the caller walks entry by entry to name the fault.
+
+    The float pairs are reinterpreted through a complex view, so every
+    component keeps its bits (a ``-0.0`` real part included).
+    """
+    try:
+        a = np.array(obj, dtype=object)
+    except ValueError:
+        return None
+    if a.ndim != ndim + 1 or a.shape[-1] != 2 or not set(map(type, a.flat)) <= _NUMBER_TYPES:
+        return None
+    try:
+        return a.astype(float).view(complex)[..., 0]
+    except OverflowError:
+        return None
 
 
 def dec_vector(obj: Any, path: str = "$") -> np.ndarray:
     if not isinstance(obj, list):
         _fail("expected a list of [re, im] pairs", path)
+    v = _pairs(obj, 1)
+    if v is not None:
+        return v
     return np.array([dec_complex(z, f"{path}[{i}]") for i, z in enumerate(obj)],
                     dtype=complex)
 
@@ -187,6 +221,10 @@ def dec_vector(obj: Any, path: str = "$") -> np.ndarray:
 def dec_matrix(obj: Any, path: str = "$") -> np.ndarray:
     if not isinstance(obj, list) or not obj:
         _fail("expected a nonempty list of rows", path)
+    if all(isinstance(r, list) for r in obj):
+        m = _pairs(obj, 2)
+        if m is not None:
+            return m
     rows = [dec_vector(r, f"{path}[{i}]") for i, r in enumerate(obj)]
     if len({len(r) for r in rows}) != 1:
         _fail("ragged matrix", path)

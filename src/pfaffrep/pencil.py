@@ -19,13 +19,11 @@ steps.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import RankDeficiency, SingularTransform, SkewSymmetryViolation
 from .poly import HomPoly, LinearForm, ProjPoint
-from .tolerances import DEFAULT_POLICY, TolerancePolicy, require_finite_array
+from .tolerances import DEFAULT_POLICY, Record, TolerancePolicy, require_finite_array
 
 
 def _as_square(a, name: str) -> np.ndarray:
@@ -130,8 +128,7 @@ class SkewPencil:
         return self._pf
 
 
-@dataclass(frozen=True)
-class DetRep:
+class DetRep(Record):
     """A d-by-d matrix of linear forms (no symmetry imposed)."""
 
     M0: np.ndarray
@@ -165,8 +162,7 @@ class DetRep:
         return _grid_poly(np.linalg.det, self.M0, self.M1, self.M2, self.size)
 
 
-@dataclass(frozen=True)
-class KernelBasis:
+class KernelBasis(Record):
     """Orthonormal basis of the two-dimensional kernel at a curve point.
 
     ``vectors`` has the two basis vectors as columns; ``residual`` is the

@@ -11,19 +11,17 @@ JSON output.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Mapping
 
 import numpy as np
 
 from .errors import NumericalError, PreconditionError, RepeatedRoots
-from .tolerances import DEFAULT_POLICY, TolerancePolicy, require_finite
+from .tolerances import DEFAULT_POLICY, Record, TolerancePolicy, require_finite
 
 Triple = tuple[int, int, int]
 
 
-@dataclass(frozen=True)
-class LinearForm:
+class LinearForm(Record):
     """A linear form ``c0*x0 + c1*x1 + c2*x2``."""
 
     c0: complex

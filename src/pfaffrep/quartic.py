@@ -18,7 +18,6 @@ quartic of F.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -29,7 +28,7 @@ from .errors import (CorankNotOne, DegenerateHessian, InconsistentPolarData,
 from .incidence import sample_curve_points
 from .pencil import DetRep, SkewPencil, pfaffian_numeric
 from .poly import HomPoly, LinearForm, ProjPoint, equal_up_to_scale, univariate_roots
-from .tolerances import DEFAULT_POLICY, TolerancePolicy
+from .tolerances import DEFAULT_POLICY, Record, TolerancePolicy
 
 CUBIC_FIELDS = ("w000", "w111", "w222", "w012", "w001",
                 "w002", "w011", "w022", "w112", "w122")
@@ -42,8 +41,7 @@ _MONOMIAL = {
 }
 
 
-@dataclass(frozen=True)
-class CubicCoeffs:
+class CubicCoeffs(Record):
     """The ten cubic coefficients; entries are scalars or linear forms."""
 
     w000: complex | LinearForm
@@ -278,8 +276,7 @@ def factor_three_lines(c: HomPoly, seed: int = 0,
     raise NotAProductOfLines(last_reason)
 
 
-@dataclass(frozen=True)
-class PolarTriangle:
+class PolarTriangle(Record):
     """Cube-scaled lines with ``polar = g1^3 + g2^3 + g3^3`` and their vertices.
 
     ``vertices[k]`` is the intersection of the two lines other than
@@ -355,8 +352,7 @@ def corank_one_kernel(M: DetRep, pt: ProjPoint,
     return v * (np.conj(v[imax]) / abs(v[imax]))
 
 
-@dataclass(frozen=True)
-class ScorzaRelation:
+class ScorzaRelation(Record):
     related: bool
     residuals: tuple[float, float, float]
 
@@ -376,8 +372,7 @@ def scorza_related(M: SymDetRep, lam: ProjPoint, mu: ProjPoint,
     return ScorzaRelation(related=max(res) <= policy.match_tol, residuals=res)
 
 
-@dataclass(frozen=True)
-class ThetaIdentification:
+class ThetaIdentification(Record):
     index: int
     evidence: list[dict]
 

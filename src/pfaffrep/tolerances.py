@@ -5,18 +5,112 @@ All arithmetic is complex double precision; every operation that decides
 rather than a hard-coded constant.  The three thresholds are ordered:
 ``zero_tol`` prunes coefficients, ``rank_tol`` drives rank decisions,
 ``match_tol`` accepts or rejects residuals of identities.
+
+The module also holds :class:`Record`, the base of the policy and of the
+library's other immutable value records.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
+_MISSING = object()
 
-@dataclass(frozen=True)
-class TolerancePolicy:
+
+class factory:
+    """A default made afresh for each record by calling ``make()``."""
+
+    __slots__ = ("make",)
+
+    def __init__(self, make):
+        self.make = make
+
+
+class Record:
+    """Base of the library's immutable records.
+
+    A subclass declares its fields as annotated names of its class body,
+    in order; a class attribute of the same name is the field's default,
+    and a :class:`factory` default is called once per record.  Records
+    are built by position or keyword, then ``__post_init__`` runs.  repr,
+    equality and hashing go by the field values, and no field can be
+    assigned or deleted afterwards.  This is what ``@dataclass(frozen=True)``
+    provides, without generating and compiling methods for every class.
+    """
+
+    _fields: tuple[str, ...] = ()
+    _defaults: dict = {}
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        names = tuple(cls.__dict__.get("__annotations__", ()))
+        if not names:
+            return
+        defaults = dict(cls._defaults)
+        for name in names:
+            value = cls.__dict__.get(name, _MISSING)
+            if value is not _MISSING:
+                defaults[name] = value
+            if isinstance(value, factory):
+                delattr(cls, name)
+        cls._fields = cls._fields + names
+        cls._defaults = defaults
+        cls.__match_args__ = cls._fields
+
+    def __init__(self, *args, **kwargs):
+        if kwargs or len(args) != len(self._fields):
+            args = self._arguments(args, kwargs)
+        self.__dict__.update(zip(self._fields, args))
+        self.__post_init__()
+
+    def _arguments(self, args: tuple, kwargs: dict) -> list:
+        """Every field's value, in order, from a call that names some by keyword
+        or leaves some to their defaults."""
+        fields, cls = self._fields, type(self).__name__
+        if len(args) > len(fields):
+            raise TypeError(f"{cls}() takes {len(fields)} positional arguments "
+                            f"but {len(args)} were given")
+        for name in fields[:len(args)]:
+            if name in kwargs:
+                raise TypeError(f"{cls}() got multiple values for argument {name!r}")
+        values = list(args)
+        for name in fields[len(args):]:
+            value = kwargs.pop(name, self._defaults.get(name, _MISSING))
+            if value is _MISSING:
+                raise TypeError(f"{cls}() missing required argument {name!r}")
+            values.append(value.make() if isinstance(value, factory) else value)
+        if kwargs:
+            raise TypeError(f"{cls}() got an unexpected keyword argument {next(iter(kwargs))!r}")
+        return values
+
+    def __post_init__(self):
+        pass
+
+    def _values(self) -> tuple:
+        return tuple(self.__dict__[name] for name in self._fields)
+
+    def __repr__(self):
+        body = ", ".join(f"{name}={self.__dict__[name]!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({body})"
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class TolerancePolicy(Record):
     zero_tol: float = 1e-9
     rank_tol: float = 1e-8
     match_tol: float = 1e-6

@@ -17,7 +17,6 @@ wise.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -27,11 +26,10 @@ from .errors import (NotAdmissible, NumericalError, PreconditionError,
 from .incidence import _require_kernel, k_constant
 from .pencil import SkewPencil, kernel_at, wedge_to_matrix
 from .poly import ProjPoint
-from .tolerances import DEFAULT_POLICY, TolerancePolicy
+from .tolerances import DEFAULT_POLICY, Record, TolerancePolicy, factory
 
 
-@dataclass(frozen=True)
-class TransformRecord:
+class TransformRecord(Record):
     kind: str  # "I", "II" or "CONINT"
     lam: ProjPoint | None
     mu: ProjPoint | None
@@ -220,12 +218,11 @@ def verify_replay(P: SkewPencil, records: Sequence[TransformRecord],
 
 # -- bundle-map instruments -----------------------------------------------------
 
-@dataclass(frozen=True)
-class BundleCheckReport:
+class BundleCheckReport(Record):
     """Residuals of the rational bundle-map identities for one record."""
 
     identity_residual: float
-    zero_patterns: dict = field(default_factory=dict)
+    zero_patterns: dict = factory(dict)
     transport_angle: float = 0.0
     parameter_independence: float = 0.0
 

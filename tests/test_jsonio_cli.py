@@ -323,6 +323,88 @@ def test_cli_text_mode_mentions_residuals(pencil_doc, rng):
     assert "pf_invariance" in p.stdout and "[ok]" in p.stdout
 
 
+def _replay_payload(rng):
+    """A pencil and two type-I records that replay on it."""
+    P = random_pencil(rng, 4)
+    pts = sample_curve_points(P.pfaffian(), 2, seed=11)
+    from pfaffrep import classify_pair
+    pc = classify_pair(P, pts[0].pt, pts[1].pt)
+    P1, rec1 = type1(P, pts[0].pt, pts[1].pt, pc.basis_lambda.v1, pc.basis_mu.v1)
+    _, rec2 = type1(P1, pts[0].pt, pts[1].pt, pc.basis_mu.v1, pc.basis_lambda.v1)
+    return {"kind": "verify-replay", "payload": {
+        "pencil": io.enc_pencil(P), "records": [io.enc_record(rec1), io.enc_record(rec2)]}}
+
+
+def _output_line(stdout: str, key: str) -> str:
+    return next(line for line in stdout.splitlines() if line.startswith(f"  {key}: "))
+
+
+def test_cli_text_mode_shows_two_reals_as_a_list(rng):
+    p = run_cli(["verify-replay", "-"], _replay_payload(rng))
+    assert p.returncode == 0, p.stderr
+    line = _output_line(p.stdout, "step_residuals")
+    assert line.startswith("  step_residuals: [") and line.endswith("]")
+    assert len(line.split(",")) == 2 and "i" not in line.split(":", 1)[1]
+
+    from pfaffrep import DetRep, decomposable_from
+    D = np.diag(rng.standard_normal(4) + 1j * rng.standard_normal(4))
+    C = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+    P = decomposable_from(DetRep(C, np.eye(4), -D))
+    pt = sample_curve_points(P.pfaffian(), 1, seed=5)[0].pt
+    kb = kernel_at(P, pt)
+    planted, _ = type2(P, pt, kb.v1 + 0.4 * kb.v2, 0.8 - 0.45j)
+    p = run_cli(["bridge", "-", "--format", "json"],
+                {"payload": {"pencil": io.enc_pencil(planted), "budget": 1}})
+    history = json.loads(p.stdout)["outputs"]["history"]
+    assert len(history) == 2 and all(isinstance(h, float) for h in history)
+    p = run_cli(["bridge", "-"], {"payload": {"pencil": io.enc_pencil(planted), "budget": 1}})
+    assert _output_line(p.stdout, "history") == f"  history: [{history[0]}, {history[1]}]"
+    # complex pairs still read as complex numbers
+    p = run_cli(["type2", "-"], {"payload": {"pencil": io.enc_pencil(P),
+                                             "lambda": io.enc_point(pt),
+                                             "v": io.enc_vector(kb.v1), "rho": [0.5, 0.0]}})
+    assert "lambda: [1+0i, " in _output_line(p.stdout, "record")
+
+
+def test_cli_json_reports_are_compact_and_sorted(pencil_doc):
+    _, doc = pencil_doc
+    problems = [{"kind": "pf", "payload": {"pencil": doc}},
+                {"kind": "canon", "payload": {"pencil": doc}, "seed": 3}]
+    for args, payload in ((["pf", "-", "--format", "json"], problems[0]),
+                          (["batch", "-", "--format", "json"], problems)):
+        p = run_cli(args, payload)
+        assert p.returncode == 0, p.stderr
+        assert p.stdout == json.dumps(json.loads(p.stdout), sort_keys=True) + "\n"
+
+
+_HUGE = 10 ** 400  # a JSON integer beyond double range
+
+
+def test_cli_integers_beyond_double_range_are_schema_errors(pencil_doc):
+    _, doc = pencil_doc
+    bad = json.loads(json.dumps(doc))
+    bad["A0"][0][1] = [_HUGE, 0]
+    p = run_cli(["pf", "-"], {"payload": {"pencil": bad}})
+    assert p.returncode == 2 and not p.stdout
+    assert p.stderr == ("pfaffrep: schema error: number out of double range "
+                        "(at $.payload.pencil.A0[0][1])\n")
+    p = run_cli(["pf", "-"], {"payload": {"pencil": doc}, "tolerances": {"match_tol": _HUGE}})
+    assert p.returncode == 2 and not p.stdout
+    assert p.stderr == ("pfaffrep: schema error: number out of double range "
+                        "(at $.tolerances.match_tol)\n")
+
+    good = {"kind": "pf", "payload": {"pencil": doc}}
+    p = run_cli(["batch", "-", "--format", "json"],
+                [good, {"kind": "pf", "payload": {"pencil": bad}},
+                 {**good, "tolerances": {"zero_tol": -_HUGE}}, good])
+    assert p.returncode == 2
+    reports = json.loads(p.stdout)
+    assert reports[0] == reports[3] and "outputs" in reports[0]
+    assert [r["error"]["message"] for r in reports[1:3]] == [
+        "number out of double range (at $[1].payload.pencil.A0[0][1])",
+        "number out of double range (at $[2].tolerances.zero_tol)"]
+
+
 def test_cli_env_tolerance_profile(pencil_doc):
     import os
     _, doc = pencil_doc

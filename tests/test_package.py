@@ -95,3 +95,26 @@ def test_pf_command_loads_no_deferred_layer():
         "assert cli.main(['pf', '-', '--format', 'json']) == 0",
         json.dumps(doc))
     assert [m for m in DEFERRED if m in loaded] == []
+
+
+def test_importing_the_layers_generates_no_code():
+    """No module builds methods from source text at import (as ``dataclasses``
+    does): every compile and exec after numpy is of a source file."""
+    script = (
+        "import sys, json, importlib\n"
+        "import numpy\n"
+        "generated = []\n"
+        "def hook(event, args):\n"
+        "    if event in ('compile', 'exec'):\n"
+        "        name = args[1] if event == 'compile' else args[0].co_filename\n"
+        "        if not isinstance(name, str) or name.startswith('<'):\n"
+        "            generated.append([event, str(name)])\n"
+        "sys.addaudithook(hook)\n"
+        "for m in ('cli', 'canonical', 'incidence', 'transforms', 'bridge', 'quartic'):\n"
+        "    importlib.import_module('pfaffrep.' + m)\n"
+        "print(json.dumps([generated, 'dataclasses' in sys.modules]), file=sys.stderr)\n")
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    generated, dataclasses_loaded = json.loads(proc.stderr.strip().splitlines()[-1])
+    assert generated == []
+    assert not dataclasses_loaded
