@@ -60,10 +60,10 @@ def to_canonical(P: SkewPencil, policy: TolerancePolicy = DEFAULT_POLICY,
 
     Requires the curve ``Pf A = 0`` to meet ``x0 = 0`` in ``half_deg``
     distinct points; each root contributes the 2-dimensional kernel of
-    ``p_i A1 + A2``, and stacking those kernel bases (the second vector
-    rescaled so the A1 block is exactly ``[[0, 1], [-1, 0]]``) gives the
-    basis change.  Roots are sorted by (real, imaginary) part, which
-    makes the report deterministic.
+    ``p_i A1 + A2``, and stacking those kernel bases (scaled so the A1
+    block is exactly ``[[0, 1], [-1, 0]]``, the two vectors by powers of two
+    to a like size, which keeps the basis well conditioned at any scale)
+    gives the basis change.  Roots are sorted by (real, imaginary) part.
     """
     d = P.half_deg
     roots = roots_on_line(P.pfaffian(), policy)
@@ -91,8 +91,8 @@ def to_canonical(P: SkewPencil, policy: TolerancePolicy = DEFAULT_POLICY,
             if abs(pairing) < policy.rank_tol * a1_scale:
                 raise SpanFailure(
                     f"A1 pairing degenerates on the kernel at root {p:.6g}")
-        rows.append(u)
-        rows.append(v / pairing)
+        g = np.ldexp(1.0, -round(np.log2(abs(pairing)) / 2))
+        rows += [g * u, v / (g * pairing)]
     B = np.array(rows)
     sv = np.linalg.svd(B, compute_uv=False)
     if sv[-1] <= policy.rank_tol * sv[0]:

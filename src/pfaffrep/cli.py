@@ -113,7 +113,7 @@ def _field(kind: str, obj, path: str, policy: TolerancePolicy):
     dec = getattr(io, f"dec_{kind}")
     if kind == "detrep":
         return dec(obj, path, symmetric=True)
-    if kind in ("pencil", "point", "poly", "record"):
+    if kind in ("pencil", "point", "record"):
         return dec(obj, path, policy)
     return dec(obj, path)
 

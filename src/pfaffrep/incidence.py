@@ -29,12 +29,12 @@ class CurvePoint(Record):
 
 def curve_point(F: HomPoly, pt: ProjPoint,
                 policy: TolerancePolicy = DEFAULT_POLICY) -> CurvePoint:
-    """Wrap a point after checking it lies on ``F = 0``."""
+    """A point checked to lie on ``F = 0``; ``curve_residual`` is ``|F(pt)|`` over its bound."""
     res = abs(F(pt))
     bound = F.max_coeff() * max(1.0, float(np.max(np.abs(pt.coords)))) ** F.degree
     if res > policy.match_tol * bound:
         raise PreconditionError(f"point {pt} is off the curve (residual {res:.3g})")
-    return CurvePoint(pt=pt, curve_residual=res)
+    return CurvePoint(pt=pt, curve_residual=res / bound if bound else 0.0)
 
 
 def sample_curve_points(F: HomPoly, count: int, seed: int = 0,
@@ -212,28 +212,29 @@ def partner_points(P: SkewPencil, lam: ProjPoint, v: np.ndarray, u: np.ndarray,
                    policy: TolerancePolicy = DEFAULT_POLICY) -> list[CurvePoint]:
     """Points ``mu`` on the curve with ``u`` in the kernel there, coupled to ``v``.
 
-    Candidate points sit on the parametrized line
-    ``mu_i(s) = lam_i - s * (v^t sigma_i u)``; substituting into the
-    curve equation leaves a univariate polynomial with at most
-    ``half_deg`` roots.  Every returned point is re-verified on the
-    curve and against ``A(mu) u = 0``; an empty list is a legitimate
-    outcome.
+    Candidate points sit on the line ``mu_i(s) = lam_i - s * (v^t sigma_i u)``
+    (the step divided by its largest entry, so ``s`` does not depend on the
+    pencil's scale); substituting into the curve equation leaves a
+    univariate polynomial with at most ``half_deg`` roots.  Every returned
+    point is re-verified on the curve and against ``A(mu) u = 0``; an
+    empty list is a legitimate outcome.
     """
     _require_kernel(P, lam, v, policy)
     q1 = complex(v @ P.sigma1 @ u)
     q2 = complex(v @ P.sigma2 @ u)
     opscale = max(np.linalg.norm(P.sigma1, 2), np.linalg.norm(P.sigma2, 2))
     nv = float(np.linalg.norm(v) * np.linalg.norm(u))
-    if max(abs(q1), abs(q2)) <= policy.rank_tol * opscale * nv:
+    qmax = max(abs(q1), abs(q2))
+    if qmax <= policy.rank_tol * opscale * nv:
         raise NoAdmissiblePartner("the coupling of v and u vanishes identically")
     l1, l2 = lam.affine(policy)
     F = P.pfaffian()
     base = np.array([1.0, l1, l2], dtype=complex)
-    direction = np.array([0.0, -q1, -q2], dtype=complex)
+    direction = np.array([0.0, -q1, -q2], dtype=complex) / qmax
     coeffs = F.restrict_line(base, direction)
     out = []
     for s in univariate_roots(coeffs, policy):
-        if abs(s) * max(abs(q1), abs(q2)) <= policy.rank_tol * max(1.0, abs(l1), abs(l2)):
+        if abs(s) <= policy.rank_tol * max(1.0, abs(l1), abs(l2)):
             continue  # s = 0 reproduces lam itself
         raw = base + s * direction
         pt = ProjPoint(*raw, policy=policy)

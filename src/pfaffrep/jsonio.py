@@ -249,12 +249,15 @@ def dec_point(obj: Any, path: str = "$",
         _fail(str(exc), path)
 
 
-def dec_poly(obj: Any, path: str = "$",
-             policy: TolerancePolicy = DEFAULT_POLICY) -> HomPoly:
+# a polynomial holds (degree + 1)^2 coefficients, however few its terms
+MAX_POLY_DEGREE = 1000
+
+
+def dec_poly(obj: Any, path: str = "$") -> HomPoly:
     if not isinstance(obj, dict) or "degree" not in obj or "terms" not in obj:
         _fail("expected {degree, terms}", path)
-    if not _is_int(obj["degree"]):
-        _fail("degree must be an integer", f"{path}.degree")
+    if not (_is_int(obj["degree"]) and obj["degree"] <= MAX_POLY_DEGREE):
+        _fail(f"degree must be an integer of at most {MAX_POLY_DEGREE}", f"{path}.degree")
     if not isinstance(obj["terms"], list):
         _fail("terms must be a list", f"{path}.terms")
     terms = {}
@@ -268,7 +271,7 @@ def dec_poly(obj: Any, path: str = "$",
             _fail("exp must be three nonnegative integers", tp)
         terms[tuple(exp)] = terms.get(tuple(exp), 0) + dec_complex(t["coeff"], tp)
     try:
-        return HomPoly(obj["degree"], terms, policy=policy)
+        return HomPoly(obj["degree"], terms)
     except ValueError as exc:
         _fail(str(exc), path)
 

@@ -223,18 +223,18 @@ def _grid_poly(fn, M0: np.ndarray, M1: np.ndarray, M2: np.ndarray, deg: int) -> 
     ``fn`` maps a stack of matrices to a vector of values.  The form is
     evaluated on the ``(deg+1)^2`` grid ``(1, w^a, w^b)`` with
     ``w = exp(2 pi i/(deg+1))``, one stack for the whole grid, and the
-    coefficient of ``x0^(deg-i-j) x1^i x2^j`` is recovered as entry
-    ``(i, j)`` of the two-sided inverse DFT ``F @ vals @ F.T``.  The three
-    matrices are scaled by one common power of two ``g``, which is exact
-    and keeps every grid point on the unit torus, so small coefficients
-    are not swamped; the result is scaled back by ``g^-deg``.  Forms of
-    degree at most one are read off their values at the coordinate points.
+    coefficient of ``x0^(deg-i-j) x1^i x2^j`` is entry ``(i, j)`` of the
+    two-sided inverse DFT ``F @ vals @ F.T`` (rounding noise where
+    ``i + j > deg``).  The matrices are scaled by one common power of two
+    ``g``, which is exact and keeps every grid point on the unit torus, so
+    small coefficients are not swamped; the result is scaled back by
+    ``g^-deg``.  Forms of degree at most one are read off their values at
+    the coordinate points.
     """
     if deg <= 1:
         vals = fn(np.stack([M0, M1, M2]))
-        if deg == 0:
-            return HomPoly.constant(vals[0])
-        return HomPoly(1, {(1, 0, 0): vals[0], (0, 1, 0): vals[1], (0, 0, 1): vals[2]})
+        return HomPoly.from_array([[vals[0]]] if deg == 0 else
+                                  [[vals[0], vals[2]], [vals[1], 0]])
     N = deg + 1
     e = int(np.frexp(max(float(np.max(np.abs(M))) for M in (M0, M1, M2)))[1])
     k = np.arange(N)
@@ -244,9 +244,7 @@ def _grid_poly(fn, M0: np.ndarray, M1: np.ndarray, M2: np.ndarray, deg: int) -> 
                                 + z[None, :, None, None] * M2)
     vals = fn(grid.reshape(N * N, *M0.shape)).reshape(N, N)
     F = w.conj() / N
-    c = (F @ vals @ F.T) * np.ldexp(1.0, e * deg)
-    return HomPoly(deg, {(deg - i - j, i, j): c[i, j]
-                         for i in range(N) for j in range(N - i)})
+    return HomPoly.from_array((F @ vals @ F.T) * np.ldexp(1.0, e * deg))
 
 
 def pfaffian_numeric(A) -> complex:
@@ -327,11 +325,13 @@ def kernel_at(P: SkewPencil, pt: ProjPoint,
 
 def congruence(P: SkewPencil, X: np.ndarray,
                policy: TolerancePolicy = DEFAULT_POLICY) -> SkewPencil:
-    """The pencil ``X A X^t``; its pfaffian is ``det X`` times the old one."""
+    """The pencil ``X A X^t``; its pfaffian is ``det X`` times the old one.
+    ``X`` is singular when ``sigma_min(X) <= zero_tol * sigma_max(X)``."""
     X = _as_square(X, "X")
     if X.shape[0] != P.dim:
         raise ValueError("transform dimension mismatch")
-    if abs(np.linalg.det(X)) <= policy.zero_tol:
+    s = np.linalg.svd(X, compute_uv=False)
+    if s[-1] <= policy.zero_tol * s[0]:
         raise SingularTransform("congruence matrix is numerically singular")
     return SkewPencil(X @ P.A0 @ X.T, X @ P.A1 @ X.T, X @ P.A2 @ X.T, policy=policy)
 

@@ -1,12 +1,13 @@
 """Homogeneous trivariate polynomials, linear forms and projective points.
 
-Scalars are complex doubles throughout.  A :class:`HomPoly` stores its
-terms sparsely, keyed by the exponent triple ``(a, b, c)`` of
-``x0^a x1^b x2^c``; construction prunes coefficients at or below the
-zero tolerance, so two equal polynomials have identical term maps.
-Serialization uses graded-lex order (descending lexicographic on the
-exponent triples, all of equal total degree), which fixes byte-exact
-JSON output.
+Scalars are complex doubles throughout.  A :class:`HomPoly` of degree d
+is one dense array ``c`` of shape ``(d+1, d+1)``: ``c[i, j]`` is the
+coefficient of ``x0^(d-i-j) x1^i x2^j``, zero where ``i + j > d``.  Its
+operations are array expressions that never drop a coefficient; only
+``terms``, which serialization, equality and hashing read, leaves out the
+coefficients at or below ``zero_tol`` times the largest one.  Serialization
+uses graded-lex order (descending lexicographic on the exponent triples),
+which fixes byte-exact JSON output.
 """
 
 from __future__ import annotations
@@ -16,7 +17,8 @@ from typing import Iterable, Mapping
 import numpy as np
 
 from .errors import NumericalError, PreconditionError, RepeatedRoots
-from .tolerances import DEFAULT_POLICY, Record, TolerancePolicy, require_finite
+from .tolerances import (DEFAULT_POLICY, Record, TolerancePolicy, require_finite,
+                         require_finite_array)
 
 Triple = tuple[int, int, int]
 
@@ -44,9 +46,8 @@ class LinearForm(Record):
     def is_zero(self, policy: TolerancePolicy = DEFAULT_POLICY) -> bool:
         return abs(self.c0) + abs(self.c1) + abs(self.c2) <= policy.zero_tol
 
-    def as_poly(self, policy: TolerancePolicy = DEFAULT_POLICY) -> "HomPoly":
-        return HomPoly(1, {(1, 0, 0): self.c0, (0, 1, 0): self.c1, (0, 0, 1): self.c2},
-                       policy=policy)
+    def as_poly(self) -> "HomPoly":
+        return HomPoly(1, {(1, 0, 0): self.c0, (0, 1, 0): self.c1, (0, 0, 1): self.c2})
 
     def scaled(self, s: complex) -> "LinearForm":
         return LinearForm(s * self.c0, s * self.c1, s * self.c2)
@@ -57,26 +58,29 @@ class LinearForm(Record):
 
 
 class HomPoly:
-    """Homogeneous polynomial in ``x0, x1, x2`` of a fixed degree."""
+    """Homogeneous polynomial in ``x0, x1, x2`` of a fixed degree; the
+    terms ``{(a, b, c): coeff}`` are summed into the read-only array ``c``."""
 
-    __slots__ = ("degree", "_terms")
+    __slots__ = ("degree", "c")
 
-    def __init__(self, degree: int, terms: Mapping[Triple, complex] | None = None,
-                 policy: TolerancePolicy = DEFAULT_POLICY):
+    def __new__(cls, degree: int, terms: Mapping[Triple, complex] | None = None):
         if degree < 0:
             raise ValueError("degree must be nonnegative")
-        clean: dict[Triple, complex] = {}
+        c = np.zeros((degree + 1, degree + 1), dtype=complex)
         for exp, coeff in (terms or {}).items():
-            a, b, c = exp
-            if a < 0 or b < 0 or c < 0 or a + b + c != degree:
+            a, b, e = exp
+            if a < 0 or b < 0 or e < 0 or a + b + e != degree:
                 raise ValueError(f"exponent {exp} does not have total degree {degree}")
-            coeff = complex(coeff)
-            require_finite(coeff)
-            if abs(coeff) > policy.zero_tol:
-                clean[(int(a), int(b), int(c))] = clean.get((a, b, c), 0) + coeff
-        clean = {e: v for e, v in clean.items() if abs(v) > policy.zero_tol}
-        object.__setattr__(self, "degree", degree)
-        object.__setattr__(self, "_terms", clean)
+            c[b, e] += complex(coeff)
+        return _hold(c)
+
+    @staticmethod
+    def from_array(c) -> "HomPoly":
+        """The polynomial with coefficient array ``c``, read where ``i + j <= d``."""
+        c = np.asarray(c, dtype=complex)
+        if c.ndim != 2 or c.shape[0] != c.shape[1] or not c.size:
+            raise ValueError(f"expected a square coefficient array, got shape {c.shape}")
+        return _hold(np.where(_x0_exponents(len(c) - 1) >= 0, c, 0))
 
     def __setattr__(self, name, value):
         raise AttributeError("HomPoly is immutable")
@@ -85,71 +89,70 @@ class HomPoly:
 
     @property
     def terms(self) -> dict[Triple, complex]:
-        return dict(self._terms)
+        """The coefficients above ``zero_tol`` times the largest one, by exponent."""
+        mag, d = np.abs(self.c), self.degree
+        i, j = np.nonzero(mag > DEFAULT_POLICY.zero_tol * mag.max())
+        return dict(zip(zip((d - i - j).tolist(), i.tolist(), j.tolist()), self.c[i, j].tolist()))
 
     def sorted_terms(self) -> list[tuple[Triple, complex]]:
         """Terms in graded-lex order (descending on the exponent triple)."""
-        return sorted(self._terms.items(), key=lambda t: t[0], reverse=True)
+        return sorted(self.terms.items(), key=lambda t: t[0], reverse=True)
 
     def coeff(self, exp: Triple) -> complex:
-        return self._terms.get(tuple(exp), 0j)
+        a, b, e = exp
+        return complex(self.c[b, e]) if min(exp) >= 0 and a + b + e == self.degree else 0j
 
     def is_zero(self) -> bool:
-        return not self._terms
+        """Whether every coefficient is exactly zero."""
+        return not self.c.any()
 
     def max_coeff(self) -> float:
-        return max((abs(v) for v in self._terms.values()), default=0.0)
+        return float(np.abs(self.c).max())
 
     def __repr__(self):
-        if self.is_zero():
-            return f"HomPoly({self.degree}, 0)"
         parts = [f"({v:.6g})*x0^{a} x1^{b} x2^{c}" for (a, b, c), v in self.sorted_terms()]
-        return " + ".join(parts)
+        return " + ".join(parts) or f"HomPoly({self.degree}, 0)"
 
     def __eq__(self, other):
         return (isinstance(other, HomPoly) and self.degree == other.degree
-                and self._terms == other._terms)
+                and self.terms == other.terms)
 
     def __hash__(self):
-        return hash((self.degree, frozenset(self._terms.items())))
+        return hash((self.degree, frozenset(self.terms.items())))
 
     # -- arithmetic -----------------------------------------------------------
 
     def __add__(self, other: "HomPoly") -> "HomPoly":
         if self.degree != other.degree:
             raise ValueError("cannot add homogeneous polynomials of different degree")
-        merged = dict(self._terms)
-        for e, v in other._terms.items():
-            merged[e] = merged.get(e, 0) + v
-        return HomPoly(self.degree, merged)
+        return _hold(self.c + other.c)
 
     def __neg__(self) -> "HomPoly":
-        return HomPoly(self.degree, {e: -v for e, v in self._terms.items()})
+        return _hold(-self.c)
 
     def __sub__(self, other: "HomPoly") -> "HomPoly":
         return self + (-other)
 
     def __mul__(self, other):
-        if isinstance(other, HomPoly):
-            out: dict[Triple, complex] = {}
-            for (a1, b1, c1), v1 in self._terms.items():
-                for (a2, b2, c2), v2 in other._terms.items():
-                    e = (a1 + a2, b1 + b2, c1 + c2)
-                    out[e] = out.get(e, 0) + v1 * v2
-            return HomPoly(self.degree + other.degree, out)
-        return self.scaled(other)
+        if not isinstance(other, HomPoly):
+            return self.scaled(other)
+        # a 2-D convolution: copies of other.c shifted by each entry of self.c
+        n = other.degree + 1
+        out = np.zeros((self.degree + n, self.degree + n), dtype=complex)
+        for i, j in np.argwhere(self.c).tolist():
+            out[i:i + n, j:j + n] += self.c[i, j] * other.c
+        return _hold(out)
 
     __rmul__ = __mul__
 
     def scaled(self, s: complex) -> "HomPoly":
-        s = complex(s)
-        return HomPoly(self.degree, {e: s * v for e, v in self._terms.items()})
+        return _hold(complex(s) * self.c)
 
     # -- constructors ---------------------------------------------------------
 
     @staticmethod
     def zero(degree: int) -> "HomPoly":
-        return HomPoly(degree, {})
+        return HomPoly(degree)
 
     @staticmethod
     def constant(value: complex) -> "HomPoly":
@@ -169,48 +172,58 @@ class HomPoly:
         """
         if k not in (0, 1, 2):
             raise IndexError(f"axis must be 0, 1 or 2, got {k}")
-        if self.degree == 0:
+        d = self.degree
+        if d == 0:
             return HomPoly.zero(0)
-        out: dict[Triple, complex] = {}
-        for exp, v in self._terms.items():
-            if exp[k] == 0:
-                continue
-            new = list(exp)
-            new[k] -= 1
-            out[tuple(new)] = v * exp[k]
-        return HomPoly(self.degree - 1, out)
+        if k == 0:
+            return _hold(self.c[:d, :d] * _x0_exponents(d)[:d, :d])
+        ramp = np.arange(1, d + 1)
+        return _hold(self.c[1:, :d] * ramp[:, None] if k == 1
+                                  else self.c[:d, 1:] * ramp)
 
     def gradient(self) -> list["HomPoly"]:
         return [self.partial(k) for k in range(3)]
 
     def __call__(self, pt) -> complex:
         x = _coords(pt)
-        total = 0j
-        for (a, b, c), v in self._terms.items():
-            total += v * x[0] ** a * x[1] ** b * x[2] ** c
-        return complex(total)
+        k = np.arange(self.degree + 1)
+        x0_pow = x[0] ** np.maximum(_x0_exponents(self.degree), 0)
+        return complex(x[1] ** k @ (self.c * x0_pow) @ x[2] ** k)
 
     def restrict_line(self, base, direction) -> np.ndarray:
         """Coefficients (ascending in t) of ``p(base + t*direction)``."""
-        b = _coords(base)
-        d = _coords(direction)
-        out = np.zeros(self.degree + 1, dtype=complex)
-        for (a, bb, c), v in self._terms.items():
-            factor = np.array([1.0 + 0j])
-            for exp, k in ((a, 0), (bb, 1), (c, 2)):
-                lin = np.array([b[k], d[k]])
-                for _ in range(exp):
-                    factor = np.convolve(factor, lin)
-            out[: len(factor)] += v * factor
+        b, v = _coords(base), _coords(direction)
+        d = self.degree
+        # pw[k, e]: coefficients of (b_k + t v_k)^e
+        pw = np.zeros((3, d + 1, d + 1), dtype=complex)
+        pw[:, 0, 0] = 1
+        for e in range(d):
+            pw[:, e + 1] = pw[:, e] * b[:, None]
+            pw[:, e + 1, 1:] += pw[:, e, :-1] * v[:, None]
+        out = np.zeros(d + 1, dtype=complex)
+        for i, j in np.argwhere(self.c).tolist():
+            prod = np.convolve(np.convolve(pw[0, d - i - j], pw[1, i]), pw[2, j])
+            out += self.c[i, j] * prod[:d + 1]
         return out
 
     def x0_zero_coeffs(self) -> np.ndarray:
-        """Coefficients (ascending in t) of ``p(0, t, 1)``."""
-        out = np.zeros(self.degree + 1, dtype=complex)
-        for (a, b, c), v in self._terms.items():
-            if a == 0:
-                out[b] += v
-        return out
+        """Coefficients (ascending in t) of ``p(0, t, 1)``, the anti-diagonal of ``c``."""
+        return np.fliplr(self.c).diagonal().copy()
+
+
+def _hold(c: np.ndarray) -> HomPoly:
+    """The polynomial holding ``c``, a new triangular array, checked finite."""
+    require_finite_array(c)
+    c.setflags(write=False)
+    p = object.__new__(HomPoly)
+    object.__setattr__(p, "degree", len(c) - 1)
+    object.__setattr__(p, "c", c)
+    return p
+
+
+def _x0_exponents(d: int) -> np.ndarray:
+    """The exponent ``d - i - j`` of ``x0`` at each entry; negative off the triangle."""
+    return d - np.add.outer(np.arange(d + 1), np.arange(d + 1))
 
 
 def _coords(pt) -> np.ndarray:
@@ -225,8 +238,9 @@ def _coords(pt) -> np.ndarray:
 class ProjPoint:
     """A point of the projective plane, held in normalized form.
 
-    The first coordinate whose modulus exceeds the zero tolerance is
-    scaled to one, so equality is plain coordinate-wise comparison.
+    The first coordinate whose modulus exceeds the zero tolerance times
+    the largest modulus is scaled to one, so equality is plain
+    coordinate-wise comparison.
     """
 
     __slots__ = ("coords",)
@@ -235,14 +249,10 @@ class ProjPoint:
                  policy: TolerancePolicy = DEFAULT_POLICY):
         raw = np.array([x0, x1, x2], dtype=complex)
         require_finite(*raw)
-        pivot = None
-        for z in raw:
-            if abs(z) > policy.zero_tol:
-                pivot = z
-                break
-        if pivot is None:
-            raise ValueError("all coordinates below the zero tolerance")
-        coords = raw / pivot
+        mag = np.abs(raw)
+        if not mag.any():
+            raise ValueError("all coordinates are zero")
+        coords = raw / raw[np.argmax(mag > policy.zero_tol * mag.max())]
         coords.setflags(write=False)
         object.__setattr__(self, "coords", coords)
 
@@ -332,14 +342,9 @@ def equal_up_to_scale(p: HomPoly, q: HomPoly,
     """
     if p.degree != q.degree:
         raise PreconditionError("polynomials must have the same degree")
-    if p.is_zero():
-        return 1.0 + 0j if q.is_zero() else None
-    if q.is_zero():
-        return None
-    exp_dom = max(p.terms, key=lambda e: abs(p.coeff(e)))
-    c = q.coeff(exp_dom) / p.coeff(exp_dom)
-    diff = q - p.scaled(c)
+    if p.is_zero() or q.is_zero():
+        return 1.0 + 0j if p.is_zero() and q.is_zero() else None
+    dom = np.argmax(np.abs(p.c))
+    c = complex(q.c.flat[dom] / p.c.flat[dom])
     scale = max(q.max_coeff(), abs(c) * p.max_coeff())
-    if diff.max_coeff() <= policy.match_tol * scale:
-        return complex(c)
-    return None
+    return c if np.abs(q.c - c * p.c).max() <= policy.match_tol * scale else None

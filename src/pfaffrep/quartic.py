@@ -105,20 +105,14 @@ def polar_cubic(F: HomPoly) -> CubicCoeffs:
     """
     if F.degree != 4:
         raise ValueError("polar coefficients are built from a quartic")
-    grads = F.gradient()
-    vals = {}
-    for name, (exp, mult) in _MONOMIAL.items():
-        vals[name] = LinearForm(*(g.coeff(exp) / mult for g in grads))
-    return CubicCoeffs(**vals)
+    grads = [g.c for g in F.gradient()]
+    return CubicCoeffs(**{name: LinearForm(*(complex(g[b, e]) / mult for g in grads))
+                          for name, ((_, b, e), mult) in _MONOMIAL.items()})
 
 
 def polar_cubic_at(F: HomPoly, pt: ProjPoint) -> HomPoly:
     """The polar cubic of ``F`` at one fixed point."""
-    x = pt.coords
-    out = HomPoly.zero(3)
-    for k, g in enumerate(F.gradient()):
-        out = out + g.scaled(x[k])
-    return out
+    return HomPoly.from_array(sum(x * g.c for x, g in zip(pt.coords, F.gradient())))
 
 
 _ARONHOLD_UPPER = {
@@ -170,8 +164,8 @@ def scorza_map(F: HomPoly) -> HomPoly:
     return aronhold_invariant(polar_cubic(F))
 
 
-_QUARTIC_MONOMIALS = sorted(
-    [(a, b, 4 - a - b) for a in range(5) for b in range(5 - a)], reverse=True)
+_QUARTIC_MONOMIALS = np.array(sorted(
+    [(a, b, 4 - a - b) for a in range(5) for b in range(5 - a)], reverse=True))
 
 
 def integrate_polar(w: CubicCoeffs,
@@ -183,16 +177,16 @@ def integrate_polar(w: CubicCoeffs,
     """
     if not w.is_pencil():
         raise PreconditionError("need linear-form coefficients to integrate")
-    cols = []
-    for exp in _QUARTIC_MONOMIALS:
-        cols.append(polar_cubic(HomPoly.monomial(exp)).flatten())
-    A = np.column_stack(cols)
+    A = np.column_stack([polar_cubic(HomPoly.monomial(exp)).flatten()
+                         for exp in _QUARTIC_MONOMIALS])
     b = w.flatten()
     sol, *_ = np.linalg.lstsq(A, b, rcond=None)
     resid = float(np.linalg.norm(A @ sol - b))
     if resid > policy.match_tol * max(1.0, float(np.linalg.norm(b))):
         raise InconsistentPolarData(f"no quartic preimage (residual {resid:.3g})")
-    return HomPoly(4, dict(zip(_QUARTIC_MONOMIALS, sol)))
+    c = np.zeros((5, 5), dtype=complex)
+    c[_QUARTIC_MONOMIALS[:, 1], _QUARTIC_MONOMIALS[:, 2]] = sol
+    return HomPoly.from_array(c)
 
 
 def hessian_det(cubic: HomPoly) -> HomPoly:
@@ -307,15 +301,11 @@ def polar_triangle(F: HomPoly, lam: ProjPoint, seed: int = 0,
         ells = factor_three_lines(hd, seed=seed, policy=policy)
     except NotAProductOfLines as exc:
         raise DegenerateHessian(str(exc)) from exc
-    basis = [ell.as_poly() * ell.as_poly() * ell.as_poly() for ell in ells]
-    monos = sorted({e for p in basis for e in p.terms} | set(c3.terms), reverse=True)
-    A = np.array([[p.coeff(e) for p in basis] for e in monos])
-    b = np.array([c3.coeff(e) for e in monos])
-    sol, *_ = np.linalg.lstsq(A, b, rcond=None)
-    recon = HomPoly.zero(3)
-    for ck, p in zip(sol, basis):
-        recon = recon + p.scaled(ck)
-    residual = (c3 - recon).max_coeff() / max(c3.max_coeff(), 1e-300)
+    cubes = np.stack([(ell.as_poly() * ell.as_poly() * ell.as_poly()).c.ravel()
+                      for ell in ells], axis=1)
+    b = c3.c.ravel()
+    sol, *_ = np.linalg.lstsq(cubes, b, rcond=None)
+    residual = float(np.max(np.abs(cubes @ sol - b))) / c3.max_coeff()
     if residual > policy.match_tol:
         raise DegenerateHessian(f"three-cube fit fails (residual {residual:.3g})")
     gs = tuple(ell.scaled(complex(ck) ** (1.0 / 3.0)) for ck, ell in zip(sol, ells))

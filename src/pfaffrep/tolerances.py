@@ -3,8 +3,8 @@
 All arithmetic is complex double precision; every operation that decides
 "is this zero / singular / equal" consults a :class:`TolerancePolicy`
 rather than a hard-coded constant.  The three thresholds are ordered:
-``zero_tol`` prunes coefficients, ``rank_tol`` drives rank decisions,
-``match_tol`` accepts or rejects residuals of identities.
+``zero_tol`` decides what is zero next to the largest entry, ``rank_tol``
+drives rank decisions, ``match_tol`` accepts or rejects residuals.
 
 The module also holds :class:`Record`, the base of the policy and of the
 library's other immutable value records.
@@ -135,5 +135,5 @@ def require_finite(*values: complex) -> None:
 
 
 def require_finite_array(a: np.ndarray) -> None:
-    if not np.all(np.isfinite(a.real)) or not np.all(np.isfinite(a.imag)):
+    if not np.isfinite(a).all():
         raise ValueError("array contains non-finite entries")
