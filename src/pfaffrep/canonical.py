@@ -72,7 +72,7 @@ def to_canonical(P: SkewPencil, policy: TolerancePolicy = DEFAULT_POLICY,
             f"expected {d} intersection points with x0 = 0, found {len(roots)}")
     rng = np.random.default_rng(seed)
     rows = []
-    a1_scale = max(float(np.max(np.abs(P.A1))), 1.0)
+    a1_scale = float(np.max(np.abs(P.A1)))
     for p in roots:
         N = p * P.A1 + P.A2
         _, s, vh = np.linalg.svd(N)
@@ -83,12 +83,12 @@ def to_canonical(P: SkewPencil, policy: TolerancePolicy = DEFAULT_POLICY,
                 f"kernel at root {p:.6g} has dimension {corank}, expected 2")
         u, v = vh[-2].conj(), vh[-1].conj()
         pairing = u @ P.A1 @ v
-        if abs(pairing) < policy.rank_tol * a1_scale:
+        if abs(pairing) <= policy.rank_tol * a1_scale:
             # unlucky orthonormal gauge: remix once with a random unitary
             g = _random_su2(rng)
             u, v = g[0, 0] * u + g[0, 1] * v, g[1, 0] * u + g[1, 1] * v
             pairing = u @ P.A1 @ v
-            if abs(pairing) < policy.rank_tol * a1_scale:
+            if abs(pairing) <= policy.rank_tol * a1_scale:
                 raise SpanFailure(
                     f"A1 pairing degenerates on the kernel at root {p:.6g}")
         g = np.ldexp(1.0, -round(np.log2(abs(pairing)) / 2))

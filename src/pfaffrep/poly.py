@@ -178,17 +178,15 @@ class HomPoly:
         if k == 0:
             return _hold(self.c[:d, :d] * _x0_exponents(d)[:d, :d])
         ramp = np.arange(1, d + 1)
-        return _hold(self.c[1:, :d] * ramp[:, None] if k == 1
-                                  else self.c[:d, 1:] * ramp)
+        return _hold(self.c[1:, :d] * ramp[:, None] if k == 1 else self.c[:d, 1:] * ramp)
 
     def gradient(self) -> list["HomPoly"]:
         return [self.partial(k) for k in range(3)]
 
     def __call__(self, pt) -> complex:
-        x = _coords(pt)
-        k = np.arange(self.degree + 1)
-        x0_pow = x[0] ** np.maximum(_x0_exponents(self.degree), 0)
-        return complex(x[1] ** k @ (self.c * x0_pow) @ x[2] ** k)
+        pw = _coords(pt)[:, None] ** np.arange(self.degree + 1)
+        x0_pow = pw[0][np.maximum(_x0_exponents(self.degree), 0)]
+        return complex(pw[1] @ (self.c * x0_pow) @ pw[2])
 
     def restrict_line(self, base, direction) -> np.ndarray:
         """Coefficients (ascending in t) of ``p(base + t*direction)``."""

@@ -147,3 +147,11 @@ def test_projective_point_pivots_relative_to_its_largest_coordinate():
 def test_decoded_polynomial_degree_is_bounded():
     with pytest.raises(SchemaError, match=r"\$\.degree"):
         io.dec_poly({"degree": io.MAX_POLY_DEGREE + 1, "terms": []})
+
+
+def test_canonical_form_far_outside_the_unit_scale(rng):
+    P = random_pencil(rng, 8)
+    roots = to_canonical(P).roots
+    for c in (1e-12, 1e12):
+        rep = to_canonical(_scaled(P, c))
+        assert rep.residual <= 1e-6 and np.allclose(rep.roots, roots)
