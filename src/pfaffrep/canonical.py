@@ -91,8 +91,8 @@ def to_canonical(P: SkewPencil, policy: TolerancePolicy = DEFAULT_POLICY,
             if abs(pairing) <= policy.rank_tol * a1_scale:
                 raise SpanFailure(
                     f"A1 pairing degenerates on the kernel at root {p:.6g}")
-        g = np.ldexp(1.0, -round(np.log2(abs(pairing)) / 2))
-        rows += [g * u, v / (g * pairing)]
+        pow2 = np.ldexp(1.0, -round(np.log2(abs(pairing)) / 2))
+        rows += [pow2 * u, v / (pow2 * pairing)]
     B = np.array(rows)
     sv = np.linalg.svd(B, compute_uv=False)
     if sv[-1] <= policy.rank_tol * sv[0]:
