@@ -33,7 +33,7 @@ from .errors import PreconditionError, RankDeficiency
 from .incidence import sample_curve_points
 from .pencil import SkewPencil, kernel_at, wedge_to_matrix
 from .poly import ProjPoint
-from .tolerances import DEFAULT_POLICY, Record, TolerancePolicy
+from .tolerances import DEFAULT_POLICY, Record, TolerancePolicy, null_space
 from .transforms import TransformRecord, type2
 
 _DECREASE_FACTOR = 1.0 - 1e-3
@@ -111,11 +111,10 @@ def _rank1_from_block(block: np.ndarray, ps: np.ndarray,
 def _point_for_vector(P: SkewPencil, v: np.ndarray,
                       policy: TolerancePolicy) -> ProjPoint | None:
     """The point (if any) at which ``v`` lies in the kernel of the pencil."""
-    N = np.column_stack([P.A0 @ v, P.A1 @ v, P.A2 @ v])
-    _, s, vh = np.linalg.svd(N)
-    if s[0] == 0 or s[-1] > 1e-6 * s[0]:
+    kernel, s = null_space(np.column_stack([P.A0 @ v, P.A1 @ v, P.A2 @ v]), 1e-6)
+    if s[0] == 0 or not len(kernel):
         return None
-    x = vh[-1].conj()
+    x = kernel[-1]
     if np.max(np.abs(x)) == 0 or abs(x[0]) <= policy.rank_tol * np.max(np.abs(x)):
         return None
     pt = ProjPoint(*x, policy=policy)

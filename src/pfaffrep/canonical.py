@@ -17,7 +17,7 @@ import numpy as np
 from .errors import NotInCanonicalForm, NotUnimodular, SpanFailure
 from .pencil import SkewPencil, congruence
 from .poly import roots_on_line
-from .tolerances import DEFAULT_POLICY, Record, TolerancePolicy
+from .tolerances import DEFAULT_POLICY, Record, TolerancePolicy, null_space
 
 _I2 = np.array([[0.0, 1.0], [-1.0, 0.0]], dtype=complex)
 
@@ -74,14 +74,11 @@ def to_canonical(P: SkewPencil, policy: TolerancePolicy = DEFAULT_POLICY,
     rows = []
     a1_scale = float(np.max(np.abs(P.A1)))
     for p in roots:
-        N = p * P.A1 + P.A2
-        _, s, vh = np.linalg.svd(N)
-        smax = float(s[0]) if s[0] > 0 else 1.0
-        corank = int(np.sum(s <= policy.rank_tol * smax))
-        if corank != 2:
+        kernel, _ = null_space(p * P.A1 + P.A2, policy.rank_tol)
+        if len(kernel) != 2:
             raise SpanFailure(
-                f"kernel at root {p:.6g} has dimension {corank}, expected 2")
-        u, v = vh[-2].conj(), vh[-1].conj()
+                f"kernel at root {p:.6g} has dimension {len(kernel)}, expected 2")
+        u, v = kernel
         pairing = u @ P.A1 @ v
         if abs(pairing) <= policy.rank_tol * a1_scale:
             # unlucky orthonormal gauge: remix once with a random unitary
@@ -94,8 +91,7 @@ def to_canonical(P: SkewPencil, policy: TolerancePolicy = DEFAULT_POLICY,
         pow2 = np.ldexp(1.0, -round(np.log2(abs(pairing)) / 2))
         rows += [pow2 * u, v / (pow2 * pairing)]
     B = np.array(rows)
-    sv = np.linalg.svd(B, compute_uv=False)
-    if sv[-1] <= policy.rank_tol * sv[0]:
+    if len(null_space(B, policy.rank_tol)[0]):
         raise SpanFailure("union of point kernels does not span the full space")
     out = congruence(P, B, policy)
     residual = _canonical_block_residual(out, roots)

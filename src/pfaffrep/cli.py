@@ -58,7 +58,7 @@ import numpy as np
 from . import jsonio as io
 from .errors import NumericalError, PfaffrepError, PreconditionError, SchemaError
 from .pencil import kernel_at, pfaffian_adjoint_at, pfaffian_minor
-from .poly import HomPoly, equal_up_to_scale
+from .poly import HomPoly, equal_up_to_scale, relative_deviation
 from .tolerances import DEFAULT_POLICY, TolerancePolicy
 
 _PF_TOL = 1e-7
@@ -70,19 +70,8 @@ def _residual(value: float, tol: float) -> dict:
     return {"value": value, "tolerance": tol, "ok": bool(value <= tol)}
 
 
-def _deviation(target: HomPoly, other: HomPoly, scale=1.0) -> float:
-    """Largest coefficient of ``target - scale * other`` relative to ``target``'s.
-
-    ``scale`` is ``None`` when no scale matches the two; the deviation is
-    then infinite.
-    """
-    if scale is None:
-        return float("inf")
-    return (target - other.scaled(scale)).max_coeff() / max(target.max_coeff(), 1e-300)
-
-
 def _pf_invariance(P_before, P_after) -> dict:
-    return _residual(_deviation(P_before.pfaffian(), P_after.pfaffian()), _PF_TOL)
+    return _residual(relative_deviation(P_before.pfaffian(), P_after.pfaffian()), _PF_TOL)
 
 
 def _transformed(P, out, rec=None) -> tuple[dict, dict]:
@@ -205,9 +194,11 @@ def _h_tangent(policy, seed, P, pt):
 def _h_line(policy, seed, P, lam, mu, v, u):
     from .incidence import line_through
     ell = line_through(P, lam, v, mu, u, policy)
-    outputs = {"line": io.enc_linear_form(ell), "is_zero": ell.is_zero(policy)}
+    # a genuine u^t A(x) v has coefficients of the size |A| |u| |v|
+    is_zero = ell.is_zero(P.scale() * np.linalg.norm(u) * np.linalg.norm(v), policy)
+    outputs = {"line": io.enc_linear_form(ell), "is_zero": is_zero}
     residuals = {}
-    if not ell.is_zero(policy):
+    if not is_zero:
         scale = max(float(np.max(np.abs(ell.coeffs))), 1e-300)
         residuals["vanishing_at_lambda"] = _residual(abs(ell(lam)) / scale, policy.match_tol)
         residuals["vanishing_at_mu"] = _residual(abs(ell(mu)) / scale, policy.match_tol)
@@ -221,11 +212,9 @@ def _h_classify_pair(policy, seed, P, lam, mu):
 
 
 def _h_k_const(policy, seed, P, lam, mu, v, u, t1, t2):
-    from .incidence import k_constant
+    from .incidence import _draw_direction, k_constant
     K = k_constant(P, lam, v, mu, u, t1, t2, policy)
-    rng = np.random.default_rng(seed)
-    s = rng.standard_normal(2) + 1j * rng.standard_normal(2)
-    K2 = k_constant(P, lam, v, mu, u, s[0], s[1], policy)
+    _, _, K2 = _draw_direction(P, lam, mu, v, u, seed, policy)
     return ({"k": io.enc_complex(K)},
             {"parameter_independence": _residual(abs(K - K2) / (1 + abs(K)), policy.rank_tol)})
 
@@ -299,7 +288,7 @@ def _h_scorza(policy, seed, F, expected):
         scale = equal_up_to_scale(S, expected, policy)
         if scale is not None:
             outputs["scale_vs_expected"] = io.enc_complex(scale)
-        residuals["match_up_to_scale"] = _residual(_deviation(expected, S, scale),
+        residuals["match_up_to_scale"] = _residual(relative_deviation(expected, S, scale),
                                                    policy.match_tol)
     return outputs, residuals
 
@@ -325,7 +314,7 @@ def _h_factor_lines(policy, seed, cubic):
     from .quartic import factor_three_lines
     lines = factor_three_lines(cubic, seed=seed, policy=policy)
     prod = lines[0].as_poly() * lines[1].as_poly() * lines[2].as_poly()
-    dev = _deviation(cubic, prod, equal_up_to_scale(prod, cubic, policy))
+    dev = relative_deviation(cubic, prod, equal_up_to_scale(prod, cubic, policy))
     return ({"lines": [io.enc_linear_form(l) for l in lines]},
             {"product_residual": _residual(dev, policy.match_tol)})
 

@@ -19,7 +19,7 @@ from .errors import (DegenerateDenominator, NoAdmissiblePartner, PreconditionErr
                      SamePoint, VectorNotInKernel)
 from .pencil import KernelBasis, SkewPencil, kernel_at
 from .poly import HomPoly, LinearForm, ProjPoint, univariate_roots
-from .tolerances import DEFAULT_POLICY, Record, TolerancePolicy
+from .tolerances import DEFAULT_POLICY, Record, TolerancePolicy, null_space
 
 
 class CurvePoint(Record):
@@ -130,6 +130,30 @@ def k_constant(P: SkewPencil, lam: ProjPoint, v: np.ndarray,
     return complex(num / den)
 
 
+def _draw_direction(P: SkewPencil, lam: ProjPoint, mu: ProjPoint, v, u,
+                    seed: int, policy: TolerancePolicy) -> tuple[complex, complex, complex]:
+    """Seeded generic (t1, t2) with a non-degenerate denominator, plus K."""
+    rng = np.random.default_rng(seed)
+    last = None
+    for _ in range(8):
+        t = rng.standard_normal(2) + 1j * rng.standard_normal(2)
+        try:
+            return t[0], t[1], k_constant(P, lam, v, mu, u, t[0], t[1], policy,
+                                          check_kernels=False)
+        except PreconditionError as exc:
+            last = exc
+    raise last
+
+
+def _admissibility_scale(P: SkewPencil, lam: ProjPoint, mu: ProjPoint,
+                         policy: TolerancePolicy) -> float:
+    """The size of a genuine K between unit kernel vectors at ``lam`` and ``mu``."""
+    opscale = max(np.linalg.norm(P.sigma1, 2), np.linalg.norm(P.sigma2, 2))
+    l1, l2 = lam.affine(policy)
+    m1, m2 = mu.affine(policy)
+    return opscale / max(abs(l1 - m1), abs(l2 - m2), policy.zero_tol)
+
+
 _KINDS = ("inadmissible", "semiadmissible", "admissible")
 
 
@@ -165,47 +189,25 @@ def classify_pair(P: SkewPencil, lam: ProjPoint, mu: ProjPoint,
         raise SamePoint("classification needs two distinct points")
     kb_l = kernel_at(P, lam, policy)
     kb_m = kernel_at(P, mu, policy)
-    rng = np.random.default_rng(seed)
-    t1 = t2 = None
-    for _ in range(8):
-        cand = rng.standard_normal(2) + 1j * rng.standard_normal(2)
-        try:
-            k_constant(P, lam, kb_l.v1, mu, kb_m.v1, cand[0], cand[1],
-                       policy, check_kernels=False)
-        except DegenerateDenominator:
-            continue
-        t1, t2 = cand
-        break
-    if t1 is None:
-        raise DegenerateDenominator("no usable direction found")
+    t1, t2, _ = _draw_direction(P, lam, mu, kb_l.v1, kb_m.v1, seed, policy)
     kappa = np.empty((2, 2), dtype=complex)
     for i, b in enumerate((kb_l.v1, kb_l.v2)):
         for j, c in enumerate((kb_m.v1, kb_m.v2)):
             kappa[i, j] = k_constant(P, lam, b, mu, c, t1, t2, policy,
                                      check_kernels=False)
-    opscale = max(np.linalg.norm(P.sigma1, 2), np.linalg.norm(P.sigma2, 2))
-    l1, l2 = lam.affine(policy)
-    m1, m2 = mu.affine(policy)
-    ref = opscale / max(abs(l1 - m1), abs(l2 - m2), policy.zero_tol)
-    sv = np.linalg.svd(kappa, compute_uv=False)
+    x_rows, sv = null_space(kappa, policy.rank_tol)
     special = None
-    if sv[0] <= policy.rank_tol * ref:
+    if sv[0] <= policy.rank_tol * _admissibility_scale(P, lam, mu, policy):
         kind = "inadmissible"
-    elif sv[1] <= policy.rank_tol * sv[0]:
+    elif len(x_rows) == 1:
         kind = "semiadmissible"
-        y = _null_direction(kappa.T)
-        x = _null_direction(kappa)
-        special = (kb_l.vectors @ y, kb_m.vectors @ x)
+        y = null_space(kappa.T, policy.rank_tol)[0][-1]
+        special = (kb_l.vectors @ y, kb_m.vectors @ x_rows[0])
     else:
         kind = "admissible"
     kappa.setflags(write=False)
     return PairClassification(kind=kind, kappa=kappa, basis_lambda=kb_l,
                               basis_mu=kb_m, special_vectors=special)
-
-
-def _null_direction(m: np.ndarray) -> np.ndarray:
-    _, _, vh = np.linalg.svd(m)
-    return vh[-1].conj()
 
 
 def partner_points(P: SkewPencil, lam: ProjPoint, v: np.ndarray, u: np.ndarray,

@@ -23,7 +23,8 @@ import numpy as np
 
 from .errors import RankDeficiency, SingularTransform, SkewSymmetryViolation
 from .poly import HomPoly, LinearForm, ProjPoint
-from .tolerances import DEFAULT_POLICY, Record, TolerancePolicy, require_finite_array
+from .tolerances import (DEFAULT_POLICY, Record, TolerancePolicy, null_space,
+                         require_finite_array)
 
 
 def _as_square(a, name: str) -> np.ndarray:
@@ -307,20 +308,22 @@ def kernel_at(P: SkewPencil, pt: ProjPoint,
     positive, giving a reproducible representative.
     """
     A = P(pt)
-    _, s, vh = np.linalg.svd(A)
-    smax = float(s[0]) if s[0] > 0 else 1.0
-    corank = int(np.sum(s <= policy.rank_tol * smax))
-    if corank != 2:
+    rows, s = null_space(A, policy.rank_tol)
+    if len(rows) != 2:
         raise RankDeficiency(
-            f"kernel at {pt} has corank {corank}, expected 2", corank=corank)
-    vecs = vh[-2:].conj().T
-    for k in range(2):
-        imax = int(np.argmax(np.abs(vecs[:, k])))
-        phase = vecs[imax, k]
-        vecs[:, k] *= np.conj(phase) / abs(phase)
-    residual = float(np.max(np.abs(A @ vecs)) / smax)
+            f"kernel at {pt} has corank {len(rows)}, expected 2", corank=len(rows))
+    vecs = _gauge(rows).T
+    residual = float(np.max(np.abs(A @ vecs)) / (float(s[0]) or 1.0))
     vecs.setflags(write=False)
     return KernelBasis(point=pt, vectors=vecs, residual=residual)
+
+
+def _gauge(rows: np.ndarray) -> np.ndarray:
+    """Scale each row in place so its largest-modulus entry is real and positive."""
+    for row in rows:
+        phase = row[int(np.argmax(np.abs(row)))]
+        row *= np.conj(phase) / abs(phase)
+    return rows
 
 
 def congruence(P: SkewPencil, X: np.ndarray,
@@ -330,8 +333,7 @@ def congruence(P: SkewPencil, X: np.ndarray,
     X = _as_square(X, "X")
     if X.shape[0] != P.dim:
         raise ValueError("transform dimension mismatch")
-    s = np.linalg.svd(X, compute_uv=False)
-    if s[-1] <= policy.zero_tol * s[0]:
+    if len(null_space(X, policy.zero_tol)[0]):
         raise SingularTransform("congruence matrix is numerically singular")
     return SkewPencil(X @ P.A0 @ X.T, X @ P.A1 @ X.T, X @ P.A2 @ X.T, policy=policy)
 

@@ -43,8 +43,10 @@ class LinearForm(Record):
         x = _coords(pt)
         return complex(self.c0 * x[0] + self.c1 * x[1] + self.c2 * x[2])
 
-    def is_zero(self, policy: TolerancePolicy = DEFAULT_POLICY) -> bool:
-        return abs(self.c0) + abs(self.c1) + abs(self.c2) <= policy.zero_tol
+    def is_zero(self, scale: float = 1.0, policy: TolerancePolicy = DEFAULT_POLICY) -> bool:
+        """Whether the coefficients sum in modulus to at most ``zero_tol * scale``,
+        ``scale`` being the size of a genuine form of the same origin."""
+        return bool(abs(self.c0) + abs(self.c1) + abs(self.c2) <= policy.zero_tol * scale)
 
     def as_poly(self) -> "HomPoly":
         return HomPoly(1, {(1, 0, 0): self.c0, (0, 1, 0): self.c1, (0, 0, 1): self.c2})
@@ -270,8 +272,9 @@ class ProjPoint:
         return complex(self.coords[2])
 
     def affine(self, policy: TolerancePolicy = DEFAULT_POLICY) -> tuple[complex, complex]:
-        """Affine coordinates in the chart ``x0 = 1``."""
-        if abs(self.coords[0]) <= policy.zero_tol:
+        """Affine coordinates in the chart ``x0 = 1``; the point must have
+        ``|x0|`` above ``zero_tol`` times its largest coordinate."""
+        if abs(self.coords[0]) <= policy.zero_tol * np.max(np.abs(self.coords)):
             raise PreconditionError("point lies on the line x0 = 0")
         return (complex(self.coords[1] / self.coords[0]),
                 complex(self.coords[2] / self.coords[0]))
@@ -346,3 +349,14 @@ def equal_up_to_scale(p: HomPoly, q: HomPoly,
     c = complex(q.c.flat[dom] / p.c.flat[dom])
     scale = max(q.max_coeff(), abs(c) * p.max_coeff())
     return c if np.abs(q.c - c * p.c).max() <= policy.match_tol * scale else None
+
+
+def relative_deviation(target: HomPoly, other: HomPoly, scale: complex | None = 1.0) -> float:
+    """Largest coefficient of ``target - scale * other`` relative to ``target``'s.
+
+    ``scale`` is ``None`` when no scale matches the two (as
+    :func:`equal_up_to_scale` reports it); the deviation is then infinite.
+    """
+    if scale is None:
+        return float("inf")
+    return (target - other.scaled(scale)).max_coeff() / max(target.max_coeff(), 1e-300)

@@ -18,6 +18,7 @@ quartic of F.
 
 from __future__ import annotations
 
+import functools
 from typing import Sequence
 
 import numpy as np
@@ -26,9 +27,10 @@ from .errors import (CorankNotOne, DegenerateHessian, InconsistentPolarData,
                      MultipleMatches, NoMatch, NotAProductOfLines, NotOnBaseLocus,
                      PreconditionError, TangencyCheckFailed)
 from .incidence import sample_curve_points
-from .pencil import DetRep, SkewPencil, pfaffian_numeric
-from .poly import HomPoly, LinearForm, ProjPoint, equal_up_to_scale, univariate_roots
-from .tolerances import DEFAULT_POLICY, Record, TolerancePolicy
+from .pencil import DetRep, SkewPencil, _gauge, pfaffian_numeric
+from .poly import (HomPoly, LinearForm, ProjPoint, equal_up_to_scale, relative_deviation,
+                   univariate_roots)
+from .tolerances import DEFAULT_POLICY, Record, TolerancePolicy, null_space
 
 CUBIC_FIELDS = ("w000", "w111", "w222", "w012", "w001",
                 "w002", "w011", "w022", "w112", "w122")
@@ -168,6 +170,16 @@ _QUARTIC_MONOMIALS = np.array(sorted(
     [(a, b, 4 - a - b) for a in range(5) for b in range(5 - a)], reverse=True))
 
 
+@functools.cache
+def _polar_matrix() -> np.ndarray:
+    """The 30x15 linear map from quartic coefficients to flattened polar
+    coefficients, one column per quartic monomial; built on first use."""
+    A = np.column_stack([polar_cubic(HomPoly.monomial(exp)).flatten()
+                         for exp in _QUARTIC_MONOMIALS])
+    A.setflags(write=False)
+    return A
+
+
 def integrate_polar(w: CubicCoeffs,
                     policy: TolerancePolicy = DEFAULT_POLICY) -> HomPoly:
     """Recover the quartic whose polar coefficients are ``w``.
@@ -177,8 +189,7 @@ def integrate_polar(w: CubicCoeffs,
     """
     if not w.is_pencil():
         raise PreconditionError("need linear-form coefficients to integrate")
-    A = np.column_stack([polar_cubic(HomPoly.monomial(exp)).flatten()
-                         for exp in _QUARTIC_MONOMIALS])
+    A = _polar_matrix()
     b = w.flatten()
     sol, *_ = np.linalg.lstsq(A, b, rcond=None)
     resid = float(np.linalg.norm(A @ sol - b))
@@ -256,7 +267,7 @@ def factor_three_lines(c: HomPoly, seed: int = 0,
                     * LinearForm(*lines[2]).as_poly())
             scale = equal_up_to_scale(prod, c, policy)
             if scale is not None:
-                resid = (c - prod.scaled(scale)).max_coeff() / max(c.max_coeff(), 1e-300)
+                resid = relative_deviation(c, prod, scale)
                 if best is None or resid < best[0]:
                     best = (resid, lines)
         if best is not None:
@@ -331,15 +342,10 @@ class SymDetRep(DetRep):
 def corank_one_kernel(M: DetRep, pt: ProjPoint,
                       policy: TolerancePolicy = DEFAULT_POLICY) -> np.ndarray:
     """Unit kernel vector of ``M(pt)``, which must have corank exactly one."""
-    A = M(pt)
-    _, s, vh = np.linalg.svd(A)
-    smax = float(s[0]) if s[0] > 0 else 1.0
-    corank = int(np.sum(s <= policy.rank_tol * smax))
-    if corank != 1:
-        raise CorankNotOne(f"corank {corank} at {pt}, expected 1")
-    v = vh[-1].conj()
-    imax = int(np.argmax(np.abs(v)))
-    return v * (np.conj(v[imax]) / abs(v[imax]))
+    rows, _ = null_space(M(pt), policy.rank_tol)
+    if len(rows) != 1:
+        raise CorankNotOne(f"corank {len(rows)} at {pt}, expected 1")
+    return _gauge(rows)[0]
 
 
 class ScorzaRelation(Record):
@@ -462,8 +468,7 @@ def bitangent_from_octad(M: SymDetRep, b_i: np.ndarray, b_j: np.ndarray,
             r = abs(b @ Mk @ b)
             if r > policy.match_tol * opscale * nb:
                 raise NotOnBaseLocus(f"{name} fails quadric {k} (residual {r:.3g})")
-    sv = np.linalg.svd(np.vstack([b_i, b_j]), compute_uv=False)
-    if sv[-1] <= policy.rank_tol * sv[0]:
+    if len(null_space(np.column_stack([b_i, b_j]), policy.rank_tol)[0]):
         raise PreconditionError("the two base points must be distinct")
     ell = LinearForm(b_i @ M.M0 @ b_j, b_i @ M.M1 @ b_j, b_i @ M.M2 @ b_j)
     _check_double_tangency(M.det_poly(), ell, seed, policy)
@@ -473,8 +478,7 @@ def bitangent_from_octad(M: SymDetRep, b_i: np.ndarray, b_j: np.ndarray,
 def _check_double_tangency(quartic: HomPoly, ell: LinearForm, seed: int,
                            policy: TolerancePolicy) -> None:
     rng = np.random.default_rng(seed)
-    _, _, vh = np.linalg.svd(ell.coeffs.reshape(1, 3))
-    span = vh[1:].conj()
+    span = null_space(ell.coeffs.reshape(1, 3), policy.rank_tol)[0][-2:]
     mix = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
     base = mix[0, 0] * span[0] + mix[0, 1] * span[1]
     direction = mix[1, 0] * span[0] + mix[1, 1] * span[1]

@@ -6,6 +6,10 @@ rather than a hard-coded constant.  The three thresholds are ordered:
 ``zero_tol`` decides what is zero next to the largest entry, ``rank_tol``
 drives rank decisions, ``match_tol`` accepts or rejects residuals.
 
+Every rank, kernel and full-rank decision goes through :func:`null_space`,
+which holds the one rank rule: a singular value counts as zero when it is
+at most ``tol`` times the largest one (times 1 for the zero matrix).
+
 The module also holds :class:`Record`, the base of the policy and of the
 library's other immutable value records.
 """
@@ -137,3 +141,16 @@ def require_finite(*values: complex) -> None:
 def require_finite_array(a: np.ndarray) -> None:
     if not np.isfinite(a).all():
         raise ValueError("array contains non-finite entries")
+
+
+def null_space(M: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """Kernel rows and singular values of ``M`` from one full SVD.
+
+    A singular value counts as zero when it is at most ``tol * s_max``,
+    with ``s_max = 1`` for the zero matrix; the rows ``x`` of the result
+    are orthonormal and span ``{x : M x = 0}`` at that rank.
+    """
+    _, s, vh = np.linalg.svd(M)
+    smax = float(s[0]) if s[0] > 0 else 1.0
+    rank = int(np.count_nonzero(s > tol * smax))
+    return vh[rank:].conj(), s

@@ -21,12 +21,12 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import (NotAdmissible, NumericalError, PreconditionError,
+from .errors import (NotAdmissible, PreconditionError,
                      SampleOnExceptionalLine, SingularGamma, VectorNotInKernel)
-from .incidence import _require_kernel, k_constant
+from .incidence import _admissibility_scale, _draw_direction, _require_kernel
 from .pencil import SkewPencil, kernel_at, wedge_to_matrix
-from .poly import ProjPoint
-from .tolerances import DEFAULT_POLICY, Record, TolerancePolicy, factory
+from .poly import ProjPoint, relative_deviation
+from .tolerances import DEFAULT_POLICY, Record, TolerancePolicy, factory, null_space
 
 
 class TransformRecord(Record):
@@ -44,29 +44,6 @@ class TransformRecord(Record):
 
 def _skewify(m: np.ndarray) -> np.ndarray:
     return (m - m.T) / 2.0
-
-
-def _draw_direction(P: SkewPencil, lam: ProjPoint, mu: ProjPoint, v, u,
-                    seed: int, policy: TolerancePolicy) -> tuple[complex, complex, complex]:
-    """Seeded generic (t1, t2) with a non-degenerate denominator, plus K."""
-    rng = np.random.default_rng(seed)
-    last = None
-    for _ in range(8):
-        t = rng.standard_normal(2) + 1j * rng.standard_normal(2)
-        try:
-            K = k_constant(P, lam, v, mu, u, t[0], t[1], policy, check_kernels=False)
-            return complex(t[0]), complex(t[1]), K
-        except PreconditionError as exc:
-            last = exc
-    raise last if last is not None else NumericalError("no usable direction")
-
-
-def _admissibility_scale(P: SkewPencil, lam: ProjPoint, mu: ProjPoint,
-                         policy: TolerancePolicy) -> float:
-    opscale = max(np.linalg.norm(P.sigma1, 2), np.linalg.norm(P.sigma2, 2))
-    l1, l2 = lam.affine(policy)
-    m1, m2 = mu.affine(policy)
-    return opscale / max(abs(l1 - m1), abs(l2 - m2), policy.zero_tol)
 
 
 def type1(P: SkewPencil, lam: ProjPoint, mu: ProjPoint,
@@ -160,8 +137,7 @@ def conint(P: SkewPencil, points: Sequence[ProjPoint],
             _, _, K = _draw_direction(P, points[i], points[j], vecs[i], vecs[j],
                                       seed + 101 * i + j, policy)
             Gamma[i, j] = Gamma[j, i] = K
-    sv = np.linalg.svd(Gamma, compute_uv=False)
-    if sv[-1] <= policy.rank_tol * sv[0]:
+    if len(null_space(Gamma, policy.rank_tol)[0]):
         raise SingularGamma("the coupling matrix is numerically singular")
     w = np.column_stack(vecs)
     Ginv = np.linalg.inv(Gamma)
@@ -208,11 +184,10 @@ def verify_replay(P: SkewPencil, records: Sequence[TransformRecord],
     """
     residuals = []
     pf0 = P.pfaffian()
-    scale = max(pf0.max_coeff(), 1e-300)
     cur = P
     for rec in records:
         cur = apply_record(cur, rec, policy)
-        residuals.append((cur.pfaffian() - pf0).max_coeff() / scale)
+        residuals.append(relative_deviation(pf0, cur.pfaffian()))
     return residuals
 
 

@@ -4,6 +4,7 @@ import json
 import subprocess
 import sys
 from importlib import import_module
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -118,3 +119,10 @@ def test_importing_the_layers_generates_no_code():
     generated, dataclasses_loaded = json.loads(proc.stderr.strip().splitlines()[-1])
     assert generated == []
     assert not dataclasses_loaded
+
+
+def test_one_svd_call_site():
+    """Every rank, kernel and full-rank decision goes through ``tolerances.null_space``."""
+    src = Path(pfaffrep.__file__).parent
+    sites = {p.name: p.read_text().count("np.linalg.svd") for p in sorted(src.glob("*.py"))}
+    assert {name: n for name, n in sites.items() if n} == {"tolerances.py": 1}

@@ -6,9 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pfaffrep import (HomPoly, ProjPoint, SchemaError, SingularTransform, SkewPencil,
-                      classify_pair, congruence, curve_point, kernel_at, partner_points,
-                      pfaffian_minor, polar_triangle, sample_curve_points, to_canonical)
+from pfaffrep import (DetRep, HomPoly, PreconditionError, ProjPoint, SchemaError,
+                      SingularTransform, SkewPencil, classify_pair, congruence, curve_point,
+                      decomposable_from, kernel_at, partner_points, pfaffian_minor,
+                      polar_triangle, sample_curve_points, to_canonical)
 from pfaffrep import jsonio as io
 from pfaffrep.cli import _exit_code_for, dispatch, parse_problem
 from conftest import random_pencil
@@ -155,3 +156,43 @@ def test_canonical_form_far_outside_the_unit_scale(rng):
     for c in (1e-12, 1e12):
         rep = to_canonical(_scaled(P, c))
         assert rep.residual <= 1e-6 and np.allclose(rep.roots, roots)
+
+
+def test_affine_chart_is_decided_relative_to_the_point():
+    # pivoted on x1, the point reads (1e-4, 1, 1e8): x0 is 1e-12 of its size
+    with pytest.raises(PreconditionError):
+        ProjPoint(1e-12, 1e-8, 1).affine()
+    assert ProjPoint(1e-6, 1, 1).affine() == (pytest.approx(1e6), pytest.approx(1e6))
+
+
+def _line_report(P, lam, mu, v, u):
+    payload = {"pencil": io.enc_pencil(P), "lambda": io.enc_point(lam),
+               "mu": io.enc_point(mu), "v": io.enc_vector(v), "u": io.enc_vector(u)}
+    return dispatch(parse_problem({"kind": "line", "payload": payload}))
+
+
+@pytest.mark.parametrize("scale", [1e-10, 1.0, 1e10])
+def test_line_command_decides_zero_relative_to_the_pencil(scale):
+    P = _scaled(random_pencil(np.random.default_rng(7), 8), scale)
+    lam, mu = (cp.pt for cp in sample_curve_points(P.pfaffian(), 2, seed=1))
+    report = _line_report(P, lam, mu, kernel_at(P, lam).v1, kernel_at(P, mu).v1)
+    assert report["outputs"]["is_zero"] is False
+    assert set(report["residuals"]) == {"vanishing_at_lambda", "vanishing_at_mu"}
+    assert _exit_code_for(report) == 0
+
+
+@pytest.mark.parametrize("scale", [1e-10, 1.0, 1e10])
+def test_line_command_finds_the_zero_form_at_any_scale(scale):
+    # same-block kernel vectors of a decomposable pencil pair to the zero form,
+    # also after a congruence X A X^t, which carries a kernel vector v to X^-t v
+    rng = np.random.default_rng(11)
+    M = DetRep(*(scale * _cnormal(rng, (3, 3)) for _ in range(3)))
+    X = _cnormal(rng, (6, 6))
+    P = congruence(decomposable_from(M), X)
+    lam, mu = (cp.pt for cp in sample_curve_points(P.pfaffian(), 2, seed=3))
+    v, u = (np.linalg.solve(X.T, np.concatenate([np.linalg.svd(M(pt).T)[2][-1].conj(),
+                                                 np.zeros(3)]))
+            for pt in (lam, mu))
+    report = _line_report(P, lam, mu, v, u)
+    assert report["outputs"]["is_zero"] is True
+    assert report["residuals"] == {}
