@@ -31,13 +31,14 @@ import numpy as np
 from .canonical import off_pattern_blocks, off_pattern_norm, validate_second_canonical
 from .errors import PreconditionError, RankDeficiency
 from .incidence import sample_curve_points
-from .pencil import SkewPencil, kernel_at, wedge_to_matrix
+from .pencil import SkewPencil, kernel_at
 from .poly import ProjPoint
 from .tolerances import DEFAULT_POLICY, Record, TolerancePolicy, null_space
-from .transforms import TransformRecord, type2
+from .transforms import TransformRecord, _gamma_update, type2
 
 _DECREASE_FACTOR = 1.0 - 1e-3
 _CANDIDATE_POINTS = 32
+_RHO_ONE = np.array([[2.0]])  # the inverse coupling of a one-point step with rho = 1
 
 
 class BridgeResult(Record):
@@ -156,27 +157,27 @@ def _structured_candidates(P: SkewPencil, ps: np.ndarray,
     return out
 
 
+def stopping_target(P: SkewPencil, policy: TolerancePolicy = DEFAULT_POLICY) -> float:
+    """The off-pattern norm below which a bridge from ``P`` has converged."""
+    return 0.1 * policy.match_tol * max(P.scale(), 1.0)
+
+
 def bridge_to_decomposable(P: SkewPencil, budget: int = 50, seed: int = 0,
-                           policy: TolerancePolicy = DEFAULT_POLICY,
-                           target: float | None = None,
-                           candidate_points: int = _CANDIDATE_POINTS) -> BridgeResult:
+                           policy: TolerancePolicy = DEFAULT_POLICY) -> BridgeResult:
     """Greedy sequence of one-point steps toward the decomposable pattern.
 
     Accepts a candidate step only when it shrinks the off-pattern norm
     by the relative factor 1e-3, so the recorded norm history is
     strictly decreasing.  Stops successfully once the norm falls below
-    ``target`` (default: one tenth of ``match_tol`` times the pencil
-    scale); returns ``converged=False`` with the final norm when the
-    budget runs out or no candidate improves.
+    :func:`stopping_target`; returns ``converged=False`` with the final
+    norm when the budget runs out or no candidate improves.
     """
     d = P.half_deg
     ps = validate_second_canonical(P, policy)
     gaps = np.abs(ps[:, None] - ps[None, :]) + np.eye(d)
     if float(np.min(gaps)) <= policy.rank_tol * max(1.0, float(np.max(np.abs(ps)))):
         raise PreconditionError("diagonal entries must be pairwise distinct")
-    scale = max(P.scale(), 1.0)
-    if target is None:
-        target = 0.1 * policy.match_tol * scale
+    target = stopping_target(P, policy)
     F = P.pfaffian()
     cur = P
     records: list[TransformRecord] = []
@@ -188,7 +189,7 @@ def bridge_to_decomposable(P: SkewPencil, budget: int = 50, seed: int = 0,
         G = _pattern_vector(cur.gamma, d)
         candidates = _structured_candidates(cur, ps, policy)
         try:
-            pts = sample_curve_points(F, candidate_points, seed=seed + 977 * step,
+            pts = sample_curve_points(F, _CANDIDATE_POINTS, seed=seed + 977 * step,
                                       policy=policy)
         except PreconditionError:
             pts = []
@@ -202,7 +203,7 @@ def bridge_to_decomposable(P: SkewPencil, budget: int = 50, seed: int = 0,
                 candidates.append((cp.pt, v))
         best = None
         for pt, v in candidates:
-            U = _pattern_vector(2.0 * wedge_to_matrix(cur.sigma2 @ v, cur.sigma1 @ v), d)
+            U = _pattern_vector(_gamma_update(cur, v[:, None], _RHO_ONE), d)
             rho, new_off = _optimal_rho(G, U)
             if abs(rho) * float(np.linalg.norm(U)) <= policy.zero_tol * max(off, 1.0):
                 continue

@@ -254,9 +254,9 @@ def _h_bundle_check(policy, seed, P, rec, samples, curve_samples):
 
 
 def _h_bridge(policy, seed, P, budget):
-    from .bridge import bridge_to_decomposable
+    from .bridge import bridge_to_decomposable, stopping_target
     res = bridge_to_decomposable(P, budget=budget, seed=seed, policy=policy)
-    target = 0.1 * policy.match_tol * max(P.scale(), 1.0)
+    target = stopping_target(P, policy)
     return ({"records": [io.enc_record(r) for r in res.records],
              "pencil": io.enc_pencil(res.pencil),
              "converged": res.converged,

@@ -38,13 +38,12 @@ def curve_point(F: HomPoly, pt: ProjPoint,
 
 
 def sample_curve_points(F: HomPoly, count: int, seed: int = 0,
-                        policy: TolerancePolicy = DEFAULT_POLICY,
-                        require_affine: bool = True) -> list[CurvePoint]:
+                        policy: TolerancePolicy = DEFAULT_POLICY) -> list[CurvePoint]:
     """Sample points of ``F = 0`` by intersecting with random lines.
 
     Lines pass through a fixed (seeded) interior point; roots along each
-    line give curve points.  With ``require_affine`` points too close to
-    ``x0 = 0`` are discarded, so the affine-chart operations apply.
+    line give curve points.  Points too close to ``x0 = 0`` are
+    discarded, so the affine-chart operations apply.
     """
     rng = np.random.default_rng(seed)
     center = rng.standard_normal(3) + 1j * rng.standard_normal(3)
@@ -56,7 +55,7 @@ def sample_curve_points(F: HomPoly, count: int, seed: int = 0,
         coeffs = F.restrict_line(center, direction)
         for t in univariate_roots(coeffs, policy):
             raw = center + t * direction
-            if require_affine and abs(raw[0]) <= policy.rank_tol * np.max(np.abs(raw)):
+            if abs(raw[0]) <= policy.rank_tol * np.max(np.abs(raw)):
                 continue
             pt = ProjPoint(*raw, policy=policy)
             try:

@@ -67,11 +67,6 @@ def enc_pencil(P: SkewPencil) -> dict:
             "A1": enc_matrix(P.A1), "A2": enc_matrix(P.A2)}
 
 
-def enc_detrep(M: DetRep) -> dict:
-    return {"d": M.size, "M0": enc_matrix(M.M0),
-            "M1": enc_matrix(M.M1), "M2": enc_matrix(M.M2)}
-
-
 def enc_kernel(kb: KernelBasis) -> dict:
     return {"point": enc_point(kb.point),
             "vectors": [enc_vector(kb.v1), enc_vector(kb.v2)],

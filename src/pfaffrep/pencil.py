@@ -35,13 +35,14 @@ def _as_square(a, name: str) -> np.ndarray:
     return m
 
 
-def _check_skew(m: np.ndarray, name: str, tol: float) -> None:
+def _check_skew(m: np.ndarray, name: str, tol: float, scale: float) -> None:
+    """``scale`` is the largest entry of the object ``m`` belongs to."""
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise SkewSymmetryViolation(f"{name} must be square, got shape {m.shape}")
     if not m.size:
         return
     dev = np.abs(m + m.T)
-    if dev.max() > tol * max(1.0, float(np.max(np.abs(m)))):
+    if dev.max() > tol * scale:
         k, l = np.unravel_index(int(np.argmax(dev)), dev.shape)
         raise SkewSymmetryViolation(
             f"{name}[{k},{l}] deviates from skew-symmetry by {dev.max():.3g}")
@@ -67,8 +68,9 @@ class SkewPencil:
             raise ValueError("coefficient matrices must share one dimension")
         if n % 2 or n == 0:
             raise ValueError(f"dimension must be even and positive, got {n}")
+        scale = max(float(np.max(np.abs(m))) for m in (A0, A1, A2))
         for m, name in ((A0, "A0"), (A1, "A1"), (A2, "A2")):
-            _check_skew(m, name, policy.zero_tol)
+            _check_skew(m, name, policy.zero_tol, scale)
             m.setflags(write=False)
         object.__setattr__(self, "half_deg", n // 2)
         object.__setattr__(self, "A0", A0)
@@ -255,7 +257,7 @@ def pfaffian_numeric(A) -> complex:
     not skew, since the elimination reads both triangles.
     """
     A = np.asarray(A, dtype=complex)
-    _check_skew(A, "A", DEFAULT_POLICY.zero_tol)
+    _check_skew(A, "A", DEFAULT_POLICY.zero_tol, float(np.max(np.abs(A), initial=0.0)))
     return complex(_pf_stack(A[None])[0])
 
 

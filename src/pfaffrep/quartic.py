@@ -332,10 +332,11 @@ class SymDetRep(DetRep):
 
     def __post_init__(self):
         super().__post_init__()
+        scale = self.scale()
         for name in ("M0", "M1", "M2"):
             m = getattr(self, name)
             dev = float(np.max(np.abs(m - m.T)))
-            if dev > DEFAULT_POLICY.zero_tol * max(1.0, float(np.max(np.abs(m)))):
+            if dev > DEFAULT_POLICY.zero_tol * scale:
                 raise ValueError(f"{name} is not symmetric (deviation {dev:.3g})")
 
 

@@ -1,13 +1,14 @@
 """Elementary transformations of pfaffian representations.
 
-All three transformation types replace only the constant part ``gamma``
-of the pencil by a skew update built from kernel vectors:
-
-* two-point update from an admissible vector pair (rank at most 4),
-* one-point update from one kernel vector and a constant (rank at most 2),
-* multi-point update through the inverse of a coupling matrix whose
-  diagonal holds the chosen constants and whose off-diagonal entries are
-  the pairwise K values.
+Every transformation replaces only the constant part ``gamma`` of the
+pencil, by one update (:func:`_gamma_update`): ``gamma + X - X^t`` with
+``X = (s1 W) Gamma^-1 (W^t s2)``, where the columns of ``W`` are kernel
+vectors at the base points and ``Gamma^-1`` is a symmetric coupling
+matrix.  Type I has ``W = [v, u]`` and ``Gamma^-1 = [[0, 1/K], [1/K, 0]]``,
+type II has ``W = [v]`` and ``Gamma^-1 = [[2 rho]]``, and CONINT inverts a
+coupling matrix of chosen constants (diagonal) and pairwise K values.
+The bundle maps that intertwine a step with its pencil are likewise one
+rank-one factor pair per base point (:func:`bundle_maps_check`).
 
 Each returns the new pencil together with a :class:`TransformRecord`
 that captures enough data to replay, verify and invert the step.  The
@@ -17,14 +18,15 @@ wise.
 
 from __future__ import annotations
 
+from functools import reduce
 from typing import Sequence
 
 import numpy as np
 
-from .errors import (NotAdmissible, PreconditionError,
-                     SampleOnExceptionalLine, SingularGamma, VectorNotInKernel)
+from .errors import (NotAdmissible, PreconditionError, SampleOnExceptionalLine,
+                     SingularGamma)
 from .incidence import _admissibility_scale, _draw_direction, _require_kernel
-from .pencil import SkewPencil, kernel_at, wedge_to_matrix
+from .pencil import SkewPencil, kernel_at
 from .poly import ProjPoint, relative_deviation
 from .tolerances import DEFAULT_POLICY, Record, TolerancePolicy, factory, null_space
 
@@ -42,8 +44,22 @@ class TransformRecord(Record):
     gamma_after: np.ndarray
 
 
-def _skewify(m: np.ndarray) -> np.ndarray:
-    return (m - m.T) / 2.0
+def _gamma_update(P: SkewPencil, W: np.ndarray, Ginv: np.ndarray) -> np.ndarray:
+    """The constant-part change ``X - X^t``, ``X = (s1 W) Ginv (W^t s2)``, of
+    every elementary step: ``W`` holds one kernel vector per base point as
+    columns and ``Ginv`` is the symmetric inverse coupling matrix.  The
+    grouping keeps the cost at O(n^2 m) for m base points."""
+    X = (P.sigma1 @ W) @ Ginv @ (W.T @ P.sigma2)
+    return X - X.T
+
+
+def _step(P: SkewPencil, W: np.ndarray, Ginv: np.ndarray, policy: TolerancePolicy,
+          **fields) -> tuple[SkewPencil, TransformRecord]:
+    """The updated pencil and the record of the step with the given fields."""
+    gamma = P.gamma + _gamma_update(P, W, Ginv)
+    gamma_after = (gamma - gamma.T) / 2.0
+    rec = TransformRecord(**fields, gamma_before=P.gamma, gamma_after=gamma_after)
+    return P.with_gamma(gamma_after, policy), rec
 
 
 def type1(P: SkewPencil, lam: ProjPoint, mu: ProjPoint,
@@ -51,8 +67,8 @@ def type1(P: SkewPencil, lam: ProjPoint, mu: ProjPoint,
           policy: TolerancePolicy = DEFAULT_POLICY) -> tuple[SkewPencil, TransformRecord]:
     """Two-point elementary transformation from an admissible vector pair.
 
-    The update is
-    ``gamma - (1/K) (s1 u ^ s2 v) + (1/K) (s2 u ^ s1 v)`` with
+    The update has ``W = [v, u]`` and ``Gamma^-1 = [[0, 1/K], [1/K, 0]]``,
+    that is ``gamma - (1/K) (s1 u ^ s2 v) + (1/K) (s2 u ^ s1 v)`` with
     ``a ^ b = a b^t - b a^t``.  Afterwards the kernel roles swap:
     ``u`` lies in the new kernel at ``lam`` and ``v`` in the new kernel
     at ``mu``, and repeating the step with those roles undoes it.
@@ -65,19 +81,15 @@ def type1(P: SkewPencil, lam: ProjPoint, mu: ProjPoint,
     ref = _admissibility_scale(P, lam, mu, policy) * np.linalg.norm(v) * np.linalg.norm(u)
     if abs(K) <= policy.rank_tol * ref:
         raise NotAdmissible(f"coupling constant {K:.3g} is numerically zero")
-    s1, s2 = P.sigma1, P.sigma2
-    update = (-wedge_to_matrix(s1 @ u, s2 @ v) + wedge_to_matrix(s2 @ u, s1 @ v)) / K
-    gamma_after = _skewify(P.gamma + update)
-    out = P.with_gamma(gamma_after, policy)
-    rec = TransformRecord(kind="I", lam=lam, mu=mu, v=v, u=u, rho=None,
-                          k_value=K, conint_data=None,
-                          gamma_before=P.gamma, gamma_after=gamma_after)
-    return out, rec
+    Ginv = np.array([[0.0, 1.0 / K], [1.0 / K, 0.0]])
+    return _step(P, np.column_stack([v, u]), Ginv, policy, kind="I", lam=lam, mu=mu,
+                 v=v, u=u, rho=None, k_value=K, conint_data=None)
 
 
 def type2(P: SkewPencil, lam: ProjPoint, v: np.ndarray, rho: complex,
           policy: TolerancePolicy = DEFAULT_POLICY) -> tuple[SkewPencil, TransformRecord]:
-    """One-point elementary transformation: ``gamma + 2 rho (s2 v ^ s1 v)``.
+    """One-point elementary transformation: ``W = [v]``, ``Gamma^-1 = [[2 rho]]``,
+    that is ``gamma + 2 rho (s2 v ^ s1 v)``.
 
     ``v`` stays in the new kernel at ``lam``; the same step with ``-rho``
     undoes it.
@@ -87,13 +99,8 @@ def type2(P: SkewPencil, lam: ProjPoint, v: np.ndarray, rho: complex,
     if rho == 0:
         raise PreconditionError("rho must be nonzero")
     _require_kernel(P, lam, v, policy)
-    update = 2.0 * rho * wedge_to_matrix(P.sigma2 @ v, P.sigma1 @ v)
-    gamma_after = _skewify(P.gamma + update)
-    out = P.with_gamma(gamma_after, policy)
-    rec = TransformRecord(kind="II", lam=lam, mu=None, v=v, u=None, rho=rho,
-                          k_value=None, conint_data=None,
-                          gamma_before=P.gamma, gamma_after=gamma_after)
-    return out, rec
+    return _step(P, v[:, None], np.array([[2.0 * rho]]), policy, kind="II", lam=lam,
+                 mu=None, v=v, u=None, rho=rho, k_value=None, conint_data=None)
 
 
 def conint_rho_for_type2(rho_type2: complex) -> complex:
@@ -139,19 +146,10 @@ def conint(P: SkewPencil, points: Sequence[ProjPoint],
             Gamma[i, j] = Gamma[j, i] = K
     if len(null_space(Gamma, policy.rank_tol)[0]):
         raise SingularGamma("the coupling matrix is numerically singular")
-    w = np.column_stack(vecs)
-    Ginv = np.linalg.inv(Gamma)
-    s1, s2 = P.sigma1, P.sigma2
-    update = s1 @ w @ Ginv @ w.T @ s2 - s2 @ w @ Ginv @ w.T @ s1
-    gamma_after = _skewify(P.gamma + update)
-    out = P.with_gamma(gamma_after, policy)
-    rec = TransformRecord(kind="CONINT", lam=None, mu=None, v=None, u=None,
-                          rho=None, k_value=None,
-                          conint_data={"points": list(points), "vectors": vecs,
-                                       "rhos": [complex(r) for r in rhos],
-                                       "Gamma": Gamma},
-                          gamma_before=P.gamma, gamma_after=gamma_after)
-    return out, rec
+    return _step(P, np.column_stack(vecs), np.linalg.inv(Gamma), policy, kind="CONINT",
+                 lam=None, mu=None, v=None, u=None, rho=None, k_value=None,
+                 conint_data={"points": list(points), "vectors": vecs,
+                              "rhos": [complex(r) for r in rhos], "Gamma": Gamma})
 
 
 def inverse_step(P_after: SkewPencil, record: TransformRecord, seed: int = 0,
@@ -169,8 +167,7 @@ def inverse_step(P_after: SkewPencil, record: TransformRecord, seed: int = 0,
 def apply_record(P: SkewPencil, record: TransformRecord,
                  policy: TolerancePolicy = DEFAULT_POLICY) -> SkewPencil:
     """Replay a recorded step onto ``P``, checking the recorded starting gamma."""
-    scale = max(P.scale(), 1.0)
-    if np.max(np.abs(P.gamma - record.gamma_before)) > policy.match_tol * scale:
+    if np.max(np.abs(P.gamma - record.gamma_before)) > policy.match_tol * P.scale():
         raise PreconditionError("record does not start at this pencil")
     return P.with_gamma(record.gamma_after, policy)
 
@@ -207,16 +204,19 @@ class BundleCheckReport(Record):
         return worst <= tol
 
 
-def _den(x: np.ndarray, pt_aff: tuple[complex, complex], t1: complex, t2: complex) -> complex:
-    return t1 * (x[1] - pt_aff[0] * x[0]) + t2 * (x[2] - pt_aff[1] * x[0])
-
-
-def _check_not_exceptional(x, aff, t1, t2, policy, label):
-    den = _den(x, aff, t1, t2)
+def _factor_pair(P: SkewPencil, x: np.ndarray, base: tuple, t1: complex, t2: complex,
+                 policy: TolerancePolicy) -> tuple[np.ndarray, np.ndarray]:
+    """The (right, left) factors at ``x`` of one base point, given as
+    ``base = (affine p, label, a, b, c)``; see :func:`bundle_maps_check`."""
+    (p1, p2), label, a, b, c = base
+    den = t1 * (x[1] - p1 * x[0]) + t2 * (x[2] - p2 * x[0])
     scale = max(abs(t1), abs(t2)) * max(1.0, float(np.max(np.abs(x))))
     if abs(den) <= policy.rank_tol * scale:
         raise SampleOnExceptionalLine(f"sample lies on the exceptional line of {label}")
-    return den
+    ts = t1 * P.sigma1 + t2 * P.sigma2
+    f = c * x[0] / den
+    ident = np.eye(len(a), dtype=complex)
+    return ident + f * np.outer(a, b @ ts), ident + f * np.outer(ts @ a, b)
 
 
 def _subspace_sin(span_a: np.ndarray, span_b: np.ndarray) -> float:
@@ -234,131 +234,79 @@ def bundle_maps_check(P: SkewPencil, record: TransformRecord,
                       policy: TolerancePolicy = DEFAULT_POLICY) -> BundleCheckReport:
     """Verify the rational matrices that intertwine a step with its pencil.
 
-    For a two-point step, matrices T, S, P, R built from the step data
-    satisfy ``R(x) T(x) A(x) = A~(x) S(x) P(x)`` and vanish against the
-    step vectors at the two base points in the four stated patterns; for
-    a one-point step the single matrix Q satisfies
-    ``Q^t(x)^{-1} A(x) = A-(x) Q(x)``.  On curve samples the maps carry
-    the kernel of the old pencil into the kernel of the new one, and
-    their action on kernel vectors does not depend on the direction
-    parameters.
+    Each base point ``p`` of the step, with step vectors ``a, b`` and
+    constant ``c``, gives one factor pair
+    ``right = Id + c x0/den_p(x) a (b^t ts)`` and
+    ``left = Id + c x0/den_p(x) (ts a) b^t``, where ``ts = t1 s1 + t2 s2``
+    and ``den_p(x) = t1 (x1 - p1 x0) + t2 (x2 - p2 x0)``.  A two-point step
+    has the pairs (S, T) at ``lam`` with ``(u, v, 1/K)`` and (P, R) at
+    ``mu`` with ``(v, u, 1/K)``; a one-point step has the one pair
+    (Q, Q^t^-1) at ``lam`` with ``(v, v, 2 rho)``.
+
+    On ``samples`` the product of the left factors times ``A(x)`` equals
+    ``A~(x)`` times the product of the right factors: ``R T A = A~ S P``
+    and ``Q^t^-1 A = A~ Q``.  Each pair of a two-point step, evaluated at
+    the other base point, annihilates its step vectors in the four named
+    zero patterns.  On curve samples the right product carries the kernel
+    of the old pencil into the kernel of the new one, and neither the
+    right factors on old kernel vectors nor the left factors on new ones
+    depend on the direction parameters.
 
     Raises :class:`SampleOnExceptionalLine` when a sample annihilates
     one of the rational denominators; the caller should resample.
     """
+    if record.kind == "I":
+        c = 1 / record.k_value
+        bases = [(record.lam, "lambda", record.u, record.v, c),
+                 (record.mu, "mu", record.v, record.u, c)]
+        # what each pair annihilates at the other base point: (right a, b^t left)
+        zero_names = [("S(mu) u", "v^t T(mu)"), ("P(lam) v", "u^t R(lam)")]
+    elif record.kind == "II":
+        bases = [(record.lam, "lambda", record.v, record.v, 2 * record.rho)]
+        zero_names = []
+    else:
+        raise PreconditionError(
+            f"bundle maps are defined for kinds I and II, not {record.kind!r}")
     after = P.with_gamma(record.gamma_after, policy)
     rng = np.random.default_rng(seed)
     t1, t2 = (complex(z) for z in rng.standard_normal(2) + 1j * rng.standard_normal(2))
     t1b, t2b = (complex(z) for z in rng.standard_normal(2) + 1j * rng.standard_normal(2))
-    s1, s2 = P.sigma1, P.sigma2
-    n = P.dim
-    ident = np.eye(n, dtype=complex)
+    pairs = [(pt.affine(policy), *rest) for pt, *rest in bases]
 
-    if record.kind == "I":
-        lam_aff = record.lam.affine(policy)
-        mu_aff = record.mu.affine(policy)
-        v, u = record.v, record.u
-        K = record.k_value
+    def factors(x, tt1, tt2):
+        return [_factor_pair(P, x, base, tt1, tt2, policy) for base in pairs]
 
-        def ts_mats(x, tt1, tt2):
-            """T and S; their denominator vanishes on the lambda line only."""
-            den_l = _check_not_exceptional(x, lam_aff, tt1, tt2, policy, "lambda")
-            ts = tt1 * s1 + tt2 * s2
-            T = ident + (x[0] / (K * den_l)) * np.outer(ts @ u, v)
-            S = ident + (x[0] / (K * den_l)) * np.outer(u, v @ ts)
-            return T, S
+    id_res = 0.0
+    for pt in samples:
+        lhs, rhs = P(pt), after(pt)
+        for right, left in factors(pt.coords, t1, t2):
+            lhs, rhs = left @ lhs, rhs @ right
+        norm = max(np.linalg.norm(lhs, 2), np.linalg.norm(rhs, 2), 1e-300)
+        id_res = max(id_res, float(np.linalg.norm(lhs - rhs, 2) / norm))
 
-        def pr_mats(x, tt1, tt2):
-            """P and R; their denominator vanishes on the mu line only."""
-            den_m = _check_not_exceptional(x, mu_aff, tt1, tt2, policy, "mu")
-            ts = tt1 * s1 + tt2 * s2
-            Pm = ident + (x[0] / (K * den_m)) * np.outer(v, u @ ts)
-            R = ident + (x[0] / (K * den_m)) * np.outer(ts @ v, u)
-            return Pm, R
+    zeros = {}
+    for base, (other, *_), names in zip(pairs, reversed(bases), zero_names):
+        right, left = _factor_pair(P, other.coords, base, t1, t2, policy)
+        a, b = base[2], base[3]
+        zeros[names[0]] = float(np.linalg.norm(right @ a)) / (np.linalg.norm(right, 2)
+                                                              * np.linalg.norm(a))
+        zeros[names[1]] = float(np.linalg.norm(b @ left)) / (np.linalg.norm(left, 2)
+                                                             * np.linalg.norm(b))
 
-        def mats(x, tt1, tt2):
-            return (*ts_mats(x, tt1, tt2), *pr_mats(x, tt1, tt2))
-
-        id_res = 0.0
-        for pt in samples:
-            x = pt.coords
-            T, S, Pm, R = mats(x, t1, t2)
-            A = P(pt)
-            At = after(pt)
-            lhs = R @ T @ A
-            rhs = At @ S @ Pm
-            norm = max(np.linalg.norm(lhs, 2), np.linalg.norm(rhs, 2), 1e-300)
-            id_res = max(id_res, float(np.linalg.norm(lhs - rhs, 2) / norm))
-
-        T_mu, S_mu = ts_mats(record.mu.coords, t1, t2)
-        Pm_lam, R_lam = pr_mats(record.lam.coords, t1, t2)
-        nv = np.linalg.norm(v)
-        nu = np.linalg.norm(u)
-        zeros = {
-            "P(lam) v": float(np.linalg.norm(Pm_lam @ v)) / (np.linalg.norm(Pm_lam, 2) * nv),
-            "v^t T(mu)": float(np.linalg.norm(v @ T_mu)) / (np.linalg.norm(T_mu, 2) * nv),
-            "u^t R(lam)": float(np.linalg.norm(u @ R_lam)) / (np.linalg.norm(R_lam, 2) * nu),
-            "S(mu) u": float(np.linalg.norm(S_mu @ u)) / (np.linalg.norm(S_mu, 2) * nu),
-        }
-
-        angle = 0.0
-        indep = 0.0
-        for pt in curve_samples:
-            x = pt.coords
-            T, S, Pm, R = mats(x, t1, t2)
-            Tb, Sb, Pmb, Rb = mats(x, t1b, t2b)
-            kb = kernel_at(P, pt, policy)
-            kb_after = kernel_at(after, pt, policy)
-            mapped = S @ Pm @ kb.vectors
-            angle = max(angle, _subspace_sin(mapped, kb_after.vectors))
+    angle = 0.0
+    indep = 0.0
+    for pt in curve_samples:
+        fs, fs_b = factors(pt.coords, t1, t2), factors(pt.coords, t1b, t2b)
+        eps = kernel_at(P, pt, policy).vectors
+        eps_after = kernel_at(after, pt, policy).vectors
+        right = reduce(np.matmul, [r for r, _ in fs])
+        angle = max(angle, _subspace_sin(right @ eps, eps_after))
+        for (r, l), (r_b, l_b) in zip(fs, fs_b):
             for col in range(2):
-                eps = kb.vectors[:, col]
-                for M, Mb in ((Pm, Pmb), (S, Sb)):
-                    indep = max(indep, _rel_diff(M @ eps, Mb @ eps))
-                epst = kb_after.vectors[:, col]
-                for M, Mb in ((T, Tb), (R, Rb)):
-                    indep = max(indep, _rel_diff(epst @ M, epst @ Mb))
-        return BundleCheckReport(identity_residual=id_res, zero_patterns=zeros,
-                                 transport_angle=angle,
-                                 parameter_independence=indep)
-
-    if record.kind == "II":
-        lam_aff = record.lam.affine(policy)
-        v, rho = record.v, record.rho
-
-        def qmats(x, tt1, tt2):
-            den_l = _check_not_exceptional(x, lam_aff, tt1, tt2, policy, "lambda")
-            ts = tt1 * s1 + tt2 * s2
-            Q = ident + (2 * rho * x[0] / den_l) * np.outer(v, v @ ts)
-            Qti = ident + (2 * rho * x[0] / den_l) * np.outer(ts @ v, v)
-            return Q, Qti
-
-        id_res = 0.0
-        for pt in samples:
-            x = pt.coords
-            Q, Qti = qmats(x, t1, t2)
-            lhs = Qti @ P(pt)
-            rhs = after(pt) @ Q
-            norm = max(np.linalg.norm(lhs, 2), np.linalg.norm(rhs, 2), 1e-300)
-            id_res = max(id_res, float(np.linalg.norm(lhs - rhs, 2) / norm))
-
-        angle = 0.0
-        indep = 0.0
-        for pt in curve_samples:
-            x = pt.coords
-            Q, _ = qmats(x, t1, t2)
-            Qb, _ = qmats(x, t1b, t2b)
-            kb = kernel_at(P, pt, policy)
-            kb_after = kernel_at(after, pt, policy)
-            angle = max(angle, _subspace_sin(Q @ kb.vectors, kb_after.vectors))
-            for col in range(2):
-                eps = kb.vectors[:, col]
-                indep = max(indep, _rel_diff(Q @ eps, Qb @ eps))
-        return BundleCheckReport(identity_residual=id_res, zero_patterns={},
-                                 transport_angle=angle,
-                                 parameter_independence=indep)
-
-    raise PreconditionError(f"bundle maps are defined for kinds I and II, not {record.kind!r}")
+                indep = max(indep, _rel_diff(r @ eps[:, col], r_b @ eps[:, col]),
+                            _rel_diff(eps_after[:, col] @ l, eps_after[:, col] @ l_b))
+    return BundleCheckReport(identity_residual=id_res, zero_patterns=zeros,
+                             transport_angle=angle, parameter_independence=indep)
 
 
 def _rel_diff(a: np.ndarray, b: np.ndarray) -> float:

@@ -126,3 +126,15 @@ def test_one_svd_call_site():
     src = Path(pfaffrep.__file__).parent
     sites = {p.name: p.read_text().count("np.linalg.svd") for p in sorted(src.glob("*.py"))}
     assert {name: n for name, n in sites.items() if n} == {"tolerances.py": 1}
+
+
+def test_one_constant_part_update():
+    """Every step's constant-part change is ``transforms._gamma_update``: neither
+    the transforms nor the bridge build wedges or sigma products of their own."""
+    src = Path(pfaffrep.__file__).parent
+    texts = {name: (src / name).read_text() for name in ("transforms.py", "bridge.py")}
+    for name, text in texts.items():
+        assert "wedge_to_matrix" not in text, name
+    assert texts["transforms.py"].count("sigma1 @") == 1
+    assert "sigma1 @" not in texts["bridge.py"]
+    assert "_gamma_update(" in texts["bridge.py"]

@@ -1,15 +1,20 @@
 """Scale covariance: no answer depends on the overall scale of the pencil or
 of the curve, and the dense polynomial operations agree with evaluation."""
 
+import json
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pfaffrep import (DetRep, HomPoly, PreconditionError, ProjPoint, SchemaError,
-                      SingularTransform, SkewPencil, classify_pair, congruence, curve_point,
-                      decomposable_from, kernel_at, partner_points, pfaffian_minor,
-                      polar_triangle, sample_curve_points, to_canonical)
+                      SingularTransform, SkewPencil, SkewSymmetryViolation, SymDetRep,
+                      classify_pair, congruence, curve_point, decomposable_from, kernel_at,
+                      partner_points, pfaffian_minor, pfaffian_numeric, polar_triangle,
+                      sample_curve_points, to_canonical, type2, verify_replay)
 from pfaffrep import jsonio as io
 from pfaffrep.cli import _exit_code_for, dispatch, parse_problem
 from conftest import random_pencil
@@ -196,3 +201,38 @@ def test_line_command_finds_the_zero_form_at_any_scale(scale):
     report = _line_report(P, lam, mu, v, u)
     assert report["outputs"]["is_zero"] is True
     assert report["residuals"] == {}
+
+
+@pytest.mark.parametrize("scale", [1e-12, 1.0, 1e12])
+def test_skew_and_symmetry_checks_are_relative_to_the_scale(scale):
+    rng = np.random.default_rng(13)
+    N = [scale * rng.standard_normal((4, 4)) for _ in range(3)]
+    skew = [m - m.T for m in N]
+    sym = [m + m.T for m in N]
+    # a deviation far below zero_tol times the largest entry passes
+    E = np.zeros((4, 4))
+    E[0, 1] = 1e-3 * 1e-9 * scale
+    SkewPencil(skew[0] + E, skew[1], skew[2])
+    pfaffian_numeric(skew[0] + E)
+    SymDetRep(sym[0] + E, sym[1], sym[2])
+    with pytest.raises(SkewSymmetryViolation):
+        SkewPencil(*N)
+    with pytest.raises(SkewSymmetryViolation):
+        pfaffian_numeric(N[0])
+    with pytest.raises(ValueError, match="not symmetric"):
+        SymDetRep(*N)
+
+
+def test_replay_start_check_is_relative_to_the_pencil(rng):
+    P, Q = (_scaled(random_pencil(rng, 6), 1e-8) for _ in range(2))
+    pt = sample_curve_points(Q.pfaffian(), 1, seed=3)[0].pt
+    _, rec = type2(Q, pt, kernel_at(Q, pt).v1, 0.5)
+    assert max(verify_replay(Q, [rec])) <= 1e-7
+    # a record taken from another pencil of the same (small) scale
+    with pytest.raises(PreconditionError, match="does not start at this pencil"):
+        verify_replay(P, [rec])
+    proc = subprocess.run(
+        [sys.executable, "-m", "pfaffrep.cli", "verify-replay", "-"], capture_output=True,
+        text=True, input=json.dumps({"kind": "verify-replay", "payload": {
+            "pencil": io.enc_pencil(P), "records": [io.enc_record(rec)]}}))
+    assert proc.returncode == 4, proc.stdout

@@ -146,6 +146,17 @@ def test_conint_decoupled_pair_composes_type2(rng):
     assert np.max(np.abs(combined.gamma - step2.gamma)) <= 1e-8 * np.max(np.abs(combined.gamma))
 
 
+def test_conint_two_points_without_diagonal_matches_type1(rng):
+    # type I is the two-point update with Gamma = [[0, K], [K, 0]]; K does not
+    # depend on the drawn direction, so the two seeds need not agree
+    P = random_pencil(rng, 8)
+    lam, mu, v, u = admissible_data(P)
+    _, rec1 = type1(P, lam, mu, v, u, seed=0)
+    _, rec = conint(P, [lam, mu], [v, u], [0, 0], seed=5)
+    delta = rec1.gamma_after - rec.gamma_after
+    assert np.max(np.abs(delta)) <= 1e-12 * np.max(np.abs(rec1.gamma_after))
+
+
 def test_conint_preserves_pfaffian_m2_m3(rng):
     for m in (2, 3):
         for trial in range(5):

@@ -13,9 +13,11 @@ Neither file is changed.
 
 Prints, per workload and command, how many reports are byte-identical and
 how many differ, each side's checker failures, and the first lines that
-differ in the first few differing reports.  Exits 0 when every report is
-identical and neither side fails a check, 1 otherwise.  Standard library
-only on this side; needs ``git`` on the path.
+differ in the first few differing reports.  The greedy bridge is chaotic
+in the last bits of its steps, so it also prints per side how many bridge
+problems converged and their total step count.  Exits 0 when every report
+is identical and neither side fails a check, 1 otherwise.  Standard
+library only on this side; needs ``git`` on the path.
 """
 
 from __future__ import annotations
@@ -68,6 +70,19 @@ def load(path: Path) -> dict:
     return {(r["workload"], r["seed"], r["index"]): r for r in rows}
 
 
+def bridge_outcome(rows: dict) -> tuple[int, int, int]:
+    """Bridge problems, how many converged and their total step count."""
+    n = converged = steps = 0
+    for row in rows.values():
+        if row["kind"] != "bridge":
+            continue
+        n += 1
+        outputs = json.loads(row["report"])["outputs"] if row["report"] else {}
+        converged += bool(outputs.get("converged"))
+        steps += len(outputs.get("records", ()))
+    return n, converged, steps
+
+
 def compare(sides: dict[str, dict]) -> int:
     """Print the per-command table and the first differences; the exit status."""
     parent, change = sides["parent"], sides["change"]
@@ -101,6 +116,10 @@ def compare(sides: dict[str, dict]) -> int:
     for cmd in sorted(set(same) | set(differ)):
         print(f"{cmd[0]:14s} {cmd[1]:16s} {same[cmd]:9d} {differ[cmd]:6d} "
               f"{failed['parent'][cmd]:13d} {failed['change'][cmd]:13d}")
+    for s, rows in sides.items():
+        n, converged, steps = bridge_outcome(rows)
+        if n:
+            print(f"bridge, {s}: {converged} of {n} converged, {steps} steps in all")
     total, n_same = len(parent), sum(same.values())
     n_failed = {s: sum(f.values()) for s, f in failed.items()}
     print(f"{n_same} of {total} reports identical, {total - n_same} differ; "
