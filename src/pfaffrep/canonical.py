@@ -17,7 +17,7 @@ import numpy as np
 from .errors import NotInCanonicalForm, NotUnimodular, SpanFailure
 from .pencil import SkewPencil, congruence
 from .poly import roots_on_line
-from .tolerances import DEFAULT_POLICY, Record, TolerancePolicy, null_space
+from .tolerances import DEFAULT_POLICY, Record, TolerancePolicy, draws, null_space
 
 _I2 = np.array([[0.0, 1.0], [-1.0, 0.0]], dtype=complex)
 
@@ -70,7 +70,7 @@ def to_canonical(P: SkewPencil, policy: TolerancePolicy = DEFAULT_POLICY,
     if len(roots) != d:
         raise SpanFailure(
             f"expected {d} intersection points with x0 = 0, found {len(roots)}")
-    rng = np.random.default_rng(seed)
+    draw = draws(seed)
     rows = []
     a1_scale = float(np.max(np.abs(P.A1)))
     for p in roots:
@@ -82,7 +82,7 @@ def to_canonical(P: SkewPencil, policy: TolerancePolicy = DEFAULT_POLICY,
         pairing = u @ P.A1 @ v
         if abs(pairing) <= policy.rank_tol * a1_scale:
             # unlucky orthonormal gauge: remix once with a random unitary
-            g = _random_su2(rng)
+            g = _random_su2(draw)
             u, v = g[0, 0] * u + g[0, 1] * v, g[1, 0] * u + g[1, 1] * v
             pairing = u @ P.A1 @ v
             if abs(pairing) <= policy.rank_tol * a1_scale:
@@ -99,9 +99,8 @@ def to_canonical(P: SkewPencil, policy: TolerancePolicy = DEFAULT_POLICY,
     return CanonicalReport(roots=roots, basis_change=B, pencil=out, residual=residual)
 
 
-def _random_su2(rng) -> np.ndarray:
-    z = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
-    q, r = np.linalg.qr(z)
+def _random_su2(draw) -> np.ndarray:
+    q, r = np.linalg.qr(draw(2, 2))
     q = q @ np.diag(np.exp(-1j * np.angle(np.diag(r))))
     return q / np.sqrt(np.linalg.det(q))
 

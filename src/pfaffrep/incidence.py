@@ -19,7 +19,7 @@ from .errors import (DegenerateDenominator, NoAdmissiblePartner, PreconditionErr
                      SamePoint, VectorNotInKernel)
 from .pencil import KernelBasis, SkewPencil, kernel_at
 from .poly import HomPoly, LinearForm, ProjPoint, univariate_roots
-from .tolerances import DEFAULT_POLICY, Record, TolerancePolicy, null_space
+from .tolerances import DEFAULT_POLICY, Record, TolerancePolicy, draws, null_space
 
 
 class CurvePoint(Record):
@@ -45,13 +45,13 @@ def sample_curve_points(F: HomPoly, count: int, seed: int = 0,
     line give curve points.  Points too close to ``x0 = 0`` are
     discarded, so the affine-chart operations apply.
     """
-    rng = np.random.default_rng(seed)
-    center = rng.standard_normal(3) + 1j * rng.standard_normal(3)
+    draw = draws(seed)
+    center = draw(3)
     out: list[CurvePoint] = []
     attempts = 0
     while len(out) < count and attempts < 40 * (count + 1):
         attempts += 1
-        direction = rng.standard_normal(3) + 1j * rng.standard_normal(3)
+        direction = draw(3)
         coeffs = F.restrict_line(center, direction)
         for t in univariate_roots(coeffs, policy):
             raw = center + t * direction
@@ -132,10 +132,10 @@ def k_constant(P: SkewPencil, lam: ProjPoint, v: np.ndarray,
 def _draw_direction(P: SkewPencil, lam: ProjPoint, mu: ProjPoint, v, u,
                     seed: int, policy: TolerancePolicy) -> tuple[complex, complex, complex]:
     """Seeded generic (t1, t2) with a non-degenerate denominator, plus K."""
-    rng = np.random.default_rng(seed)
+    draw = draws(seed)
     last = None
     for _ in range(8):
-        t = rng.standard_normal(2) + 1j * rng.standard_normal(2)
+        t = draw(2)
         try:
             return t[0], t[1], k_constant(P, lam, v, mu, u, t[0], t[1], policy,
                                           check_kernels=False)

@@ -111,18 +111,6 @@ class SkewPencil:
         """Same ``x1``/``x2`` parts, new constant part."""
         return SkewPencil(new_A0, self.A1, self.A2, policy=policy)
 
-    @staticmethod
-    def from_entry_forms(forms: list[list[LinearForm]],
-                         policy: TolerancePolicy = DEFAULT_POLICY) -> "SkewPencil":
-        """Build from a full square grid of linear forms (must be skew)."""
-        n = len(forms)
-        A = [np.zeros((n, n), dtype=complex) for _ in range(3)]
-        for i in range(n):
-            for j in range(n):
-                f = forms[i][j]
-                A[0][i, j], A[1][i, j], A[2][i, j] = f.c0, f.c1, f.c2
-        return SkewPencil(A[0], A[1], A[2], policy=policy)
-
     def pfaffian(self) -> HomPoly:
         """Symbolic pfaffian, a homogeneous polynomial of degree ``half_deg``."""
         if self._pf is None:

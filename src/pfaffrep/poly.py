@@ -259,18 +259,6 @@ class ProjPoint:
     def __setattr__(self, name, value):
         raise AttributeError("ProjPoint is immutable")
 
-    @property
-    def x0(self) -> complex:
-        return complex(self.coords[0])
-
-    @property
-    def x1(self) -> complex:
-        return complex(self.coords[1])
-
-    @property
-    def x2(self) -> complex:
-        return complex(self.coords[2])
-
     def affine(self, policy: TolerancePolicy = DEFAULT_POLICY) -> tuple[complex, complex]:
         """Affine coordinates in the chart ``x0 = 1``; the point must have
         ``|x0|`` above ``zero_tol`` times its largest coordinate."""

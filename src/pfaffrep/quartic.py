@@ -30,7 +30,7 @@ from .incidence import sample_curve_points
 from .pencil import DetRep, SkewPencil, _gauge, pfaffian_numeric
 from .poly import (HomPoly, LinearForm, ProjPoint, equal_up_to_scale, relative_deviation,
                    univariate_roots)
-from .tolerances import DEFAULT_POLICY, Record, TolerancePolicy, null_space
+from .tolerances import DEFAULT_POLICY, Record, TolerancePolicy, draws, null_space
 
 CUBIC_FIELDS = ("w000", "w111", "w222", "w012", "w001",
                 "w002", "w011", "w022", "w112", "w122")
@@ -136,21 +136,12 @@ def aronhold_matrix(w: CubicCoeffs) -> SkewPencil | np.ndarray:
     Linear-form entries give a pencil (whose pfaffian is a quartic in
     the moving point); scalar entries give a constant skew matrix.
     """
-    if w.is_pencil():
-        zero = LinearForm.zero()
-        grid = [[zero for _ in range(8)] for _ in range(8)]
-        for (i, j), (name, sgn) in _ARONHOLD_UPPER.items():
-            f = getattr(w, name)
-            if not isinstance(f, LinearForm):
-                f = LinearForm(f, 0, 0)
-            grid[i][j] = f.scaled(sgn)
-            grid[j][i] = f.scaled(-sgn)
-        return SkewPencil.from_entry_forms(grid)
-    A = np.zeros((8, 8), dtype=complex)
+    A = np.zeros((3, 8, 8), dtype=complex)
     for (i, j), (name, sgn) in _ARONHOLD_UPPER.items():
-        A[i, j] = sgn * complex(getattr(w, name))
-        A[j, i] = -A[i, j]
-    return A
+        f = getattr(w, name)
+        c = f.coeffs if isinstance(f, LinearForm) else np.array([f, 0, 0], dtype=complex)
+        A[:, i, j], A[:, j, i] = sgn * c, -sgn * c
+    return SkewPencil(*A) if w.is_pencil() else A[0]
 
 
 def aronhold_invariant(w: CubicCoeffs) -> HomPoly | complex:
@@ -208,10 +199,6 @@ def hessian_det(cubic: HomPoly) -> HomPoly:
             + H[0][2] * (H[1][0] * H[2][1] - H[1][1] * H[2][0]))
 
 
-def _line_between(p: np.ndarray, q: np.ndarray) -> np.ndarray:
-    return np.cross(p, q)
-
-
 def factor_three_lines(c: HomPoly, seed: int = 0,
                        policy: TolerancePolicy = DEFAULT_POLICY
                        ) -> tuple[LinearForm, LinearForm, LinearForm]:
@@ -227,11 +214,10 @@ def factor_three_lines(c: HomPoly, seed: int = 0,
         raise ValueError("expected a cubic")
     if c.is_zero():
         raise NotAProductOfLines("the zero cubic has no line factors")
-    rng = np.random.default_rng(seed)
+    draw = draws(seed)
     last_reason = "no usable restriction lines"
     for _ in range(8):
-        base_a, dir_a, base_b, dir_b = (rng.standard_normal(3) + 1j * rng.standard_normal(3)
-                                        for _ in range(4))
+        base_a, dir_a, base_b, dir_b = draw(4, 3)
         pts = []
         ok = True
         for base, direction in ((base_a, dir_a), (base_b, dir_b)):
@@ -255,7 +241,7 @@ def factor_three_lines(c: HomPoly, seed: int = 0,
             lines = []
             degenerate = False
             for i in range(3):
-                ell = _line_between(P3[i], Q3[perm[i]])
+                ell = np.cross(P3[i], Q3[perm[i]])
                 norm = np.linalg.norm(ell)
                 if norm <= policy.rank_tol * (np.linalg.norm(P3[i]) * np.linalg.norm(Q3[perm[i]])):
                     degenerate = True
@@ -409,8 +395,7 @@ def identify_theta(source: HomPoly | CubicCoeffs,
         if equal_up_to_scale(M.det_poly(), S, det_policy) is None:
             raise PreconditionError(
                 f"candidate {idx} is not a determinantal representation of the covariant")
-    rng_seed = seed
-    pts = sample_curve_points(S, 3 * samples, seed=rng_seed, policy=policy)
+    pts = sample_curve_points(S, 3 * samples, seed=seed, policy=policy)
     alive = set(range(len(candidates)))
     evidence: list[dict] = []
     used = 0
@@ -478,9 +463,8 @@ def bitangent_from_octad(M: SymDetRep, b_i: np.ndarray, b_j: np.ndarray,
 
 def _check_double_tangency(quartic: HomPoly, ell: LinearForm, seed: int,
                            policy: TolerancePolicy) -> None:
-    rng = np.random.default_rng(seed)
     span = null_space(ell.coeffs.reshape(1, 3), policy.rank_tol)[0][-2:]
-    mix = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
+    mix = draws(seed)(2, 2)
     base = mix[0, 0] * span[0] + mix[0, 1] * span[1]
     direction = mix[1, 0] * span[0] + mix[1, 1] * span[1]
     roots = univariate_roots(quartic.restrict_line(base, direction), policy)

@@ -9,6 +9,7 @@ drives rank decisions, ``match_tol`` accepts or rejects residuals.
 Every rank, kernel and full-rank decision goes through :func:`null_space`,
 which holds the one rank rule: a singular value counts as zero when it is
 at most ``tol`` times the largest one (times 1 for the zero matrix).
+Every seeded random choice comes from :func:`draws`.
 
 The module also holds :class:`Record`, the base of the policy and of the
 library's other immutable value records.
@@ -17,6 +18,8 @@ library's other immutable value records.
 from __future__ import annotations
 
 import math
+import operator
+import random
 
 import numpy as np
 
@@ -154,3 +157,20 @@ def null_space(M: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
     smax = float(s[0]) if s[0] > 0 else 1.0
     rank = int(np.count_nonzero(s > tol * smax))
     return vh[rank:].conj(), s
+
+
+def draws(seed: int):
+    """The one seeded source of generic data: ``draw(*shape)`` returns a
+    complex array of that shape whose real and imaginary parts are
+    independent standard normals, taken in order from one standard-library
+    ``random.Random`` stream seeded with ``seed``, so
+    ``draws(s)(4)[:2] == draws(s)(2)``.
+    """
+    gauss = random.Random(operator.index(seed)).gauss
+
+    def draw(*shape: int) -> np.ndarray:
+        n = math.prod(shape)
+        values = [complex(gauss(0.0, 1.0), gauss(0.0, 1.0)) for _ in range(n)]
+        return np.array(values, dtype=complex).reshape(shape)
+
+    return draw

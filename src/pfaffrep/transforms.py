@@ -28,7 +28,7 @@ from .errors import (NotAdmissible, PreconditionError, SampleOnExceptionalLine,
 from .incidence import _admissibility_scale, _draw_direction, _require_kernel
 from .pencil import SkewPencil, kernel_at
 from .poly import ProjPoint, relative_deviation
-from .tolerances import DEFAULT_POLICY, Record, TolerancePolicy, factory, null_space
+from .tolerances import DEFAULT_POLICY, Record, TolerancePolicy, draws, factory, null_space
 
 
 class TransformRecord(Record):
@@ -166,9 +166,20 @@ def inverse_step(P_after: SkewPencil, record: TransformRecord, seed: int = 0,
 
 def apply_record(P: SkewPencil, record: TransformRecord,
                  policy: TolerancePolicy = DEFAULT_POLICY) -> SkewPencil:
-    """Replay a recorded step onto ``P``, checking the recorded starting gamma."""
+    """Replay a recorded step onto ``P``.
+
+    The record must start at ``P``: its starting gamma must match, and each
+    (point, kernel vector) pair it holds must lie in a kernel of ``P``, which
+    ties the record to the sigma parts as well.
+    """
     if np.max(np.abs(P.gamma - record.gamma_before)) > policy.match_tol * P.scale():
         raise PreconditionError("record does not start at this pencil")
+    pairs = [(record.lam, record.v), (record.mu, record.u)]
+    if record.conint_data is not None:
+        pairs += zip(record.conint_data["points"], record.conint_data["vectors"])
+    for pt, vec in pairs:
+        if pt is not None and vec is not None:
+            _require_kernel(P, pt, vec, policy)
     return P.with_gamma(record.gamma_after, policy)
 
 
@@ -267,10 +278,8 @@ def bundle_maps_check(P: SkewPencil, record: TransformRecord,
     else:
         raise PreconditionError(
             f"bundle maps are defined for kinds I and II, not {record.kind!r}")
-    after = P.with_gamma(record.gamma_after, policy)
-    rng = np.random.default_rng(seed)
-    t1, t2 = (complex(z) for z in rng.standard_normal(2) + 1j * rng.standard_normal(2))
-    t1b, t2b = (complex(z) for z in rng.standard_normal(2) + 1j * rng.standard_normal(2))
+    after = apply_record(P, record, policy)
+    t1, t2, t1b, t2b = draws(seed)(4)
     pairs = [(pt.affine(policy), *rest) for pt, *rest in bases]
 
     def factors(x, tt1, tt2):

@@ -220,8 +220,9 @@ def test_embedded_printed_vectors_have_vanishing_coupling(m_theta, theta_lambda,
     # the cross-block coupling vanishes because the kernel pairing does;
     # compare against the coupling of an unrelated direction at the same
     # geometry to show the contrast
-    kb = kernel_at(P8, sample_curve_points(P8.pfaffian(), 1, seed=21, policy=policy)[0].pt,
-                   policy)
+    # the sampled point is a root to machine precision: its kernel takes the
+    # default policy, since the loose one can merge small singular values
+    kb = kernel_at(P8, sample_curve_points(P8.pfaffian(), 1, seed=21, policy=policy)[0].pt)
     ref = abs(k_constant(P8, theta_lambda, v8, kb.point, kb.v2, 0.8, 0.3j, policy,
                          check_kernels=False))
     assert abs(K) <= 0.05 * max(ref, 1.0)

@@ -1,5 +1,6 @@
 """The lazy package surface and the modules each CLI process loads."""
 
+import importlib.util
 import json
 import subprocess
 import sys
@@ -11,6 +12,7 @@ import pytest
 
 import pfaffrep
 from pfaffrep import jsonio as io
+from pfaffrep.tolerances import draws
 from conftest import random_pencil
 
 # Every public name of the package, by defining module.
@@ -48,6 +50,10 @@ EXPORTS = {
 # Layers no command needs before its handler runs.
 DEFERRED = ["pfaffrep.quartic", "pfaffrep.bridge", "pfaffrep.transforms",
             "pfaffrep.canonical", "pfaffrep.incidence", "concurrent.futures"]
+
+# The commands that make a seeded random choice.
+DRAWING = ["canon", "classify-pair", "k-const", "type1", "conint", "bundle-check", "bridge",
+           "triangle", "factor-lines", "identify-theta", "bitangent"]
 
 
 @pytest.mark.parametrize("module", sorted(EXPORTS))
@@ -98,6 +104,42 @@ def test_pf_command_loads_no_deferred_layer():
     assert [m for m in DEFERRED if m in loaded] == []
 
 
+def _bench_problems():
+    """The benchmark's problem generator (numpy only), loaded from its file."""
+    path = Path(__file__).resolve().parent.parent / "bench" / "problems.py"
+    spec = importlib.util.spec_from_file_location("bench_problems", path)
+    mod = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(mod)
+    return mod
+
+
+def test_drawing_commands_load_no_numpy_random():
+    """Seeded choices come from the standard library's ``random``, which
+    numpy loads anyway: no command pays for importing ``numpy.random``."""
+    problems = _bench_problems()
+    docs = {}
+    for index in range(len(problems.WORKLOADS["cli-small"])):
+        doc = problems.problem("cli-small", 1, index)["doc"]
+        docs.setdefault(doc["kind"], doc)
+    batch = [docs[kind] for kind in DRAWING]
+    loaded = _loaded_after(
+        "import pfaffrep.cli as cli\n"
+        "assert cli.main(['batch', '-', '--format', 'json']) == 0",
+        json.dumps(batch))
+    assert "pfaffrep.quartic" in loaded and "pfaffrep.bridge" in loaded
+    assert "numpy.random" not in loaded
+
+
+def test_draws_repeat_and_extend():
+    a = draws(5)(3, 2)
+    assert a.shape == (3, 2) and a.dtype == complex
+    assert np.array_equal(a, draws(5)(3, 2))
+    assert np.array_equal(draws(5)(4)[:2], draws(5)(2))
+    assert not np.array_equal(draws(6)(2), draws(5)(2))
+    draw = draws(5)
+    assert np.array_equal(np.concatenate([draw(2), draw(2)]), draws(5)(4))
+
+
 def test_importing_the_layers_generates_no_code():
     """No module builds methods from source text at import (as ``dataclasses``
     does): every compile and exec after numpy is of a source file."""
@@ -126,6 +168,15 @@ def test_one_svd_call_site():
     src = Path(pfaffrep.__file__).parent
     sites = {p.name: p.read_text().count("np.linalg.svd") for p in sorted(src.glob("*.py"))}
     assert {name: n for name, n in sites.items() if n} == {"tolerances.py": 1}
+
+
+def test_one_random_source():
+    """Every seeded choice comes from ``tolerances.draws``, on ``random.Random``."""
+    src = Path(pfaffrep.__file__).parent
+    texts = {p.name: p.read_text() for p in sorted(src.glob("*.py"))}
+    assert [name for name, text in texts.items() if "np.random" in text] == []
+    streams = {name: text.count("random.Random(") for name, text in texts.items()}
+    assert {name: n for name, n in streams.items() if n} == {"tolerances.py": 1}
 
 
 def test_one_constant_part_update():

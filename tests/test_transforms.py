@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
 
-from pfaffrep import (DetRep, NotAdmissible, ProjPoint, SampleOnExceptionalLine,
-                      apply_record, bundle_maps_check, classify_pair, conint,
-                      conint_rho_for_type2, decomposable_from, inverse_step,
-                      kernel_at, sample_curve_points, type1, type2, verify_replay)
+from pfaffrep import (DetRep, NotAdmissible, PreconditionError, ProjPoint,
+                      SampleOnExceptionalLine, SkewPencil, VectorNotInKernel, apply_record,
+                      bundle_maps_check, classify_pair, conint, conint_rho_for_type2,
+                      decomposable_from, inverse_step, kernel_at, sample_curve_points, type1,
+                      type2, verify_replay)
+from pfaffrep.tolerances import draws
 from conftest import random_pencil
 from test_incidence import _left_kernel, _right_kernel
 
@@ -180,6 +182,28 @@ def test_replay_sequence(rng):
     assert np.max(np.abs(replayed.gamma - P2.gamma)) == 0
 
 
+def _type2_record(P):
+    pt = sample_curve_points(P.pfaffian(), 1, seed=7)[0].pt
+    return type2(P, pt, kernel_at(P, pt).v1, 0.9 - 0.1j)[1]
+
+
+def test_replay_rejects_a_record_of_other_sigma_parts():
+    # same constant part, other sigma parts: only the record's kernel vector tells
+    rng = np.random.default_rng(2)
+    Q, R = random_pencil(rng, 6), random_pencil(rng, 6)
+    rec = _type2_record(Q)
+    with pytest.raises(VectorNotInKernel):
+        verify_replay(SkewPencil(Q.A0, R.A1, R.A2), [rec])
+
+
+def test_bundle_maps_reject_a_record_of_another_pencil():
+    rng = np.random.default_rng(2)
+    Q, R = random_pencil(rng, 6), random_pencil(rng, 6)
+    samples = [ProjPoint(1, 0.3, -0.2j), ProjPoint(1, -0.5, 0.7)]
+    with pytest.raises(PreconditionError):
+        bundle_maps_check(R, _type2_record(Q), samples)
+
+
 def test_bundle_maps_type1(rng):
     P = random_pencil(rng, 6)
     lam, mu, v, u = admissible_data(P)
@@ -217,8 +241,7 @@ def test_bundle_maps_exceptional_sample(rng):
     # construct a sample on the line through lambda annihilating (t1, t2)
     # by brute force: scan for a point with a tiny denominator
     l1, l2 = lam.affine()
-    rng2 = np.random.default_rng(0)
-    t = rng2.standard_normal(2) + 1j * rng2.standard_normal(2)  # same draw as seed 0
+    t = draws(0)(2)  # the library's draw for seed 0
     z = np.array([1.0, l1 + t[1], l2 - t[0]])  # t1(x1-l1) + t2(x2-l2) = 0
     with pytest.raises(SampleOnExceptionalLine):
         bundle_maps_check(P, rec, [ProjPoint(*z)], seed=0)
