@@ -17,8 +17,9 @@ Two candidate sources feed each greedy step:
   optimal constant;
 * a structured move that rank-1 factors the current off-pattern blocks,
   reconstructs the kernel vector responsible (up to the sign ambiguity
-  of a square root) and its base point from the null space of
-  ``[A0 v, A1 v, A2 v]``, and cancels it in one exact step.
+  of a square root) and its base point from the null space of the
+  columns ``C_k v`` of the coefficient stack, and cancels it in one exact
+  step.
 
 Every accepted move is an ordinary one-point transformation with its
 record, so the pfaffian is preserved along the whole path.
@@ -112,7 +113,7 @@ def _rank1_from_block(block: np.ndarray, ps: np.ndarray,
 def _point_for_vector(P: SkewPencil, v: np.ndarray,
                       policy: TolerancePolicy) -> ProjPoint | None:
     """The point (if any) at which ``v`` lies in the kernel of the pencil."""
-    kernel, s = null_space(np.column_stack([P.A0 @ v, P.A1 @ v, P.A2 @ v]), 1e-6)
+    kernel, s = null_space((P.coeffs @ v).T, 1e-6)
     if s[0] == 0 or not len(kernel):
         return None
     x = kernel[-1]

@@ -59,9 +59,9 @@ from . import jsonio as io
 from .errors import NumericalError, PfaffrepError, PreconditionError, SchemaError
 from .pencil import kernel_at, pfaffian_adjoint_at, pfaffian_minor
 from .poly import HomPoly, equal_up_to_scale, relative_deviation
-from .tolerances import DEFAULT_POLICY, TolerancePolicy
+from .tolerances import (BUNDLE_CHECK_TOL, DEFAULT_POLICY, PF_INVARIANCE_TOL,
+                         TRANSPORT_ANGLE_TOL, TolerancePolicy)
 
-_PF_TOL = 1e-7
 _EXIT_USAGE, _EXIT_SCHEMA, _EXIT_NUMERICAL, _EXIT_PRECONDITION = 1, 2, 3, 4
 
 
@@ -71,7 +71,8 @@ def _residual(value: float, tol: float) -> dict:
 
 
 def _pf_invariance(P_before, P_after) -> dict:
-    return _residual(relative_deviation(P_before.pfaffian(), P_after.pfaffian()), _PF_TOL)
+    dev = relative_deviation(P_before.pfaffian(), P_after.pfaffian())
+    return _residual(dev, PF_INVARIANCE_TOL)
 
 
 def _transformed(P, out, rec=None) -> tuple[dict, dict]:
@@ -100,8 +101,6 @@ def _field(kind: str, obj, path: str, policy: TolerancePolicy):
         return obj
     # looked up per call, so a decoder rebound in jsonio (as tracing does) is used
     dec = getattr(io, f"dec_{kind}")
-    if kind == "detrep":
-        return dec(obj, path, symmetric=True)
     if kind in ("pencil", "point", "record"):
         return dec(obj, path, policy)
     return dec(obj, path)
@@ -245,11 +244,12 @@ def _h_conint(policy, seed, P, pts, vecs, rhos):
 def _h_bundle_check(policy, seed, P, rec, samples, curve_samples):
     from .transforms import bundle_maps_check
     rep = bundle_maps_check(P, rec, samples, curve_samples, seed=seed, policy=policy)
-    residuals = {"intertwining_identity": _residual(rep.identity_residual, 1e-6),
-                 "transport_angle": _residual(rep.transport_angle, 1e-5),
-                 "parameter_independence": _residual(rep.parameter_independence, 1e-6)}
+    residuals = {"intertwining_identity": _residual(rep.identity_residual, BUNDLE_CHECK_TOL),
+                 "transport_angle": _residual(rep.transport_angle, TRANSPORT_ANGLE_TOL),
+                 "parameter_independence": _residual(rep.parameter_independence,
+                                                     BUNDLE_CHECK_TOL)}
     for name, val in rep.zero_patterns.items():
-        residuals[f"zero[{name}]"] = _residual(val, 1e-6)
+        residuals[f"zero[{name}]"] = _residual(val, BUNDLE_CHECK_TOL)
     return {"report": io.enc_bundle_report(rep)}, residuals
 
 
@@ -346,7 +346,7 @@ def _h_verify_replay(policy, seed, P, recs):
     from .transforms import verify_replay
     devs = verify_replay(P, recs, policy)
     return ({"step_residuals": devs},
-            {"pf_invariance": _residual(max(devs, default=0.0), _PF_TOL)})
+            {"pf_invariance": _residual(max(devs, default=0.0), PF_INVARIANCE_TOL)})
 
 
 # kind -> (handler, payload fields)

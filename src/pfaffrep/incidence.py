@@ -82,7 +82,7 @@ def line_through(P: SkewPencil, lam: ProjPoint, v: np.ndarray,
     """
     _require_kernel(P, lam, v, policy)
     _require_kernel(P, mu, u, policy)
-    return LinearForm(u @ P.A0 @ v, u @ P.A1 @ v, u @ P.A2 @ v)
+    return P.pairing(u, v)
 
 
 def tangent_line(P: SkewPencil, lam: ProjPoint,

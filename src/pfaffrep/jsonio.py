@@ -17,14 +17,14 @@ from typing import TYPE_CHECKING, Any
 import numpy as np
 
 from .errors import SchemaError, SkewSymmetryViolation
-from .pencil import DetRep, KernelBasis, SkewPencil
+from .pencil import KernelBasis, SkewPencil
 from .poly import HomPoly, LinearForm, ProjPoint
 from .tolerances import DEFAULT_POLICY, TolerancePolicy
 
 if TYPE_CHECKING:  # annotations only; importing jsonio loads none of these layers
     from .canonical import CanonicalReport, StructureReport
     from .incidence import PairClassification
-    from .quartic import (CubicCoeffs, PolarTriangle, ScorzaRelation,
+    from .quartic import (CubicCoeffs, PolarTriangle, ScorzaRelation, SymDetRep,
                           ThetaIdentification)
     from .transforms import BundleCheckReport, TransformRecord
 
@@ -63,8 +63,7 @@ def enc_point(pt: ProjPoint) -> list:
 
 
 def enc_pencil(P: SkewPencil) -> dict:
-    return {"d": P.half_deg, "A0": enc_matrix(P.A0),
-            "A1": enc_matrix(P.A1), "A2": enc_matrix(P.A2)}
+    return {"d": P.half_deg, **dict(zip(("A0", "A1", "A2"), enc_matrix(P.coeffs)))}
 
 
 def enc_kernel(kb: KernelBasis) -> dict:
@@ -298,15 +297,13 @@ def dec_pencil(obj: Any, path: str = "$",
     return P
 
 
-def dec_detrep(obj: Any, path: str = "$", symmetric: bool = False) -> DetRep:
+def dec_detrep(obj: Any, path: str = "$") -> SymDetRep:
+    from .quartic import SymDetRep
     if not isinstance(obj, dict):
         _fail("expected a representation object", path)
     mats = _matrices(obj, path, ("M0", "M1", "M2"))
     try:
-        if symmetric:
-            from .quartic import SymDetRep
-            return SymDetRep(*mats)
-        return DetRep(*mats)
+        return SymDetRep(*mats)
     except ValueError as exc:
         _fail(str(exc), path)
 

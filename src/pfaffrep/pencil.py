@@ -1,7 +1,14 @@
-"""Skew-symmetric linear matrix pencils and their pfaffian calculus.
+"""Linear matrix pencils in the plane and their pfaffian calculus.
 
-A :class:`SkewPencil` is ``A(x) = x0*A0 + x1*A1 + x2*A2`` with skew
-2d-by-2d coefficient matrices.  The sign convention is fixed by
+Every pencil ``C(x) = x0*C0 + x1*C1 + x2*C2`` holds its coefficients as
+one read-only ``(3, n, n)`` array, ``coeffs``; the three named matrices
+(``A0..A2`` of a :class:`SkewPencil`, ``M0..M2`` of a :class:`DetRep`)
+are views of it.  One base class gives every pencil its value at a
+point, its scale, its entries and its pairings ``x -> u^t C(x) v``.
+
+A :class:`SkewPencil` has skew 2d-by-2d coefficient matrices; a
+:class:`DetRep` is a d-by-d pencil with no symmetry imposed.  The sign
+convention is fixed by
 ``Pf [[0, 1], [-1, 0]] = +1`` and ``Pf(empty) = 1``; every identity in
 this module (adjoint, derivative expansion, scaling law) is stated and
 tested relative to that choice.
@@ -28,11 +35,21 @@ from .tolerances import (DEFAULT_POLICY, Record, TolerancePolicy, null_space,
 
 
 def _as_square(a, name: str) -> np.ndarray:
-    m = np.array(a, dtype=complex)
+    m = np.asarray(a, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError(f"{name} must be square, got shape {m.shape}")
     require_finite_array(m)
     return m
+
+
+def _as_stack(mats, names) -> np.ndarray:
+    """The read-only ``(3, n, n)`` stack of three square matrices of one size."""
+    mats = [_as_square(m, name) for m, name in zip(mats, names)]
+    if not mats[0].shape == mats[1].shape == mats[2].shape:
+        raise ValueError("coefficient matrices must share one dimension")
+    C = np.stack(mats)
+    C.setflags(write=False)
+    return C
 
 
 def _check_skew(m: np.ndarray, name: str, tol: float, scale: float) -> None:
@@ -48,7 +65,29 @@ def _check_skew(m: np.ndarray, name: str, tol: float, scale: float) -> None:
             f"{name}[{k},{l}] deviates from skew-symmetry by {dev.max():.3g}")
 
 
-class SkewPencil:
+class _LinearPencil:
+    """What every pencil does with its ``(3, n, n)`` stack ``coeffs``."""
+
+    __slots__ = ()
+
+    def __call__(self, pt) -> np.ndarray:
+        x = pt.coords if isinstance(pt, ProjPoint) else np.asarray(pt, dtype=complex)
+        C = self.coeffs
+        return x[0] * C[0] + x[1] * C[1] + x[2] * C[2]
+
+    def scale(self) -> float:
+        """The largest modulus of a coefficient entry."""
+        return float(np.max(np.abs(self.coeffs)))
+
+    def entry(self, i: int, j: int) -> LinearForm:
+        return LinearForm(*self.coeffs[:, i, j])
+
+    def pairing(self, u: np.ndarray, v: np.ndarray) -> LinearForm:
+        """The linear form ``x -> u^t C(x) v``."""
+        return LinearForm(*(u @ Ck @ v for Ck in self.coeffs))
+
+
+class SkewPencil(_LinearPencil):
     """Linear pencil of skew-symmetric matrices.
 
     The coefficient of ``x1`` plays the role of ``sigma2``, the
@@ -57,26 +96,20 @@ class SkewPencil:
     ``x0 = 1`` used by the elementary transformations.
     """
 
-    __slots__ = ("half_deg", "A0", "A1", "A2", "_pf")
+    __slots__ = ("half_deg", "coeffs", "A0", "A1", "A2", "_pf")
 
     def __init__(self, A0, A1, A2, policy: TolerancePolicy = DEFAULT_POLICY):
-        A0 = _as_square(A0, "A0")
-        A1 = _as_square(A1, "A1")
-        A2 = _as_square(A2, "A2")
-        n = A0.shape[0]
-        if A1.shape[0] != n or A2.shape[0] != n:
-            raise ValueError("coefficient matrices must share one dimension")
+        names = ("A0", "A1", "A2")
+        C = _as_stack((A0, A1, A2), names)
+        n = C.shape[1]
         if n % 2 or n == 0:
             raise ValueError(f"dimension must be even and positive, got {n}")
-        scale = max(float(np.max(np.abs(m))) for m in (A0, A1, A2))
-        for m, name in ((A0, "A0"), (A1, "A1"), (A2, "A2")):
+        object.__setattr__(self, "coeffs", C)
+        scale = self.scale()
+        for m, name in zip(C, names):
             _check_skew(m, name, policy.zero_tol, scale)
-            m.setflags(write=False)
-        object.__setattr__(self, "half_deg", n // 2)
-        object.__setattr__(self, "A0", A0)
-        object.__setattr__(self, "A1", A1)
-        object.__setattr__(self, "A2", A2)
-        object.__setattr__(self, "_pf", None)
+        for name, value in (("half_deg", n // 2), *zip(names, C), ("_pf", None)):
+            object.__setattr__(self, name, value)
 
     def __setattr__(self, name, value):
         raise AttributeError("SkewPencil is immutable")
@@ -97,16 +130,6 @@ class SkewPencil:
     def sigma2(self) -> np.ndarray:
         return self.A1
 
-    def entry(self, i: int, j: int) -> LinearForm:
-        return LinearForm(self.A0[i, j], self.A1[i, j], self.A2[i, j])
-
-    def __call__(self, pt) -> np.ndarray:
-        x = pt.coords if isinstance(pt, ProjPoint) else np.asarray(pt, dtype=complex)
-        return x[0] * self.A0 + x[1] * self.A1 + x[2] * self.A2
-
-    def scale(self) -> float:
-        return max(float(np.max(np.abs(m))) for m in (self.A0, self.A1, self.A2))
-
     def with_gamma(self, new_A0, policy: TolerancePolicy = DEFAULT_POLICY) -> "SkewPencil":
         """Same ``x1``/``x2`` parts, new constant part."""
         return SkewPencil(new_A0, self.A1, self.A2, policy=policy)
@@ -114,12 +137,11 @@ class SkewPencil:
     def pfaffian(self) -> HomPoly:
         """Symbolic pfaffian, a homogeneous polynomial of degree ``half_deg``."""
         if self._pf is None:
-            pf = _grid_poly(_pf_stack, self.A0, self.A1, self.A2, self.half_deg)
-            object.__setattr__(self, "_pf", pf)
+            object.__setattr__(self, "_pf", _grid_poly(_pf_stack, self.coeffs, self.half_deg))
         return self._pf
 
 
-class DetRep(Record):
+class DetRep(_LinearPencil, Record):
     """A d-by-d matrix of linear forms (no symmetry imposed)."""
 
     M0: np.ndarray
@@ -127,30 +149,20 @@ class DetRep(Record):
     M2: np.ndarray
 
     def __post_init__(self):
-        for name in ("M0", "M1", "M2"):
-            m = _as_square(getattr(self, name), name)
-            m.setflags(write=False)
-            object.__setattr__(self, name, m)
-        if not (self.M0.shape == self.M1.shape == self.M2.shape):
-            raise ValueError("coefficient matrices must share one dimension")
+        self.__dict__.update(zip(self._fields, _as_stack(self._values(), self._fields)))
+
+    @property
+    def coeffs(self) -> np.ndarray:
+        """The stack that the fields ``M0``, ``M1`` and ``M2`` are views of."""
+        return self.M0.base
 
     @property
     def size(self) -> int:
         return self.M0.shape[0]
 
-    def __call__(self, pt) -> np.ndarray:
-        x = pt.coords if isinstance(pt, ProjPoint) else np.asarray(pt, dtype=complex)
-        return x[0] * self.M0 + x[1] * self.M1 + x[2] * self.M2
-
-    def scale(self) -> float:
-        return max(float(np.max(np.abs(m))) for m in (self.M0, self.M1, self.M2))
-
-    def entry(self, i: int, j: int) -> LinearForm:
-        return LinearForm(self.M0[i, j], self.M1[i, j], self.M2[i, j])
-
     def det_poly(self) -> HomPoly:
         """Symbolic determinant, interpolated from numeric determinants."""
-        return _grid_poly(np.linalg.det, self.M0, self.M1, self.M2, self.size)
+        return _grid_poly(np.linalg.det, self.coeffs, self.size)
 
 
 class KernelBasis(Record):
@@ -208,32 +220,33 @@ def _pf_stack(A: np.ndarray) -> np.ndarray:
     return pf
 
 
-def _grid_poly(fn, M0: np.ndarray, M1: np.ndarray, M2: np.ndarray, deg: int) -> HomPoly:
-    """Coefficients of the degree-``deg`` form ``fn(x0 M0 + x1 M1 + x2 M2)``.
+def _grid_poly(fn, C: np.ndarray, deg: int) -> HomPoly:
+    """Coefficients of the degree-``deg`` form ``fn(x0 C[0] + x1 C[1] + x2 C[2])``.
 
-    ``fn`` maps a stack of matrices to a vector of values.  The form is
-    evaluated on the ``(deg+1)^2`` grid ``(1, w^a, w^b)`` with
+    ``fn`` maps a stack of matrices to a vector of values, and ``C`` is a
+    pencil's ``(3, n, n)`` coefficient stack.  The form is evaluated on
+    the ``(deg+1)^2`` grid ``(1, w^a, w^b)`` with
     ``w = exp(2 pi i/(deg+1))``, one stack for the whole grid, and the
     coefficient of ``x0^(deg-i-j) x1^i x2^j`` is entry ``(i, j)`` of the
     two-sided inverse DFT ``F @ vals @ F.T`` (rounding noise where
-    ``i + j > deg``).  The matrices are scaled by one common power of two
+    ``i + j > deg``).  The stack is scaled by one common power of two
     ``g``, which is exact and keeps every grid point on the unit torus, so
     small coefficients are not swamped; the result is scaled back by
     ``g^-deg``.  Forms of degree at most one are read off their values at
-    the coordinate points.
+    the coordinate points, which are the three matrices of ``C``.
     """
     if deg <= 1:
-        vals = fn(np.stack([M0, M1, M2]))
+        vals = fn(C)
         return HomPoly.from_array([[vals[0]]] if deg == 0 else
                                   [[vals[0], vals[2]], [vals[1], 0]])
     N = deg + 1
-    e = int(np.frexp(max(float(np.max(np.abs(M))) for M in (M0, M1, M2)))[1])
+    e = int(np.frexp(float(np.max(np.abs(C))))[1])
     k = np.arange(N)
     w = np.exp(2j * np.pi * (np.outer(k, k) % N) / N)
     z = w[1]
-    grid = np.ldexp(1.0, -e) * (M0 + z[:, None, None, None] * M1
-                                + z[None, :, None, None] * M2)
-    vals = fn(grid.reshape(N * N, *M0.shape)).reshape(N, N)
+    grid = np.ldexp(1.0, -e) * (C[0] + z[:, None, None, None] * C[1]
+                                + z[None, :, None, None] * C[2])
+    vals = fn(grid.reshape(N * N, *C.shape[1:])).reshape(N, N)
     F = w.conj() / N
     return HomPoly.from_array((F @ vals @ F.T) * np.ldexp(1.0, e * deg))
 
@@ -263,8 +276,7 @@ def pfaffian_minor(P: SkewPencil, i: int, j: int) -> HomPoly:
     if i == j:
         raise IndexError("minor indices must differ")
     keep = [k for k in range(n) if k not in (i, j)]
-    sub = np.ix_(keep, keep)
-    return _grid_poly(_pf_stack, P.A0[sub], P.A1[sub], P.A2[sub], P.half_deg - 1)
+    return _grid_poly(_pf_stack, P.coeffs[np.ix_(range(3), keep, keep)], P.half_deg - 1)
 
 
 def pfaffian_adjoint_at(P: SkewPencil, pt) -> np.ndarray:
@@ -325,18 +337,15 @@ def congruence(P: SkewPencil, X: np.ndarray,
         raise ValueError("transform dimension mismatch")
     if len(null_space(X, policy.zero_tol)[0]):
         raise SingularTransform("congruence matrix is numerically singular")
-    return SkewPencil(X @ P.A0 @ X.T, X @ P.A1 @ X.T, X @ P.A2 @ X.T, policy=policy)
+    return SkewPencil(*(X @ P.coeffs @ X.T), policy=policy)
 
 
 def decomposable_from(M: DetRep, policy: TolerancePolicy = DEFAULT_POLICY) -> SkewPencil:
     """The block pencil ``[[0, M], [-M^t, 0]]`` of a determinantal representation."""
     d = M.size
-    A = []
-    for Mk in (M.M0, M.M1, M.M2):
-        blk = np.zeros((2 * d, 2 * d), dtype=complex)
-        blk[:d, d:] = Mk
-        blk[d:, :d] = -Mk.T
-        A.append(blk)
+    A = np.zeros((3, 2 * d, 2 * d), dtype=complex)
+    A[:, :d, d:] = M.coeffs
+    A[:, d:, :d] = -M.coeffs.transpose(0, 2, 1)
     return SkewPencil(*A, policy=policy)
 
 

@@ -319,8 +319,7 @@ class SymDetRep(DetRep):
     def __post_init__(self):
         super().__post_init__()
         scale = self.scale()
-        for name in ("M0", "M1", "M2"):
-            m = getattr(self, name)
+        for name, m in zip(self._fields, self.coeffs):
             dev = float(np.max(np.abs(m - m.T)))
             if dev > DEFAULT_POLICY.zero_tol * scale:
                 raise ValueError(f"{name} is not symmetric (deviation {dev:.3g})")
@@ -350,8 +349,8 @@ def scorza_related(M: SymDetRep, lam: ProjPoint, mu: ProjPoint,
     """
     v = corank_one_kernel(M, lam, policy)
     u = corank_one_kernel(M, mu, policy)
-    opscale = max(np.linalg.norm(Mk, 2) for Mk in (M.M0, M.M1, M.M2))
-    res = tuple(float(abs(v @ Mk @ u)) / opscale for Mk in (M.M0, M.M1, M.M2))
+    opscale = max(np.linalg.norm(Mk, 2) for Mk in M.coeffs)
+    res = tuple(float(abs(q)) / opscale for q in M.pairing(v, u).coeffs)
     return ScorzaRelation(related=max(res) <= policy.match_tol, residuals=res)
 
 
@@ -447,16 +446,16 @@ def bitangent_from_octad(M: SymDetRep, b_i: np.ndarray, b_j: np.ndarray,
     """
     b_i = np.asarray(b_i, dtype=complex)
     b_j = np.asarray(b_j, dtype=complex)
-    opscale = max(np.linalg.norm(Mk, 2) for Mk in (M.M0, M.M1, M.M2))
+    opscale = max(np.linalg.norm(Mk, 2) for Mk in M.coeffs)
     for name, b in (("b_i", b_i), ("b_j", b_j)):
         nb = float(np.linalg.norm(b)) ** 2
-        for k, Mk in enumerate((M.M0, M.M1, M.M2)):
-            r = abs(b @ Mk @ b)
+        for k, q in enumerate(M.pairing(b, b).coeffs):
+            r = abs(q)
             if r > policy.match_tol * opscale * nb:
                 raise NotOnBaseLocus(f"{name} fails quadric {k} (residual {r:.3g})")
     if len(null_space(np.column_stack([b_i, b_j]), policy.rank_tol)[0]):
         raise PreconditionError("the two base points must be distinct")
-    ell = LinearForm(b_i @ M.M0 @ b_j, b_i @ M.M1 @ b_j, b_i @ M.M2 @ b_j)
+    ell = M.pairing(b_i, b_j)
     _check_double_tangency(M.det_poly(), ell, seed, policy)
     return ell
 
