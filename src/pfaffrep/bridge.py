@@ -18,8 +18,7 @@ Two candidate sources feed each greedy step:
 * a structured move that rank-1 factors the current off-pattern blocks,
   reconstructs the kernel vector responsible (up to the sign ambiguity
   of a square root) and its base point from the null space of the
-  columns ``C_k v`` of the coefficient stack, and cancels it in one exact
-  step.
+  columns ``C_k v``, and cancels it in one exact step.
 
 Every accepted move is an ordinary one-point transformation with its
 record, so the pfaffian is preserved along the whole path.

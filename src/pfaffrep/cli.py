@@ -59,8 +59,7 @@ from . import jsonio as io
 from .errors import NumericalError, PfaffrepError, PreconditionError, SchemaError
 from .pencil import kernel_at, pfaffian_adjoint_at, pfaffian_minor
 from .poly import HomPoly, equal_up_to_scale, relative_deviation
-from .tolerances import (BUNDLE_CHECK_TOL, DEFAULT_POLICY, PF_INVARIANCE_TOL,
-                         TRANSPORT_ANGLE_TOL, TolerancePolicy)
+from .tolerances import BUNDLE_TOL, DEFAULT_POLICY, PF_TOL, TRANSPORT_ANGLE_TOL, TolerancePolicy
 
 _EXIT_USAGE, _EXIT_SCHEMA, _EXIT_NUMERICAL, _EXIT_PRECONDITION = 1, 2, 3, 4
 
@@ -71,8 +70,7 @@ def _residual(value: float, tol: float) -> dict:
 
 
 def _pf_invariance(P_before, P_after) -> dict:
-    dev = relative_deviation(P_before.pfaffian(), P_after.pfaffian())
-    return _residual(dev, PF_INVARIANCE_TOL)
+    return _residual(relative_deviation(P_before.pfaffian(), P_after.pfaffian()), PF_TOL)
 
 
 def _transformed(P, out, rec=None) -> tuple[dict, dict]:
@@ -244,12 +242,11 @@ def _h_conint(policy, seed, P, pts, vecs, rhos):
 def _h_bundle_check(policy, seed, P, rec, samples, curve_samples):
     from .transforms import bundle_maps_check
     rep = bundle_maps_check(P, rec, samples, curve_samples, seed=seed, policy=policy)
-    residuals = {"intertwining_identity": _residual(rep.identity_residual, BUNDLE_CHECK_TOL),
+    residuals = {"intertwining_identity": _residual(rep.identity_residual, BUNDLE_TOL),
                  "transport_angle": _residual(rep.transport_angle, TRANSPORT_ANGLE_TOL),
-                 "parameter_independence": _residual(rep.parameter_independence,
-                                                     BUNDLE_CHECK_TOL)}
+                 "parameter_independence": _residual(rep.parameter_independence, BUNDLE_TOL)}
     for name, val in rep.zero_patterns.items():
-        residuals[f"zero[{name}]"] = _residual(val, BUNDLE_CHECK_TOL)
+        residuals[f"zero[{name}]"] = _residual(val, BUNDLE_TOL)
     return {"report": io.enc_bundle_report(rep)}, residuals
 
 
@@ -346,7 +343,7 @@ def _h_verify_replay(policy, seed, P, recs):
     from .transforms import verify_replay
     devs = verify_replay(P, recs, policy)
     return ({"step_residuals": devs},
-            {"pf_invariance": _residual(max(devs, default=0.0), PF_INVARIANCE_TOL)})
+            {"pf_invariance": _residual(max(devs, default=0.0), PF_TOL)})
 
 
 # kind -> (handler, payload fields)

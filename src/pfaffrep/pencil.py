@@ -1,16 +1,11 @@
 """Linear matrix pencils in the plane and their pfaffian calculus.
 
-Every pencil ``C(x) = x0*C0 + x1*C1 + x2*C2`` holds its coefficients as
-one read-only ``(3, n, n)`` array, ``coeffs``; the three named matrices
-(``A0..A2`` of a :class:`SkewPencil`, ``M0..M2`` of a :class:`DetRep`)
-are views of it.  One base class gives every pencil its value at a
-point, its scale, its entries and its pairings ``x -> u^t C(x) v``.
-
-A :class:`SkewPencil` has skew 2d-by-2d coefficient matrices; a
-:class:`DetRep` is a d-by-d pencil with no symmetry imposed.  The sign
-convention is fixed by
-``Pf [[0, 1], [-1, 0]] = +1`` and ``Pf(empty) = 1``; every identity in
-this module (adjoint, derivative expansion, scaling law) is stated and
+A pencil ``C(x) = x0*C0 + x1*C1 + x2*C2`` holds one read-only ``(3, n, n)``
+stack ``coeffs``; ``A0..A2`` of a skew :class:`SkewPencil` and ``M0..M2`` of
+a :class:`DetRep` are its views, and one base gives every pencil its values,
+scale, entries and pairings ``x -> u^t C(x) v``.  The sign convention is
+fixed by ``Pf [[0, 1], [-1, 0]] = +1`` and ``Pf(empty) = 1``; every identity
+in this module (adjoint, derivative expansion, scaling law) is stated and
 tested relative to that choice.
 
 One engine computes every pfaffian and determinant.  Numeric pfaffians
@@ -104,12 +99,11 @@ class SkewPencil(_LinearPencil):
         n = C.shape[1]
         if n % 2 or n == 0:
             raise ValueError(f"dimension must be even and positive, got {n}")
-        object.__setattr__(self, "coeffs", C)
+        for name, value in (("half_deg", n // 2), ("coeffs", C), *zip(names, C), ("_pf", None)):
+            object.__setattr__(self, name, value)
         scale = self.scale()
         for m, name in zip(C, names):
             _check_skew(m, name, policy.zero_tol, scale)
-        for name, value in (("half_deg", n // 2), *zip(names, C), ("_pf", None)):
-            object.__setattr__(self, name, value)
 
     def __setattr__(self, name, value):
         raise AttributeError("SkewPencil is immutable")
@@ -144,17 +138,16 @@ class SkewPencil(_LinearPencil):
 class DetRep(_LinearPencil, Record):
     """A d-by-d matrix of linear forms (no symmetry imposed)."""
 
+    __slots__ = ("coeffs",)  # held beside the fields, which are its views
+
     M0: np.ndarray
     M1: np.ndarray
     M2: np.ndarray
 
     def __post_init__(self):
-        self.__dict__.update(zip(self._fields, _as_stack(self._values(), self._fields)))
-
-    @property
-    def coeffs(self) -> np.ndarray:
-        """The stack that the fields ``M0``, ``M1`` and ``M2`` are views of."""
-        return self.M0.base
+        C = _as_stack(self._values(), self._fields)
+        object.__setattr__(self, "coeffs", C)
+        self.__dict__.update(zip(self._fields, C))
 
     @property
     def size(self) -> int:
@@ -223,17 +216,16 @@ def _pf_stack(A: np.ndarray) -> np.ndarray:
 def _grid_poly(fn, C: np.ndarray, deg: int) -> HomPoly:
     """Coefficients of the degree-``deg`` form ``fn(x0 C[0] + x1 C[1] + x2 C[2])``.
 
-    ``fn`` maps a stack of matrices to a vector of values, and ``C`` is a
-    pencil's ``(3, n, n)`` coefficient stack.  The form is evaluated on
-    the ``(deg+1)^2`` grid ``(1, w^a, w^b)`` with
-    ``w = exp(2 pi i/(deg+1))``, one stack for the whole grid, and the
-    coefficient of ``x0^(deg-i-j) x1^i x2^j`` is entry ``(i, j)`` of the
-    two-sided inverse DFT ``F @ vals @ F.T`` (rounding noise where
-    ``i + j > deg``).  The stack is scaled by one common power of two
-    ``g``, which is exact and keeps every grid point on the unit torus, so
-    small coefficients are not swamped; the result is scaled back by
-    ``g^-deg``.  Forms of degree at most one are read off their values at
-    the coordinate points, which are the three matrices of ``C``.
+    ``fn`` maps a stack of matrices to a vector of values; ``C`` is a
+    ``(3, n, n)`` coefficient stack.  The form is evaluated on the
+    ``(deg+1)^2`` grid ``(1, w^a, w^b)`` with ``w = exp(2 pi i/(deg+1))``,
+    one stack for the whole grid, and the coefficient of
+    ``x0^(deg-i-j) x1^i x2^j`` is entry ``(i, j)`` of the two-sided inverse
+    DFT ``F @ vals @ F.T`` (rounding noise where ``i + j > deg``).  The
+    stack is scaled by one common power of two ``g``, which is exact and
+    keeps every grid point on the unit torus, so small coefficients are not
+    swamped; the result is scaled back by ``g^-deg``.  Forms of degree at
+    most one are read off their values at the coordinate points: ``C``.
     """
     if deg <= 1:
         vals = fn(C)

@@ -449,8 +449,7 @@ def bitangent_from_octad(M: SymDetRep, b_i: np.ndarray, b_j: np.ndarray,
     opscale = max(np.linalg.norm(Mk, 2) for Mk in M.coeffs)
     for name, b in (("b_i", b_i), ("b_j", b_j)):
         nb = float(np.linalg.norm(b)) ** 2
-        for k, q in enumerate(M.pairing(b, b).coeffs):
-            r = abs(q)
+        for k, r in enumerate(np.abs(M.pairing(b, b).coeffs)):
             if r > policy.match_tol * opscale * nb:
                 raise NotOnBaseLocus(f"{name} fails quadric {k} (residual {r:.3g})")
     if len(null_space(np.column_stack([b_i, b_j]), policy.rank_tol)[0]):

@@ -132,12 +132,9 @@ class TolerancePolicy(Record):
 
 DEFAULT_POLICY = TolerancePolicy()
 
-# The fixed tolerances that run reports declare for residuals no policy
-# threshold measures: a transform's pfaffian invariance (relative
-# coefficient deviation), and the bundle-map checks of ``bundle-check``,
-# whose transport angle is looser than the identities it is read from.
-PF_INVARIANCE_TOL = 1e-7
-BUNDLE_CHECK_TOL = 1e-6
+# Fixed tolerances that run reports declare for pfaffian invariance and bundle maps.
+PF_TOL = 1e-7
+BUNDLE_TOL = 1e-6
 TRANSPORT_ANGLE_TOL = 1e-5
 
 

@@ -572,6 +572,25 @@ def test_cli_malformed_payload_exits_2(kind, edit, path, pencil_doc):
     assert not p.stdout
 
 
+# M1 = [[0, 1], [0, 0]] deviates from symmetry by 1, at a scale of 1
+_ASYMMETRIC_REP = {"M0": [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]],
+                   "M1": [[[0.0, 0.0], [1.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]],
+                   "M2": [[[0.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]}
+
+
+@pytest.mark.parametrize("kind,edit,path", [
+    ("related", {"rep": _ASYMMETRIC_REP}, "$.payload.rep"),
+    ("identify-theta", {"candidates": [_REP, _ASYMMETRIC_REP]}, "$.payload.candidates[1]"),
+])
+def test_cli_asymmetric_representation_exits_2(kind, edit, path, pencil_doc):
+    payload = {**_payload(kind, pencil_doc[1]), **edit}
+    p = run_cli(["run", "-"], {"kind": kind, "payload": payload})
+    assert p.returncode == 2, p.stderr
+    assert p.stderr.startswith("pfaffrep: schema error: M1 is not symmetric (deviation 1)")
+    assert p.stderr.rstrip().endswith(f"(at {path})")
+    assert not p.stdout
+
+
 def test_cli_batch_keeps_good_reports_around_a_malformed_payload(pencil_doc):
     _, doc = pencil_doc
     good = [{"kind": "pf", "payload": {"pencil": doc}, "seed": 7},

@@ -2,6 +2,7 @@
 
 import importlib.util
 import json
+import re
 import subprocess
 import sys
 from importlib import import_module
@@ -11,6 +12,7 @@ import numpy as np
 import pytest
 
 import pfaffrep
+from pfaffrep import DetRep, SkewPencil, SymDetRep
 from pfaffrep import jsonio as io
 from pfaffrep.tolerances import draws
 from conftest import random_pencil
@@ -189,3 +191,21 @@ def test_one_constant_part_update():
     assert texts["transforms.py"].count("sigma1 @") == 1
     assert "sigma1 @" not in texts["bridge.py"]
     assert "_gamma_update(" in texts["bridge.py"]
+
+
+def test_one_linear_pencil_base():
+    """Every pencil's value, scale, entries and pairings come from one base,
+    and no module names the three coefficient matrices one by one."""
+    for cls in (SkewPencil, DetRep, SymDetRep):
+        assert {"__call__", "scale", "entry", "pairing"}.isdisjoint(vars(cls)), cls
+    src = Path(pfaffrep.__file__).parent
+    triples = re.compile(r"\.A0\b.*\.A1\b.*\.A2\b|\.M0\b.*\.M1\b.*\.M2\b")
+    for path in sorted(src.glob("*.py")):
+        assert not triples.search(path.read_text()), path.name
+
+
+def test_cli_holds_no_threshold_literal():
+    """The tolerances a report declares live in ``tolerances.py``; only the
+    divide-by-zero guard ``1e-300`` stays in ``cli.py``."""
+    text = (Path(pfaffrep.__file__).parent / "cli.py").read_text()
+    assert set(re.findall(r"\b\d+(?:\.\d*)?e-\d+", text)) <= {"1e-300"}

@@ -296,3 +296,46 @@ def test_det_poly_matches_numeric(rng):
     for _ in range(5):
         x = rng.standard_normal(3) + 1j * rng.standard_normal(3)
         assert dp(x) == pytest.approx(np.linalg.det(M(x)), rel=1e-9)
+
+
+def test_coefficients_are_one_read_only_stack(rng):
+    P = random_pencil(rng, 6)
+    M = random_detrep(rng, 3)
+    for pencil, names in ((P, ("A0", "A1", "A2")), (M, ("M0", "M1", "M2"))):
+        C = pencil.coeffs
+        n = C.shape[1]
+        assert C.shape == (3, n, n) and not C.flags.writeable
+        for k, name in enumerate(names):
+            assert getattr(pencil, name).base is C
+            assert np.array_equal(getattr(pencil, name), C[k])
+        with pytest.raises(ValueError):
+            C[0, 0, 0] = 1.0
+
+
+def test_pairing_is_the_bilinear_form_of_the_pencil(rng):
+    for pencil in (random_pencil(rng, 6), random_detrep(rng, 3)):
+        n = pencil.coeffs.shape[1]
+        u = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        ell = pencil.pairing(u, v)
+        for _ in range(3):
+            x = rng.standard_normal(3) + 1j * rng.standard_normal(3)
+            expected = u @ pencil(x) @ v
+            assert ell(x) == pytest.approx(expected, rel=1e-12, abs=1e-12)
+
+
+def test_stack_operations_match_the_matrix_by_matrix_construction(rng):
+    # the loop over the three coefficient matrices is the reference, and
+    # the arithmetic is the same, so the results agree exactly
+    M = random_detrep(rng, 3)
+    blocks = []
+    for Mk in (M.M0, M.M1, M.M2):
+        blk = np.zeros((6, 6), dtype=complex)
+        blk[:3, 3:], blk[3:, :3] = Mk, -Mk.T
+        blocks.append(blk)
+    assert np.array_equal(decomposable_from(M).coeffs, np.stack(blocks))
+    P = random_pencil(rng, 8)
+    for i, j in ((0, 1), (2, 7), (5, 3)):
+        keep = [k for k in range(8) if k not in (i, j)]
+        sub = SkewPencil(*(A[np.ix_(keep, keep)] for A in (P.A0, P.A1, P.A2)))
+        assert np.array_equal(pfaffian_minor(P, i, j).c, sub.pfaffian().c)
