@@ -1,5 +1,11 @@
 """Scale covariance: no answer depends on the overall scale of the pencil or
-of the curve, and the dense polynomial operations agree with evaluation."""
+of the curve, and the dense polynomial operations agree with evaluation.
+
+The two group actions on a pencil are covariant too.  A change of
+coordinates ``g`` in GL3 gives the pencil ``P(g x)``, whose stack is ``g^t``
+applied to ``P``'s: its pfaffian is ``F(g x)`` and its kernel at ``p`` is
+``P``'s kernel at ``g p``.  Under a congruence ``X A X^t`` the pfaffian
+scales by ``det X``, kernels map by ``X^-t`` and a pair's kind stays."""
 
 import json
 import subprocess
@@ -73,6 +79,46 @@ def test_dense_operations_match_point_evaluation(seed, dp, dq):
         assert abs(np.polyval(line[::-1], t) - value) <= 1e-11 * bound
         value, bound = _value_and_bound(p, np.array([0, t, 1]))
         assert abs(np.polyval(p.x0_zero_coeffs()[::-1], t) - value) <= 1e-12 * max(bound, 1)
+
+
+def _projector(vectors):
+    """Orthogonal projector onto the column span of ``vectors``."""
+    q, _ = np.linalg.qr(vectors)
+    return q @ q.conj().T
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2 ** 32 - 1), d=st.integers(2, 4))
+def test_plane_change_substitutes_into_the_pfaffian_and_kernels(seed, d):
+    rng = np.random.default_rng(seed)
+    P = random_pencil(rng, 2 * d)
+    g = _cnormal(rng, (3, 3))
+    Q = SkewPencil(*np.tensordot(g, P.coeffs, axes=(0, 0)))
+    F, G = P.pfaffian(), Q.pfaffian()
+    for _ in range(4):
+        x = _cnormal(rng, 3)
+        (gx_val, gx_bound), (x_val, x_bound) = _value_and_bound(F, g @ x), _value_and_bound(G, x)
+        assert abs(x_val - gx_val) <= 1e-12 * max(gx_bound, x_bound)
+    p = sample_curve_points(G, 1, seed=seed % 997)[0].pt
+    here = kernel_at(Q, p).vectors
+    there = kernel_at(P, ProjPoint(*(g @ p.coords))).vectors
+    assert np.max(np.abs(_projector(here) - _projector(there))) <= 1e-10
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2 ** 32 - 1), d=st.integers(2, 4))
+def test_congruence_scales_the_pfaffian_and_moves_kernels(seed, d):
+    rng = np.random.default_rng(seed)
+    P = random_pencil(rng, 2 * d)
+    X = _cnormal(rng, (2 * d, 2 * d))
+    Q = congruence(P, X)
+    expected = P.pfaffian().scaled(np.linalg.det(X))
+    dev = np.max(np.abs(Q.pfaffian().c - expected.c)) / np.max(np.abs(expected.c))
+    assert dev <= 1e-11
+    lam, mu = (cp.pt for cp in sample_curve_points(P.pfaffian(), 2, seed=seed % 997))
+    moved = np.linalg.solve(X.T, kernel_at(P, lam).vectors)
+    assert np.max(np.abs(_projector(moved) - _projector(kernel_at(Q, lam).vectors))) <= 1e-10
+    assert classify_pair(Q, lam, mu).kind == classify_pair(P, lam, mu).kind
 
 
 def test_zero_is_decided_relative_to_the_largest_coefficient():
