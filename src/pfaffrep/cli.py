@@ -3,8 +3,11 @@
 One command per library operation, plus ``run`` (kind taken from the
 file) and ``batch``; every command reads a JSON problem document (file
 argument or stdin), dispatches to the library, and emits either a
-human-readable report or a deterministic JSON run report.  Commands that
-transform a pencil always append a pfaffian-invariance residual.
+human-readable report or a deterministic JSON run report.  A handler
+returns library values and ``dispatch`` encodes them once, with
+``jsonio.enc_value``, so a record's fields are its keys in the report.
+Commands that transform a pencil always append a pfaffian-invariance
+residual.
 ``batch`` runs a JSON array of problems in input order; a problem that
 fails gets an error entry in its slot instead of a report.
 
@@ -58,7 +61,7 @@ import numpy as np
 from . import jsonio as io
 from .errors import NumericalError, PfaffrepError, PreconditionError, SchemaError
 from .pencil import kernel_at, pfaffian_adjoint_at, pfaffian_minor
-from .poly import HomPoly, equal_up_to_scale, relative_deviation
+from .poly import equal_up_to_scale, relative_deviation
 from .tolerances import BUNDLE_TOL, DEFAULT_POLICY, PF_TOL, TRANSPORT_ANGLE_TOL, TolerancePolicy
 
 _EXIT_USAGE, _EXIT_SCHEMA, _EXIT_NUMERICAL, _EXIT_PRECONDITION = 1, 2, 3, 4
@@ -75,9 +78,7 @@ def _pf_invariance(P_before, P_after) -> dict:
 
 def _transformed(P, out, rec=None) -> tuple[dict, dict]:
     """Outputs and residuals of a command that maps pencil ``P`` to ``out``."""
-    outputs = {"pencil": io.enc_pencil(out)}
-    if rec is not None:
-        outputs["record"] = io.enc_record(rec)
+    outputs = {"pencil": out} if rec is None else {"pencil": out, "record": rec}
     return outputs, {"pf_invariance": _pf_invariance(P, out)}
 
 
@@ -120,10 +121,12 @@ def _decode(spec: str, payload: dict, policy: TolerancePolicy) -> list:
 
 
 # -- handlers -------------------------------------------------------------------
-# Each handler: (policy, seed, *decoded payload fields) -> (outputs, residuals)
+# Each handler: (policy, seed, *decoded payload fields) -> (outputs, residuals).
+# Outputs are library values, a record or a dict of them; ``dispatch``
+# encodes them with ``jsonio.enc_value``, so a record's fields are its keys.
 
 def _h_pf(policy, seed, P):
-    return {"pfaffian": io.enc_poly(P.pfaffian())}, {}
+    return {"pfaffian": P.pfaffian()}, {}
 
 
 def _h_pf_minor(policy, seed, P, i, j):
@@ -132,7 +135,7 @@ def _h_pf_minor(policy, seed, P, i, j):
             raise SchemaError(f"index {k} out of range for dimension {P.dim}", _path(name))
     if i == j:
         raise SchemaError("minor indices must differ", _path("j"))
-    return {"minor": io.enc_poly(pfaffian_minor(P, i, j))}, {}
+    return {"minor": pfaffian_minor(P, i, j)}, {}
 
 
 def _h_adjoint(policy, seed, P, pt):
@@ -140,13 +143,14 @@ def _h_adjoint(policy, seed, P, pt):
     A = P(pt)
     dev = np.max(np.abs(adj @ A - P.pfaffian()(pt) * np.eye(P.dim)))
     scale = max(np.max(np.abs(adj)) * np.max(np.abs(A)), 1e-300)
-    return ({"adjoint": io.enc_matrix(adj)},
+    return ({"adjoint": adj},
             {"adjoint_identity": _residual(dev / scale, policy.match_tol)})
 
 
 def _h_kernel(policy, seed, P, pt):
     kb = kernel_at(P, pt, policy)
-    return {"kernel": io.enc_kernel(kb)}, {"kernel_residual": _residual(kb.residual, policy.rank_tol)}
+    kernel = {"point": kb.point, "vectors": kb.vectors.T, "residual": kb.residual}
+    return {"kernel": kernel}, {"kernel_residual": _residual(kb.residual, policy.rank_tol)}
 
 
 def _h_canon(policy, seed, P):
@@ -155,7 +159,7 @@ def _h_canon(policy, seed, P):
     scale = equal_up_to_scale(P.pfaffian(), rep.pencil.pfaffian(), policy)
     detb = np.linalg.det(rep.basis_change)
     dev = abs(scale - detb) / max(abs(detb), 1e-300) if scale is not None else float("inf")
-    return ({"report": io.enc_canonical_report(rep)},
+    return ({"report": rep},
             {"block_residual": _residual(rep.residual, policy.match_tol),
              "pf_scaling": _residual(dev, policy.match_tol)})
 
@@ -166,7 +170,7 @@ def _h_canon2(policy, seed, P):
     detq = float(np.linalg.det(second_canonical_transform(P.half_deg)).real)
     scale = equal_up_to_scale(P.pfaffian(), out.pfaffian(), policy)
     dev = abs(scale - detq) if scale is not None else float("inf")
-    return ({"pencil": io.enc_pencil(out), "det_q": detq},
+    return ({"pencil": out, "det_q": detq},
             {"pf_scaling": _residual(dev, policy.match_tol)})
 
 
@@ -177,14 +181,14 @@ def _h_gauge(policy, seed, P, blocks):
 
 def _h_structure(policy, seed, P):
     from .canonical import structure_report
-    return {"report": io.enc_structure(structure_report(P, policy))}, {}
+    return {"report": structure_report(P, policy)}, {}
 
 
 def _h_tangent(policy, seed, P, pt):
     from .incidence import tangent_line
     ell = tangent_line(P, pt, policy)
     dev = abs(ell(pt)) / max(float(np.max(np.abs(ell.coeffs))), 1e-300)
-    return ({"line": io.enc_linear_form(ell)},
+    return ({"line": ell},
             {"vanishing_at_point": _residual(dev, policy.match_tol)})
 
 
@@ -193,7 +197,7 @@ def _h_line(policy, seed, P, lam, mu, v, u):
     ell = line_through(P, lam, v, mu, u, policy)
     # a genuine u^t A(x) v has coefficients of the size |A| |u| |v|
     is_zero = ell.is_zero(P.scale() * np.linalg.norm(u) * np.linalg.norm(v), policy)
-    outputs = {"line": io.enc_linear_form(ell), "is_zero": is_zero}
+    outputs = {"line": ell, "is_zero": is_zero}
     residuals = {}
     if not is_zero:
         scale = max(float(np.max(np.abs(ell.coeffs))), 1e-300)
@@ -205,14 +209,15 @@ def _h_line(policy, seed, P, lam, mu, v, u):
 def _h_classify_pair(policy, seed, P, lam, mu):
     from .incidence import classify_pair
     pc = classify_pair(P, lam, mu, seed=seed, policy=policy)
-    return {"classification": io.enc_classification(pc)}, {}
+    return {"classification": {"kind": pc.kind, "kappa": pc.kappa,
+                               "special_vectors": pc.special_vectors}}, {}
 
 
 def _h_k_const(policy, seed, P, lam, mu, v, u, t1, t2):
     from .incidence import _draw_direction, k_constant
     K = k_constant(P, lam, v, mu, u, t1, t2, policy)
     _, _, K2 = _draw_direction(P, lam, mu, v, u, seed, policy)
-    return ({"k": io.enc_complex(K)},
+    return ({"k": K},
             {"parameter_independence": _residual(abs(K - K2) / (1 + abs(K)), policy.rank_tol)})
 
 
@@ -220,7 +225,7 @@ def _h_partners(policy, seed, P, lam, v, u):
     from .incidence import partner_points
     pts = partner_points(P, lam, v, u, policy)
     worst = max((p.curve_residual for p in pts), default=0.0)
-    return ({"points": [io.enc_point(p.pt) for p in pts]},
+    return ({"points": [p.pt for p in pts]},
             {"curve_residual": _residual(worst, policy.match_tol)})
 
 
@@ -247,44 +252,36 @@ def _h_bundle_check(policy, seed, P, rec, samples, curve_samples):
                  "parameter_independence": _residual(rep.parameter_independence, BUNDLE_TOL)}
     for name, val in rep.zero_patterns.items():
         residuals[f"zero[{name}]"] = _residual(val, BUNDLE_TOL)
-    return {"report": io.enc_bundle_report(rep)}, residuals
+    return {"report": rep}, residuals
 
 
 def _h_bridge(policy, seed, P, budget):
     from .bridge import bridge_to_decomposable, stopping_target
     res = bridge_to_decomposable(P, budget=budget, seed=seed, policy=policy)
     target = stopping_target(P, policy)
-    return ({"records": [io.enc_record(r) for r in res.records],
-             "pencil": io.enc_pencil(res.pencil),
-             "converged": res.converged,
-             "off_pattern_norm": res.off_pattern_norm,
-             "history": res.history},
-            {"off_pattern_norm": _residual(res.off_pattern_norm, target),
-             "pf_invariance": _pf_invariance(P, res.pencil)})
+    return res, {"off_pattern_norm": _residual(res.off_pattern_norm, target),
+                 "pf_invariance": _pf_invariance(P, res.pencil)}
 
 
 def _h_polar_cubic(policy, seed, F):
     from .quartic import polar_cubic
-    return {"coeffs": io.enc_cubic_coeffs(polar_cubic(F))}, {}
+    return {"coeffs": polar_cubic(F)}, {}
 
 
 def _h_aronhold(policy, seed, w):
     from .quartic import aronhold_invariant
-    pf = aronhold_invariant(w)
-    if isinstance(pf, HomPoly):
-        return {"pfaffian": io.enc_poly(pf)}, {}
-    return {"pfaffian": io.enc_complex(pf)}, {}
+    return {"pfaffian": aronhold_invariant(w)}, {}
 
 
 def _h_scorza(policy, seed, F, expected):
     from .quartic import scorza_map
     S = scorza_map(F)
-    outputs = {"scorza": io.enc_poly(S)}
+    outputs = {"scorza": S}
     residuals = {}
     if expected is not None:
         scale = equal_up_to_scale(S, expected, policy)
         if scale is not None:
-            outputs["scale_vs_expected"] = io.enc_complex(scale)
+            outputs["scale_vs_expected"] = scale
         residuals["match_up_to_scale"] = _residual(relative_deviation(expected, S, scale),
                                                    policy.match_tol)
     return outputs, residuals
@@ -296,14 +293,14 @@ def _h_integrate_polar(policy, seed, w):
     back = polar_cubic(F)
     dev = float(np.max(np.abs(back.flatten() - w.flatten())))
     scale = max(float(np.max(np.abs(w.flatten()))), 1e-300)
-    return ({"quartic": io.enc_poly(F)},
+    return ({"quartic": F},
             {"round_trip": _residual(dev / scale, policy.match_tol)})
 
 
 def _h_triangle(policy, seed, F, pt):
     from .quartic import polar_triangle
     tri = polar_triangle(F, pt, seed=seed, policy=policy)
-    return ({"triangle": io.enc_triangle(tri)},
+    return ({"triangle": tri},
             {"three_cube_residual": _residual(tri.residual, policy.match_tol)})
 
 
@@ -312,16 +309,18 @@ def _h_factor_lines(policy, seed, cubic):
     lines = factor_three_lines(cubic, seed=seed, policy=policy)
     prod = lines[0].as_poly() * lines[1].as_poly() * lines[2].as_poly()
     dev = relative_deviation(cubic, prod, equal_up_to_scale(prod, cubic, policy))
-    return ({"lines": [io.enc_linear_form(l) for l in lines]},
+    return ({"lines": lines},
             {"product_residual": _residual(dev, policy.match_tol)})
 
 
 def _h_related(policy, seed, M, lam, mu):
     from .quartic import scorza_related
     rel = scorza_related(M, lam, mu, policy)
-    return ({"relation": io.enc_relation(rel)},
-            {"pairing_residual": _residual(max(rel.residuals),
-                                           policy.match_tol if rel.related else float("inf"))})
+    # an unrelated pair has no pairing to hold to a tolerance, as a zero line has none
+    residuals = {}
+    if rel.related:
+        residuals["pairing_residual"] = _residual(max(rel.residuals), policy.match_tol)
+    return {"relation": rel}, residuals
 
 
 def _h_identify_theta(policy, seed, quartic, coeffs, cands, samples):
@@ -330,13 +329,13 @@ def _h_identify_theta(policy, seed, quartic, coeffs, cands, samples):
     if source is None:
         raise SchemaError("need either 'quartic' or 'coeffs'", "$.payload")
     ident = identify_theta(source, cands, samples=samples, seed=seed, policy=policy)
-    return {"identification": io.enc_theta(ident)}, {}
+    return {"identification": ident}, {}
 
 
 def _h_bitangent(policy, seed, M, b_i, b_j):
     from .quartic import bitangent_from_octad
     ell = bitangent_from_octad(M, b_i, b_j, seed=seed, policy=policy)
-    return {"line": io.enc_linear_form(ell)}, {}
+    return {"line": ell}, {}
 
 
 def _h_verify_replay(policy, seed, P, recs):
@@ -442,6 +441,7 @@ def dispatch(problem: dict, base_policy: TolerancePolicy = DEFAULT_POLICY) -> di
     start = time.perf_counter()
     outputs, residuals = handler(policy, problem["seed"],
                                  *_decode(fields, problem["payload"], policy))
+    outputs = io.enc_value(outputs)
     elapsed = time.perf_counter() - start
     return {"command": problem["kind"], "inputs_digest": digest,
             "seed": problem["seed"], "outputs": outputs, "residuals": residuals,
@@ -485,9 +485,9 @@ def _render_text(report: dict) -> str:
     return "\n".join(lines)
 
 
-def _json_report(report: dict) -> str:
-    clean = {k: v for k, v in report.items() if not k.startswith("_")}
-    return json.dumps(clean, sort_keys=True)
+def _public(report: dict) -> dict:
+    """The report without its ``_``-prefixed entries, which stay out of JSON."""
+    return {k: v for k, v in report.items() if not k.startswith("_")}
 
 
 # error family -> exit code and message label, most specific first
@@ -600,9 +600,7 @@ def main(argv=None) -> int:
                                           base_policy)
                        for i, p in enumerate(doc)]
             if args.format == "json":
-                cleaned = [{k: v for k, v in r.items() if not k.startswith("_")}
-                           for r in reports]
-                print(json.dumps(cleaned, sort_keys=True))
+                print(json.dumps([_public(r) for r in reports], sort_keys=True))
             else:
                 print("\n".join(_render_text(r) for r in reports))
             return max((_exit_code_for(r) for r in reports), default=0)
@@ -617,7 +615,8 @@ def main(argv=None) -> int:
         if args.seed is not None:
             problem["seed"] = args.seed
         report = dispatch(problem, base_policy)
-        print(_json_report(report) if args.format == "json" else _render_text(report))
+        print(json.dumps(_public(report), sort_keys=True) if args.format == "json"
+              else _render_text(report))
         return _exit_code_for(report)
     except (PfaffrepError, ValueError) as exc:
         code, label = _failure(exc)

@@ -4,6 +4,15 @@ Wire conventions: a complex scalar is ``[re, im]``; a linear form is a
 list of three such pairs (coefficients of x0, x1, x2); a matrix is a
 list of rows of pairs; a polynomial is ``{"degree": d, "terms": [...]}``
 with terms in graded-lex order, which makes output byte-reproducible.
+
+Outputs are encoded by one rule, :func:`enc_value`: a numpy scalar is the
+Python scalar it holds; ``None``, booleans, integers and strings pass
+through; a float passes through unless it is not finite, which reads
+``null``; a complex number is a pair, an array or a linear form nested
+pairs, and a point, polynomial or pencil has its own wire form; a
+record is the object of its fields (``lam`` is written ``lambda``); a
+dict gets string keys and a list or tuple is encoded entry by entry.
+
 Decoders validate shapes and types and raise :class:`SchemaError` with a
 path into the document; skew and symmetric matrices are re-validated on
 load by the constructors of the types that hold them.
@@ -17,16 +26,13 @@ from typing import TYPE_CHECKING, Any
 import numpy as np
 
 from .errors import SchemaError, SkewSymmetryViolation
-from .pencil import KernelBasis, SkewPencil
+from .pencil import SkewPencil
 from .poly import HomPoly, LinearForm, ProjPoint
-from .tolerances import DEFAULT_POLICY, TolerancePolicy
+from .tolerances import DEFAULT_POLICY, Record, TolerancePolicy
 
 if TYPE_CHECKING:  # annotations only; importing jsonio loads none of these layers
-    from .canonical import CanonicalReport, StructureReport
-    from .incidence import PairClassification
-    from .quartic import (CubicCoeffs, PolarTriangle, ScorzaRelation, SymDetRep,
-                          ThetaIdentification)
-    from .transforms import BundleCheckReport, TransformRecord
+    from .quartic import CubicCoeffs, SymDetRep
+    from .transforms import TransformRecord
 
 # -- encoding -------------------------------------------------------------------
 
@@ -48,10 +54,6 @@ def enc_matrix(m) -> list:
     return _enc_pairs(m)
 
 
-def enc_linear_form(f: LinearForm) -> list:
-    return [enc_complex(f.c0), enc_complex(f.c1), enc_complex(f.c2)]
-
-
 def enc_poly(p: HomPoly) -> dict:
     return {"degree": p.degree,
             "terms": [{"exp": list(e), "coeff": enc_complex(v)}
@@ -66,88 +68,38 @@ def enc_pencil(P: SkewPencil) -> dict:
     return {"d": P.half_deg, **dict(zip(("A0", "A1", "A2"), enc_matrix(P.coeffs)))}
 
 
-def enc_kernel(kb: KernelBasis) -> dict:
-    return {"point": enc_point(kb.point),
-            "vectors": [enc_vector(kb.v1), enc_vector(kb.v2)],
-            "residual": kb.residual}
+def enc_value(x) -> Any:
+    """``x``, any output of a library call, as a JSON value (see the module notes)."""
+    return _enc(x)
 
 
-def enc_cubic_coeffs(w: CubicCoeffs) -> dict:
-    from .quartic import CUBIC_FIELDS
-    out = {}
-    for name in CUBIC_FIELDS:
-        v = getattr(w, name)
-        out[name] = enc_linear_form(v) if isinstance(v, LinearForm) else enc_complex(v)
-    return out
-
-
-def enc_record(rec: TransformRecord) -> dict:
-    out = {"kind": rec.kind,
-           "lambda": enc_point(rec.lam) if rec.lam is not None else None,
-           "mu": enc_point(rec.mu) if rec.mu is not None else None,
-           "v": enc_vector(rec.v) if rec.v is not None else None,
-           "u": enc_vector(rec.u) if rec.u is not None else None,
-           "rho": enc_complex(rec.rho) if rec.rho is not None else None,
-           "k_value": enc_complex(rec.k_value) if rec.k_value is not None else None,
-           "gamma_before": enc_matrix(rec.gamma_before),
-           "gamma_after": enc_matrix(rec.gamma_after)}
-    if rec.conint_data is not None:
-        out["conint_data"] = {
-            "points": [enc_point(p) for p in rec.conint_data["points"]],
-            "vectors": [enc_vector(v) for v in rec.conint_data["vectors"]],
-            "rhos": [enc_complex(r) for r in rec.conint_data["rhos"]],
-            "Gamma": enc_matrix(rec.conint_data["Gamma"]),
-        }
-    else:
-        out["conint_data"] = None
-    return out
-
-
-def enc_canonical_report(rep: CanonicalReport) -> dict:
-    return {"roots": [enc_complex(r) for r in rep.roots],
-            "basis_change": enc_matrix(rep.basis_change),
-            "pencil": enc_pencil(rep.pencil),
-            "residual": rep.residual}
-
-
-def enc_structure(sr: StructureReport) -> dict:
-    return {"is_decomposable_form": sr.is_decomposable_form,
-            "is_symmetric_blocks": sr.is_symmetric_blocks,
-            "free_parameter_count": sr.free_parameter_count}
-
-
-def enc_classification(pc: PairClassification) -> dict:
-    out = {"kind": pc.kind, "kappa": enc_matrix(pc.kappa),
-           "special_vectors": None}
-    if pc.special_vectors is not None:
-        out["special_vectors"] = [enc_vector(v) for v in pc.special_vectors]
-    return out
-
-
-def enc_triangle(tri: PolarTriangle) -> dict:
-    return {"lines": [enc_linear_form(g) for g in tri.lines],
-            "vertices": [enc_point(p) for p in tri.vertices],
-            "residual": tri.residual}
-
-
-def enc_relation(rel: ScorzaRelation) -> dict:
-    return {"related": rel.related, "residuals": list(rel.residuals)}
-
-
-def enc_theta(t: ThetaIdentification) -> dict:
-    return {"index": t.index,
-            "evidence": [{"point": enc_point(row["point"]),
-                          "vertices": [enc_point(p) for p in row["vertices"]],
-                          "residuals": {str(k): (v if math.isfinite(v) else None)
-                                        for k, v in row["residuals"].items()}}
-                         for row in t.evidence]}
-
-
-def enc_bundle_report(rep: BundleCheckReport) -> dict:
-    return {"identity_residual": rep.identity_residual,
-            "zero_patterns": dict(rep.zero_patterns),
-            "transport_angle": rep.transport_angle,
-            "parameter_independence": rep.parameter_independence}
+def _enc(x) -> Any:
+    if isinstance(x, np.generic):
+        x = x.item()
+    if x is None or isinstance(x, (bool, int, str)):
+        return x
+    if isinstance(x, float):
+        return x if math.isfinite(x) else None
+    if isinstance(x, complex):
+        return enc_complex(x)
+    if isinstance(x, np.ndarray):
+        return _enc_pairs(x)
+    if isinstance(x, LinearForm):
+        return _enc_pairs(x.coeffs)
+    if isinstance(x, ProjPoint):
+        return enc_point(x)
+    if isinstance(x, HomPoly):
+        return enc_poly(x)
+    if isinstance(x, SkewPencil):
+        return enc_pencil(x)
+    if isinstance(x, Record):
+        # ``lam`` stands for the keyword ``lambda``, its name on the wire
+        return {("lambda" if f == "lam" else f): _enc(getattr(x, f)) for f in x._fields}
+    if isinstance(x, dict):
+        return {str(k): _enc(v) for k, v in x.items()}
+    if isinstance(x, (list, tuple)):
+        return [_enc(v) for v in x]
+    raise TypeError(f"no JSON encoding for {type(x).__name__}")
 
 
 # -- decoding -------------------------------------------------------------------

@@ -48,7 +48,7 @@ def test_record_round_trip(rng):
     pt = sample_curve_points(P.pfaffian(), 1, seed=5)[0].pt
     v = kernel_at(P, pt).v1
     _, rec = type2(P, pt, v, 0.3 - 0.2j)
-    rec2 = io.dec_record(io.enc_record(rec))
+    rec2 = io.dec_record(io.enc_value(rec))
     assert rec2.kind == "II"
     assert rec2.rho == pytest.approx(0.3 - 0.2j)
     assert np.allclose(rec2.gamma_after, rec.gamma_after)
@@ -184,7 +184,7 @@ def test_cli_verify_replay_round_trip(rng):
     _, rec2 = type1(P1, pts[0].pt, pts[1].pt, pc.basis_mu.v1, pc.basis_lambda.v1)
     payload = {"kind": "verify-replay", "payload": {
         "pencil": io.enc_pencil(P),
-        "records": [io.enc_record(rec1), io.enc_record(rec2)]}}
+        "records": [io.enc_value(rec1), io.enc_value(rec2)]}}
     p = run_cli(["verify-replay", "-", "--format", "json"], payload)
     assert p.returncode == 0
     rep = json.loads(p.stdout)
@@ -332,7 +332,7 @@ def _replay_payload(rng):
     P1, rec1 = type1(P, pts[0].pt, pts[1].pt, pc.basis_lambda.v1, pc.basis_mu.v1)
     _, rec2 = type1(P1, pts[0].pt, pts[1].pt, pc.basis_mu.v1, pc.basis_lambda.v1)
     return {"kind": "verify-replay", "payload": {
-        "pencil": io.enc_pencil(P), "records": [io.enc_record(rec1), io.enc_record(rec2)]}}
+        "pencil": io.enc_pencil(P), "records": [io.enc_value(rec1), io.enc_value(rec2)]}}
 
 
 def _output_line(stdout: str, key: str) -> str:

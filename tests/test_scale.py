@@ -280,5 +280,5 @@ def test_replay_start_check_is_relative_to_the_pencil(rng):
     proc = subprocess.run(
         [sys.executable, "-m", "pfaffrep.cli", "verify-replay", "-"], capture_output=True,
         text=True, input=json.dumps({"kind": "verify-replay", "payload": {
-            "pencil": io.enc_pencil(P), "records": [io.enc_record(rec)]}}))
+            "pencil": io.enc_pencil(P), "records": [io.enc_value(rec)]}}))
     assert proc.returncode == 4, proc.stdout
