@@ -209,3 +209,17 @@ def test_cli_holds_no_threshold_literal():
     divide-by-zero guard ``1e-300`` stays in ``cli.py``."""
     text = (Path(pfaffrep.__file__).parent / "cli.py").read_text()
     assert set(re.findall(r"\b\d+(?:\.\d*)?e-\d+", text)) <= {"1e-300"}
+
+
+# The per-record encoders that ``jsonio.enc_value`` replaced.
+REMOVED_ENCODERS = ["enc_kernel", "enc_canonical_report", "enc_structure", "enc_classification",
+                    "enc_triangle", "enc_relation", "enc_theta", "enc_bundle_report",
+                    "enc_cubic_coeffs", "enc_record", "enc_linear_form"]
+
+
+def test_one_output_encoder():
+    """Handlers return library values; ``dispatch`` encodes every report's
+    outputs with its one ``jsonio.enc_value`` call."""
+    text = (Path(pfaffrep.__file__).parent / "cli.py").read_text()
+    assert re.findall(r"\bio\.enc_\w*\(.*", text) == ["io.enc_value(outputs)"]
+    assert [name for name in REMOVED_ENCODERS if hasattr(io, name)] == []
