@@ -79,14 +79,10 @@ CONINT_DATA = {"points", "vectors", "rhos", "Gamma"}
 EVIDENCE_ROW = {"point", "vertices", "residuals"}
 
 
-def _tolerances(policy) -> dict:
-    return {"zero_tol": policy.zero_tol, "rank_tol": policy.rank_tol,
-            "match_tol": policy.match_tol}
-
-
 def _related_doc(lam, mu, policy) -> dict:
     """A ``related`` problem on the worked symmetric representation."""
-    return {"kind": "related", "tolerances": _tolerances(policy),
+    tolerances = {name: getattr(policy, name) for name in ("zero_tol", "rank_tol", "match_tol")}
+    return {"kind": "related", "tolerances": tolerances,
             "payload": {"rep": io.enc_value(theta_rep()), "lambda": io.enc_value(lam),
                         "mu": io.enc_value(mu)}}
 
