@@ -11,14 +11,10 @@ residual.
 ``batch`` runs a JSON array of problems in input order; a problem that
 fails gets an error entry in its slot instead of a report.
 
-``COMMANDS`` maps each kind to its handler and its payload fields, one
-word per field: ``name:kind``, or ``kind`` alone when the name is the
-kind.  A kind is ``int`` (a nonnegative JSON integer) or the suffix of a
-jsonio decoder (``pencil`` means ``jsonio.dec_pencil``); ``kind[]`` is a
-list of them.  A field is required unless it ends in ``=default``, a JSON
-literal.  ``_decode`` turns the payload into the handler's arguments, so
-a missing or wrong-typed field is a :class:`SchemaError` at
-``$.payload.<name>`` before any handler runs.
+``COMMANDS`` maps each kind to its handler and its payload fields, which
+``jsonio.dec_fields`` decodes into the handler's arguments, so a missing
+or wrong-typed field is a :class:`SchemaError` at ``$.payload.<name>``
+before any handler runs.
 
 Only numpy and the core modules are imported here; each handler imports
 the library functions it calls, so a process loads only what its
@@ -82,44 +78,6 @@ def _transformed(P, out, rec=None) -> tuple[dict, dict]:
     return outputs, {"pf_invariance": _pf_invariance(P, out)}
 
 
-# -- payload fields ---------------------------------------------------------------
-
-def _path(name: str) -> str:
-    return f"$.payload.{name}"
-
-
-def _field(kind: str, obj, path: str, policy: TolerancePolicy):
-    """One decoded payload value, or :class:`SchemaError` naming ``path``."""
-    if kind.endswith("[]"):
-        if not isinstance(obj, list):
-            raise SchemaError("expected a list", path)
-        return [_field(kind[:-2], x, f"{path}[{i}]", policy) for i, x in enumerate(obj)]
-    if kind == "int":
-        if not (io._is_int(obj) and obj >= 0):
-            raise SchemaError("expected a nonnegative integer", path)
-        return obj
-    # looked up per call, so a decoder rebound in jsonio (as tracing does) is used
-    dec = getattr(io, f"dec_{kind}")
-    if kind in ("pencil", "point", "record"):
-        return dec(obj, path, policy)
-    return dec(obj, path)
-
-
-def _decode(spec: str, payload: dict, policy: TolerancePolicy) -> list:
-    """The payload fields that ``spec`` declares, decoded in declaration order."""
-    args = []
-    for word in spec.split():
-        name, _, kind = word.partition(":")
-        kind, has_default, default = (kind or name).partition("=")
-        if name in payload:
-            args.append(_field(kind, payload[name], _path(name), policy))
-        elif has_default:
-            args.append(json.loads(default))
-        else:
-            raise SchemaError(f"missing payload field {name!r}", _path(name))
-    return args
-
-
 # -- handlers -------------------------------------------------------------------
 # Each handler: (policy, seed, *decoded payload fields) -> (outputs, residuals).
 # Outputs are library values, a record or a dict of them; ``dispatch``
@@ -132,9 +90,9 @@ def _h_pf(policy, seed, P):
 def _h_pf_minor(policy, seed, P, i, j):
     for name, k in (("i", i), ("j", j)):
         if k >= P.dim:
-            raise SchemaError(f"index {k} out of range for dimension {P.dim}", _path(name))
+            raise SchemaError(f"index {k} out of range for dimension {P.dim}", "$.payload." + name)
     if i == j:
-        raise SchemaError("minor indices must differ", _path("j"))
+        raise SchemaError("minor indices must differ", "$.payload.j")
     return {"minor": pfaffian_minor(P, i, j)}, {}
 
 
@@ -440,17 +398,12 @@ def dispatch(problem: dict, base_policy: TolerancePolicy = DEFAULT_POLICY) -> di
     handler, fields = COMMANDS[problem["kind"]]
     start = time.perf_counter()
     outputs, residuals = handler(policy, problem["seed"],
-                                 *_decode(fields, problem["payload"], policy))
+                                 *io.dec_fields(fields, problem["payload"], "$.payload", policy))
     outputs = io.enc_value(outputs)
     elapsed = time.perf_counter() - start
     return {"command": problem["kind"], "inputs_digest": digest,
             "seed": problem["seed"], "outputs": outputs, "residuals": residuals,
             "_wall_time_s": elapsed}
-
-
-def _format_complex(pair) -> str:
-    re, im = pair
-    return f"{re:.6g}{im:+.6g}i"
 
 
 # outputs that are lists of reals, so a two-entry one is not a [re, im] pair
@@ -471,7 +424,7 @@ def _render_text(report: dict) -> str:
     def brief(val, depth=0, real=False):
         if (not real and isinstance(val, list) and len(val) == 2
                 and all(isinstance(x, float) for x in val)):
-            return _format_complex(val)
+            return f"{val[0]:.6g}{val[1]:+.6g}i"
         if isinstance(val, list):
             inner = ", ".join(brief(v, depth + 1, real) for v in val[:6])
             return "[" + inner + (", ..." if len(val) > 6 else "") + "]"

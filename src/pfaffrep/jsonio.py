@@ -14,12 +14,16 @@ record is the object of its fields (``lam`` is written ``lambda``); a
 dict gets string keys and a list or tuple is encoded entry by entry.
 
 Decoders validate shapes and types and raise :class:`SchemaError` with a
-path into the document; skew and symmetric matrices are re-validated on
-load by the constructors of the types that hold them.
+path into the document.  Every wire object with named fields (a pencil, a
+representation, a record and its CONINT data, the cubic coefficients and
+a CLI payload) is declared through :func:`dec_fields`, the one rule for
+presence, defaults, lists and paths.  Skew and symmetric matrices are
+re-validated on load by the constructors of the types that hold them.
 """
 
 from __future__ import annotations
 
+import json
 import math
 from typing import TYPE_CHECKING, Any
 
@@ -222,59 +226,89 @@ def dec_poly(obj: Any, path: str = "$") -> HomPoly:
         _fail(str(exc), path)
 
 
-def _matrices(obj: dict, path: str, names: tuple[str, ...]) -> list[np.ndarray]:
-    """The matrices stored under ``names`` in ``obj``, each required."""
-    for name in names:
-        if name not in obj:
-            _fail(f"missing {name}", path)
-    return [dec_matrix(obj[name], f"{path}.{name}") for name in names]
+def dec_fields(spec: str, obj: Any, path: str = "$",
+               policy: TolerancePolicy = DEFAULT_POLICY) -> list:
+    """The fields of the object ``obj`` that ``spec`` declares, decoded in order.
+
+    One word per field: ``name:kind``, or ``kind`` alone when the name is
+    the kind.  A kind is ``int`` (a nonnegative JSON integer) or the suffix
+    of a decoder here (``pencil`` means :func:`dec_pencil`); ``kind[]`` is a
+    list of them.  A field is required unless it ends in ``=default``, a
+    JSON literal; where the default is ``null`` an explicit ``null`` reads
+    as absent, and any other value goes to the field's decoder.  A missing
+    field is reported at its own path, ``path.name``.
+    """
+    if not isinstance(obj, dict):
+        _fail("expected an object", path)
+    values = []
+    for word in spec.split():
+        word, has_default, default = word.partition("=")
+        name, _, kind = word.partition(":")
+        if name in obj and not (default == "null" and obj[name] is None):
+            values.append(_dec_kind(kind or name, obj[name], f"{path}.{name}", policy))
+        elif has_default:
+            values.append(json.loads(default))
+        else:
+            _fail(f"missing {name}", f"{path}.{name}")
+    return values
+
+
+# the decoders that take the document's tolerance policy
+_POLICY_KINDS = ("pencil", "point", "record", "conint")
+
+
+def _dec_kind(kind: str, obj: Any, path: str, policy: TolerancePolicy) -> Any:
+    if kind.endswith("[]"):
+        if not isinstance(obj, list):
+            _fail("expected a list", path)
+        return [_dec_kind(kind[:-2], x, f"{path}[{i}]", policy) for i, x in enumerate(obj)]
+    if kind == "int":
+        if not (_is_int(obj) and obj >= 0):
+            _fail("expected a nonnegative integer", path)
+        return obj
+    # looked up per call, so a decoder rebound in this module (as tracing does) is used
+    dec = globals()[f"dec_{kind}"]
+    return dec(obj, path, policy) if kind in _POLICY_KINDS else dec(obj, path)
 
 
 def dec_pencil(obj: Any, path: str = "$",
                policy: TolerancePolicy = DEFAULT_POLICY) -> SkewPencil:
-    if not isinstance(obj, dict):
-        _fail("expected a pencil object", path)
-    mats = _matrices(obj, path, ("A0", "A1", "A2"))
+    *mats, d = dec_fields("A0:matrix A1:matrix A2:matrix d:int=null", obj, path, policy)
     try:
         P = SkewPencil(*mats, policy=policy)
     except SkewSymmetryViolation as exc:
         raise SkewSymmetryViolation(str(exc), path) from None
     except ValueError as exc:
         _fail(str(exc), path)
-    if "d" in obj:
-        if not _is_int(obj["d"]):
-            _fail("d must be an integer", f"{path}.d")
-        if obj["d"] != P.half_deg:
-            _fail(f"declared d={obj['d']} but matrices are {P.dim}x{P.dim}", path)
+    if d is not None and d != P.half_deg:
+        _fail(f"declared d={d} but matrices are {P.dim}x{P.dim}", path)
     return P
 
 
 def dec_detrep(obj: Any, path: str = "$") -> SymDetRep:
     from .quartic import SymDetRep
-    if not isinstance(obj, dict):
-        _fail("expected a representation object", path)
-    mats = _matrices(obj, path, ("M0", "M1", "M2"))
     try:
-        return SymDetRep(*mats)
+        return SymDetRep(*dec_fields("M0:matrix M1:matrix M2:matrix", obj, path))
     except ValueError as exc:
         _fail(str(exc), path)
 
 
+def dec_coeff(obj: Any, path: str = "$") -> complex | LinearForm:
+    """A cubic coefficient: a ``[re, im]`` pair is a scalar, anything else a linear form."""
+    return dec_complex(obj, path) if _is_pair(obj) else dec_linear_form(obj, path)
+
+
 def dec_cubic_coeffs(obj: Any, path: str = "$") -> CubicCoeffs:
     from .quartic import CUBIC_FIELDS, CubicCoeffs
-    if not isinstance(obj, dict):
-        _fail("expected an object of cubic coefficients", path)
-    vals = {}
-    for name in CUBIC_FIELDS:
-        if name not in obj:
-            _fail(f"missing {name}", path)
-        entry = obj[name]
-        p = f"{path}.{name}"
-        if _is_pair(entry):
-            vals[name] = dec_complex(entry, p)
-        else:
-            vals[name] = dec_linear_form(entry, p)
-    return CubicCoeffs(**vals)
+    return CubicCoeffs(*dec_fields(" ".join(f"{n}:coeff" for n in CUBIC_FIELDS), obj, path))
+
+
+def dec_conint(obj: Any, path: str = "$",
+               policy: TolerancePolicy = DEFAULT_POLICY) -> dict:
+    """The ``conint_data`` of a CONINT record."""
+    names = ("points", "vectors", "rhos", "Gamma")
+    spec = "points:point[]=[] vectors:vector[]=[] rhos:complex[]=[] Gamma:matrix"
+    return dict(zip(names, dec_fields(spec, obj, path, policy)))
 
 
 def dec_record(obj: Any, path: str = "$",
@@ -282,36 +316,7 @@ def dec_record(obj: Any, path: str = "$",
     from .transforms import TransformRecord
     if not isinstance(obj, dict) or obj.get("kind") not in ("I", "II", "CONINT"):
         _fail("expected a record with kind I, II or CONINT", path)
-    def point(o, p):
-        return dec_point(o, p, policy)
-    def opt(key, f):
-        return f(obj[key], f"{path}.{key}") if obj.get(key) is not None else None
-    conint_data = None
-    if obj.get("conint_data") is not None:
-        cd, cp = obj["conint_data"], f"{path}.conint_data"
-        if not isinstance(cd, dict):
-            _fail("expected an object", cp)
-        def each(key, f):
-            items = cd.get(key, [])
-            if not isinstance(items, list):
-                _fail("expected a list", f"{cp}.{key}")
-            return [f(x, f"{cp}.{key}[{i}]") for i, x in enumerate(items)]
-        conint_data = {
-            "points": each("points", point),
-            "vectors": each("vectors", dec_vector),
-            "rhos": each("rhos", dec_complex),
-            "Gamma": _matrices(cd, cp, ("Gamma",))[0],
-        }
-    gamma_before, gamma_after = _matrices(obj, path, ("gamma_before", "gamma_after"))
-    return TransformRecord(
-        kind=obj["kind"],
-        lam=opt("lambda", point),
-        mu=opt("mu", point),
-        v=opt("v", dec_vector),
-        u=opt("u", dec_vector),
-        rho=opt("rho", dec_complex),
-        k_value=opt("k_value", dec_complex),
-        conint_data=conint_data,
-        gamma_before=gamma_before,
-        gamma_after=gamma_after,
-    )
+    return TransformRecord(obj["kind"], *dec_fields(
+        "lambda:point=null mu:point=null v:vector=null u:vector=null rho:complex=null "
+        "k_value:complex=null conint_data:conint=null gamma_before:matrix gamma_after:matrix",
+        obj, path, policy))

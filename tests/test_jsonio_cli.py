@@ -516,7 +516,7 @@ def test_decoders_raise_schema_errors_with_paths(pencil_doc):
              (io.dec_record, {"kind": "II", "gamma_before": _ONE}, "missing gamma_after"),
              (io.dec_record, {**_RECORD, "kind": "CONINT", "conint_data": 5}, "$.conint_data"),
              (io.dec_record, {**_RECORD, "kind": "CONINT", "conint_data": {}},
-              "missing Gamma (at $.conint_data)"),
+              "missing Gamma (at $.conint_data.Gamma)"),
              (io.dec_record, {**_RECORD, "kind": "CONINT",
                               "conint_data": {"Gamma": _ONE, "points": 5}},
               "$.conint_data.points"),

@@ -223,3 +223,14 @@ def test_one_output_encoder():
     text = (Path(pfaffrep.__file__).parent / "cli.py").read_text()
     assert re.findall(r"\bio\.enc_\w*\(.*", text) == ["io.enc_value(outputs)"]
     assert [name for name in REMOVED_ENCODERS if hasattr(io, name)] == []
+
+
+def test_one_field_decoder():
+    """Every payload and nested wire object is declared through ``jsonio.dec_fields``:
+    the CLI keeps no field language of its own and ``jsonio`` no second one."""
+    import pfaffrep.cli as cli
+    assert [name for name in ("_decode", "_field", "_path") if hasattr(cli, name)] == []
+    assert not hasattr(io, "_matrices")
+    assert [c for c in io.dec_record.__code__.co_consts if hasattr(c, "co_code")] == []
+    text = (Path(pfaffrep.__file__).parent / "cli.py").read_text()
+    assert text.count("io.dec_fields(") == 1
