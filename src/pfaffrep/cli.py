@@ -47,10 +47,17 @@ if __name__ == "__main__":
         os.environ["OPENBLAS_NUM_THREADS"] = "1"
 
 import argparse
-import hashlib
 import json
 import sys
 import time
+
+try:  # CPython's builtin sha256, as random.py does for sha512: hashlib loads OpenSSL
+    from _sha2 import sha256  # Python 3.12 on
+except ImportError:
+    try:
+        from _sha256 import sha256  # up to 3.11
+    except ImportError:
+        from hashlib import sha256
 
 import numpy as np
 
@@ -393,8 +400,7 @@ def _policy_from(tol_dict: dict, base: TolerancePolicy) -> TolerancePolicy:
 def dispatch(problem: dict, base_policy: TolerancePolicy = DEFAULT_POLICY) -> dict:
     """Run one validated problem and assemble its run report."""
     policy = _policy_from(problem["tolerances"], base_policy)
-    digest = hashlib.sha256(
-        json.dumps(problem["payload"], sort_keys=True).encode()).hexdigest()[:16]
+    digest = sha256(json.dumps(problem["payload"], sort_keys=True).encode()).hexdigest()[:16]
     handler, fields = COMMANDS[problem["kind"]]
     start = time.perf_counter()
     outputs, residuals = handler(policy, problem["seed"],

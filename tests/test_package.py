@@ -1,5 +1,6 @@
 """The lazy package surface and the modules each CLI process loads."""
 
+import hashlib
 import importlib.util
 import json
 import re
@@ -234,3 +235,24 @@ def test_one_field_decoder():
     assert [c for c in io.dec_record.__code__.co_consts if hasattr(c, "co_code")] == []
     text = (Path(pfaffrep.__file__).parent / "cli.py").read_text()
     assert text.count("io.dec_fields(") == 1
+
+
+@pytest.mark.skipif(not any(importlib.util.find_spec(m) for m in ("_sha2", "_sha256")),
+                    reason="this interpreter has no builtin sha256 module")
+def test_pf_command_loads_no_openssl():
+    """The inputs digest uses CPython's builtin sha256, not ``hashlib``'s OpenSSL."""
+    P = random_pencil(np.random.default_rng(3), 4)
+    doc = {"kind": "pf", "payload": {"pencil": io.enc_pencil(P)}}
+    loaded = _loaded_after(
+        "import pfaffrep.cli as cli\n"
+        "assert cli.main(['pf', '-', '--format', 'json']) == 0",
+        json.dumps(doc))
+    assert "hashlib" not in loaded and "_hashlib" not in loaded
+
+
+def test_inputs_digest_is_the_sha256_of_the_sorted_payload():
+    from pfaffrep.cli import dispatch, parse_problem
+    payload = {"pencil": io.enc_pencil(random_pencil(np.random.default_rng(3), 4))}
+    report = dispatch(parse_problem({"kind": "pf", "payload": payload}))
+    text = json.dumps(payload, sort_keys=True).encode()
+    assert report["inputs_digest"] == hashlib.sha256(text).hexdigest()[:16]
