@@ -235,12 +235,16 @@ def _coords(pt) -> np.ndarray:
     return a
 
 
+# the most by which the complex quotient z / z misses one
+_DIVISION_ROUNDING = 8 * np.finfo(float).eps
+
+
 class ProjPoint:
     """A point of the projective plane, held in normalized form.
 
     The first coordinate whose modulus exceeds the zero tolerance times
-    the largest modulus is scaled to one, so equality is plain
-    coordinate-wise comparison.
+    the largest modulus is scaled to one, so equality and hashing are plain
+    coordinate-wise comparison, and a point equals its JSON round trip.
     """
 
     __slots__ = ("coords",)
@@ -252,12 +256,23 @@ class ProjPoint:
         mag = np.abs(raw)
         if not mag.any():
             raise ValueError("all coordinates are zero")
-        coords = raw / raw[np.argmax(mag > policy.zero_tol * mag.max())]
+        pivot = raw[np.argmax(mag > policy.zero_tol * mag.max())]
+        # z / z can miss one by an ulp, so coordinates whose pivot is that close
+        # to one (but not one, which divides exactly) are already normalized
+        coords = raw if 0 < abs(pivot - 1) <= _DIVISION_ROUNDING else raw / pivot
         coords.setflags(write=False)
         object.__setattr__(self, "coords", coords)
 
     def __setattr__(self, name, value):
         raise AttributeError("ProjPoint is immutable")
+
+    def __eq__(self, other):
+        if isinstance(other, ProjPoint):
+            return self.coords.tolist() == other.coords.tolist()
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(tuple(self.coords.tolist()))
 
     def affine(self, policy: TolerancePolicy = DEFAULT_POLICY) -> tuple[complex, complex]:
         """Affine coordinates in the chart ``x0 = 1``; the point must have

@@ -87,6 +87,7 @@ def test_a_record_with_explicit_nulls_decodes_as_one_without(rng):
         assert None in full.values()  # enc_value writes absent fields as null
         bare = {k: v for k, v in full.items() if v is not None}
         assert io.enc_value(io.dec_record(full)) == io.enc_value(io.dec_record(bare)) == full
+        assert io.dec_record(full).lam == rec.lam
 
 
 def test_scorza_accepts_an_explicit_null_expectation(quartic_example):

@@ -149,3 +149,23 @@ def test_restrict_line_matches_direct_eval(quartic_example, rng):
     coeffs = F.restrict_line(base, d)
     for t in (0.3, -1.2 + 0.5j, 2.0):
         assert np.polyval(coeffs[::-1], t) == pytest.approx(F(base + t * d), rel=1e-10)
+
+
+def test_points_compare_by_their_normalized_coordinates():
+    assert ProjPoint(1, 0, 0) == ProjPoint(1, 0, 0) == ProjPoint(2, 0, 0)
+    assert ProjPoint(1, 0, 0) != ProjPoint(1, 1e-3, 0)
+    assert ProjPoint(1, 0, 0) != (1, 0, 0)
+    assert hash(ProjPoint(2j, 4, 0)) == hash(ProjPoint(1, -2j, 0))
+    assert len({ProjPoint(1, 2, 3), ProjPoint(2, 4, 6), ProjPoint(0, 1, 0)}) == 2
+
+
+def test_a_point_equals_its_json_round_trip():
+    from pfaffrep import jsonio as io
+    from pfaffrep.tolerances import draws
+    draw = draws(7)
+    for z in draw(300, 3):
+        for coords in (z, (0, *z[1:]), (0, 0, z[2])):
+            p = ProjPoint(*coords)
+            q = io.dec_point(io.enc_point(p))
+            assert q == p and hash(q) == hash(p)
+            assert ProjPoint(*p.coords) == p
