@@ -33,10 +33,11 @@ from .errors import PreconditionError, RankDeficiency
 from .incidence import sample_curve_points
 from .pencil import SkewPencil, kernel_at
 from .poly import ProjPoint
-from .tolerances import DEFAULT_POLICY, Record, TolerancePolicy, null_space
+from .tolerances import (BRIDGE_FIT_TOL, BRIDGE_STEP_TOL, DEFAULT_POLICY, Record,
+                         TolerancePolicy, null_space)
 from .transforms import TransformRecord, _gamma_update, type2
 
-_DECREASE_FACTOR = 1.0 - 1e-3
+_DECREASE_FACTOR = 1.0 - BRIDGE_STEP_TOL
 _CANDIDATE_POINTS = 32
 _RHO_ONE = np.array([[2.0]])  # the inverse coupling of a one-point step with rho = 1
 
@@ -91,7 +92,7 @@ def _rank1_from_block(block: np.ndarray, ps: np.ndarray,
         best = None
         for i, l in enumerate(others):
             for m in others[i + 1:]:
-                if abs(H[l, m]) > 1e-3 * hscale:
+                if abs(H[l, m]) > BRIDGE_STEP_TOL * hscale:
                     cand = H[n, l] * H[n, m] / H[l, m]
                     if best is None or abs(cand) > abs(best):
                         best = cand
@@ -99,7 +100,7 @@ def _rank1_from_block(block: np.ndarray, ps: np.ndarray,
     col = int(np.argmax(np.linalg.norm(H, axis=0)))
     b = H[:, col]
     nb = np.linalg.norm(b)
-    if nb <= 1e-6 * hscale:
+    if nb <= BRIDGE_FIT_TOL * hscale:
         return None
     b = b / nb
     B = np.outer(b, b)
@@ -112,7 +113,7 @@ def _rank1_from_block(block: np.ndarray, ps: np.ndarray,
 def _point_for_vector(P: SkewPencil, v: np.ndarray,
                       policy: TolerancePolicy) -> ProjPoint | None:
     """The point (if any) at which ``v`` lies in the kernel of the pencil."""
-    kernel, s = null_space((P.coeffs @ v).T, 1e-6)
+    kernel, s = null_space((P.coeffs @ v).T, BRIDGE_FIT_TOL)
     if s[0] == 0 or not len(kernel):
         return None
     x = kernel[-1]
@@ -167,8 +168,8 @@ def bridge_to_decomposable(P: SkewPencil, budget: int = 50, seed: int = 0,
     """Greedy sequence of one-point steps toward the decomposable pattern.
 
     Accepts a candidate step only when it shrinks the off-pattern norm
-    by the relative factor 1e-3, so the recorded norm history is
-    strictly decreasing.  Stops successfully once the norm falls below
+    by the relative factor ``BRIDGE_STEP_TOL``, so the recorded norm
+    history is strictly decreasing.  Stops successfully once the norm falls below
     :func:`stopping_target`; returns ``converged=False`` with the final
     norm when the budget runs out or no candidate improves.
     """

@@ -306,9 +306,8 @@ def dec_cubic_coeffs(obj: Any, path: str = "$") -> CubicCoeffs:
 def dec_conint(obj: Any, path: str = "$",
                policy: TolerancePolicy = DEFAULT_POLICY) -> dict:
     """The ``conint_data`` of a CONINT record."""
-    names = ("points", "vectors", "rhos", "Gamma")
     spec = "points:point[]=[] vectors:vector[]=[] rhos:complex[]=[] Gamma:matrix"
-    return dict(zip(names, dec_fields(spec, obj, path, policy)))
+    return dict(zip(("points", "vectors", "rhos", "Gamma"), dec_fields(spec, obj, path, policy)))
 
 
 def dec_record(obj: Any, path: str = "$",

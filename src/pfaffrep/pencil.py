@@ -25,7 +25,7 @@ import numpy as np
 
 from .errors import RankDeficiency, SingularTransform, SkewSymmetryViolation
 from .poly import HomPoly, LinearForm, ProjPoint
-from .tolerances import (DEFAULT_POLICY, Record, TolerancePolicy, null_space,
+from .tolerances import (DEFAULT_POLICY, Held, Record, TolerancePolicy, null_space,
                          require_finite_array)
 
 
@@ -60,10 +60,11 @@ def _check_skew(m: np.ndarray, name: str, tol: float, scale: float) -> None:
             f"{name}[{k},{l}] deviates from skew-symmetry by {dev.max():.3g}")
 
 
-class _LinearPencil:
+class _LinearPencil(Held):
     """What every pencil does with its ``(3, n, n)`` stack ``coeffs``."""
 
     __slots__ = ()
+    _held = "coeffs"
 
     def __call__(self, pt) -> np.ndarray:
         x = pt.coords if isinstance(pt, ProjPoint) else np.asarray(pt, dtype=complex)
@@ -99,11 +100,15 @@ class SkewPencil(_LinearPencil):
         n = C.shape[1]
         if n % 2 or n == 0:
             raise ValueError(f"dimension must be even and positive, got {n}")
-        for name, value in (("half_deg", n // 2), ("coeffs", C), *zip(names, C), ("_pf", None)):
-            object.__setattr__(self, name, value)
+        self._adopt(C)
         scale = self.scale()
         for m, name in zip(C, names):
             _check_skew(m, name, policy.zero_tol, scale)
+
+    def _adopt(self, C: np.ndarray) -> None:
+        for name, value in (("half_deg", C.shape[1] // 2), ("coeffs", C),
+                            *zip(("A0", "A1", "A2"), C), ("_pf", None)):
+            object.__setattr__(self, name, value)
 
     def __setattr__(self, name, value):
         raise AttributeError("SkewPencil is immutable")
@@ -145,7 +150,9 @@ class DetRep(_LinearPencil, Record):
     M2: np.ndarray
 
     def __post_init__(self):
-        C = _as_stack(self._values(), self._fields)
+        self._adopt(_as_stack(self._values(), self._fields))
+
+    def _adopt(self, C: np.ndarray) -> None:
         object.__setattr__(self, "coeffs", C)
         self.__dict__.update(zip(self._fields, C))
 

@@ -17,7 +17,7 @@ from typing import Iterable, Mapping
 import numpy as np
 
 from .errors import NumericalError, PreconditionError, RepeatedRoots
-from .tolerances import (DEFAULT_POLICY, Record, TolerancePolicy, require_finite,
+from .tolerances import (DEFAULT_POLICY, Held, Record, TolerancePolicy, require_finite,
                          require_finite_array)
 
 Triple = tuple[int, int, int]
@@ -59,11 +59,12 @@ class LinearForm(Record):
         return LinearForm(0, 0, 0)
 
 
-class HomPoly:
+class HomPoly(Held):
     """Homogeneous polynomial in ``x0, x1, x2`` of a fixed degree; the
     terms ``{(a, b, c): coeff}`` are summed into the read-only array ``c``."""
 
     __slots__ = ("degree", "c")
+    _held = "c"
 
     def __new__(cls, degree: int, terms: Mapping[Triple, complex] | None = None):
         if degree < 0:
@@ -83,6 +84,10 @@ class HomPoly:
         if c.ndim != 2 or c.shape[0] != c.shape[1] or not c.size:
             raise ValueError(f"expected a square coefficient array, got shape {c.shape}")
         return _hold(np.where(_x0_exponents(len(c) - 1) >= 0, c, 0))
+
+    def _adopt(self, c: np.ndarray) -> None:
+        object.__setattr__(self, "degree", len(c) - 1)
+        object.__setattr__(self, "c", c)
 
     def __setattr__(self, name, value):
         raise AttributeError("HomPoly is immutable")
@@ -214,11 +219,7 @@ class HomPoly:
 def _hold(c: np.ndarray) -> HomPoly:
     """The polynomial holding ``c``, a new triangular array, checked finite."""
     require_finite_array(c)
-    c.setflags(write=False)
-    p = object.__new__(HomPoly)
-    object.__setattr__(p, "degree", len(c) - 1)
-    object.__setattr__(p, "c", c)
-    return p
+    return HomPoly._from_held(c)
 
 
 def _x0_exponents(d: int) -> np.ndarray:
@@ -235,11 +236,7 @@ def _coords(pt) -> np.ndarray:
     return a
 
 
-# the most by which the complex quotient z / z misses one
-_DIVISION_ROUNDING = 8 * np.finfo(float).eps
-
-
-class ProjPoint:
+class ProjPoint(Held):
     """A point of the projective plane, held in normalized form.
 
     The first coordinate whose modulus exceeds the zero tolerance times
@@ -248,6 +245,7 @@ class ProjPoint:
     """
 
     __slots__ = ("coords",)
+    _held = "coords"
 
     def __init__(self, x0: complex, x1: complex, x2: complex,
                  policy: TolerancePolicy = DEFAULT_POLICY):
@@ -259,17 +257,15 @@ class ProjPoint:
         pivot = raw[np.argmax(mag > policy.zero_tol * mag.max())]
         # z / z can miss one by an ulp, so coordinates whose pivot is that close
         # to one (but not one, which divides exactly) are already normalized
-        coords = raw if 0 < abs(pivot - 1) <= _DIVISION_ROUNDING else raw / pivot
+        coords = raw if 0 < abs(pivot - 1) <= 8 * np.finfo(float).eps else raw / pivot
         coords.setflags(write=False)
-        object.__setattr__(self, "coords", coords)
+        self._adopt(coords)
 
     def __setattr__(self, name, value):
         raise AttributeError("ProjPoint is immutable")
 
     def __eq__(self, other):
-        if isinstance(other, ProjPoint):
-            return self.coords.tolist() == other.coords.tolist()
-        return NotImplemented
+        return isinstance(other, ProjPoint) and self.coords.tolist() == other.coords.tolist()
 
     def __hash__(self):
         return hash(tuple(self.coords.tolist()))

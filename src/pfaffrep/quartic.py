@@ -73,30 +73,21 @@ class CubicCoeffs(Record):
         """The cubic itself (scalar entries only)."""
         if self.is_pencil():
             raise PreconditionError("pencil-valued coefficients do not define one cubic")
-        terms = {}
-        for name, v in zip(CUBIC_FIELDS, self.values()):
-            exp, mult = _MONOMIAL[name]
-            terms[exp] = mult * complex(v)
-        return HomPoly(3, terms)
+        return HomPoly(3, {exp: mult * complex(getattr(self, name))
+                           for name, (exp, mult) in _MONOMIAL.items()})
 
     @staticmethod
     def from_poly(cubic: HomPoly) -> "CubicCoeffs":
         if cubic.degree != 3:
             raise ValueError("expected a cubic")
-        vals = {}
-        for name, (exp, mult) in _MONOMIAL.items():
-            vals[name] = cubic.coeff(exp) / mult
-        return CubicCoeffs(**vals)
+        return CubicCoeffs(**{name: cubic.coeff(exp) / mult
+                              for name, (exp, mult) in _MONOMIAL.items()})
 
     def flatten(self) -> np.ndarray:
         """30-vector of the three linear coefficients of each entry."""
-        out = []
-        for v in self.values():
-            if isinstance(v, LinearForm):
-                out.extend([v.c0, v.c1, v.c2])
-            else:
-                raise PreconditionError("flatten needs linear-form entries")
-        return np.array(out, dtype=complex)
+        if not all(isinstance(v, LinearForm) for v in self.values()):
+            raise PreconditionError("flatten needs linear-form entries")
+        return np.concatenate([v.coeffs for v in self.values()])
 
 
 def polar_cubic(F: HomPoly) -> CubicCoeffs:
@@ -147,9 +138,7 @@ def aronhold_matrix(w: CubicCoeffs) -> SkewPencil | np.ndarray:
 def aronhold_invariant(w: CubicCoeffs) -> HomPoly | complex:
     """Pfaffian of the 8x8 arrangement; zero exactly on sums of three cubes."""
     ar = aronhold_matrix(w)
-    if isinstance(ar, SkewPencil):
-        return ar.pfaffian()
-    return pfaffian_numeric(ar)
+    return ar.pfaffian() if isinstance(ar, SkewPencil) else pfaffian_numeric(ar)
 
 
 def scorza_map(F: HomPoly) -> HomPoly:

@@ -12,7 +12,8 @@ at most ``tol`` times the largest one (times 1 for the zero matrix).
 Every seeded random choice comes from :func:`draws`.
 
 The module also holds :class:`Record`, the base of the policy and of the
-library's other immutable value records.
+library's other immutable value records, and :class:`Held`, the base of
+the values built around one read-only array, which it copies and pickles.
 """
 
 from __future__ import annotations
@@ -117,6 +118,27 @@ class Record:
         raise AttributeError(f"cannot delete field {name!r}")
 
 
+class Held:
+    """Base of the immutable values built around the read-only array named by
+    ``_held``.  A copy or pickle is rebuilt from that array by ``_adopt`` alone:
+    it keeps the views of it, and skips the constructor's policy-bound checks."""
+
+    __slots__ = ()
+
+    @classmethod
+    def _from_held(cls, a: np.ndarray):
+        a.setflags(write=False)  # a copied or unpickled array is a new one
+        obj = object.__new__(cls)
+        obj._adopt(a)
+        return obj
+
+    def _adopt(self, a: np.ndarray) -> None:
+        object.__setattr__(self, self._held, a)
+
+    def __reduce__(self):
+        return self._from_held, (getattr(self, self._held),)
+
+
 class TolerancePolicy(Record):
     zero_tol: float = 1e-9
     rank_tol: float = 1e-8
@@ -136,6 +158,10 @@ DEFAULT_POLICY = TolerancePolicy()
 PF_TOL = 1e-7
 BUNDLE_TOL = 1e-6
 TRANSPORT_ANGLE_TOL = 1e-5
+# The bridge's fixed relative thresholds: the decrease a step must make and the
+# rank-1 fit's pivot; the rank of a kernel vector's point and the fit-norm floor.
+BRIDGE_STEP_TOL = 1e-3
+BRIDGE_FIT_TOL = 1e-6
 
 
 def require_finite(*values: complex) -> None:

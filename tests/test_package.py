@@ -212,6 +212,15 @@ def test_cli_holds_no_threshold_literal():
     assert set(re.findall(r"\b\d+(?:\.\d*)?e-\d+", text)) <= {"1e-300"}
 
 
+def test_only_tolerances_holds_threshold_literals():
+    """Every fixed threshold is named in ``tolerances.py``; elsewhere the only
+    literal of that form is the divide-by-zero guard ``1e-300``."""
+    src = Path(pfaffrep.__file__).parent
+    found = {p.name: set(re.findall(r"\b\d+(?:\.\d*)?e-\d+", p.read_text())) - {"1e-300"}
+             for p in sorted(src.glob("*.py")) if p.name != "tolerances.py"}
+    assert {name: lits for name, lits in found.items() if lits} == {}
+
+
 # The per-record encoders that ``jsonio.enc_value`` replaced.
 REMOVED_ENCODERS = ["enc_kernel", "enc_canonical_report", "enc_structure", "enc_classification",
                     "enc_triangle", "enc_relation", "enc_theta", "enc_bundle_report",

@@ -1,15 +1,18 @@
 """The library's immutable records: construction, defaults, validation,
-repr, equality, hashing and immutability, for every record class."""
+repr, equality, hashing, immutability and copies, for every record class."""
 
+import copy
 import math
+import pickle
 
 import numpy as np
 import pytest
 
 from pfaffrep import (BridgeResult, BundleCheckReport, CanonicalReport, CubicCoeffs,
-                      CurvePoint, DetRep, KernelBasis, LinearForm, PairClassification,
+                      CurvePoint, DetRep, HomPoly, KernelBasis, LinearForm, PairClassification,
                       PolarTriangle, ProjPoint, ScorzaRelation, SkewPencil, StructureReport,
                       SymDetRep, ThetaIdentification, TolerancePolicy, TransformRecord)
+from pfaffrep import jsonio as io
 from pfaffrep.quartic import CUBIC_FIELDS
 
 _PT = ProjPoint(1, 2, 3j)
@@ -178,3 +181,49 @@ def test_no_record_is_a_dataclass():
     import dataclasses
     for cls in (*VALUES, SymDetRep):
         assert not dataclasses.is_dataclass(cls)
+
+
+# deep copies and pickle round trips
+CLONES = {"deepcopy": copy.deepcopy, "pickle": lambda x: pickle.loads(pickle.dumps(x))}
+# looser than the default, as a problem document may declare
+_LOOSE = TolerancePolicy(zero_tol=1e-3, rank_tol=1e-3, match_tol=1e-3)
+
+
+@pytest.mark.parametrize("clone", CLONES.values(), ids=CLONES)
+@pytest.mark.parametrize("cls", CLASSES, ids=lambda c: c.__name__)
+def test_every_record_copies_and_pickles(cls, clone):
+    rec = cls(**VALUES[cls])
+    twin = clone(rec)
+    assert type(twin) is cls and twin is not rec
+    assert io.enc_value(twin) == io.enc_value(rec)
+
+
+@pytest.mark.parametrize("clone", CLONES.values(), ids=CLONES)
+def test_a_pencil_copy_keeps_its_invariants(clone):
+    # skew only within the loose zero_tol: a copy must not check it again
+    nearly = SkewPencil(_J + 1e-5, 2 * _J, 3 * _J, policy=_LOOSE)
+    m = np.array([[1.0, 2.0], [2.0, 1.0]], dtype=complex)
+    for P in (_PENCIL, nearly, DetRep(m, _J, np.eye(2)), SymDetRep(m, np.eye(2), m)):
+        Q = clone(P)
+        assert type(Q) is type(P) and np.array_equal(Q.coeffs, P.coeffs)
+        assert not Q.coeffs.flags.writeable
+        names = ("A0", "A1", "A2") if isinstance(P, SkewPencil) else P._fields
+        for name in names:
+            assert getattr(Q, name).base is Q.coeffs
+        if isinstance(P, SkewPencil):
+            assert Q.half_deg == P.half_deg and Q.pfaffian() == P.pfaffian()
+        else:
+            assert Q.det_poly() == P.det_poly()
+
+
+@pytest.mark.parametrize("clone", CLONES.values(), ids=CLONES)
+def test_a_point_and_a_polynomial_copy_as_they_are(clone):
+    # normalized at the second coordinate under the loose policy only
+    pt = ProjPoint(1e-5, 1, 2j, policy=_LOOSE)
+    for p in (_PT, pt):
+        q = clone(p)
+        assert q == p and not q.coords.flags.writeable
+    assert clone(pt).coords.tolist() == [1e-5, 1, 2j]
+    f = HomPoly(3, {(1, 1, 1): 2 - 1j, (0, 0, 3): 0.5})
+    g = clone(f)
+    assert g == f and g.degree == 3 and not g.c.flags.writeable
