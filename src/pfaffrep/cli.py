@@ -173,15 +173,15 @@ def _h_line(policy, seed, P, lam, mu, v, u):
 
 def _h_classify_pair(policy, seed, P, lam, mu):
     from .incidence import classify_pair
-    pc = classify_pair(P, lam, mu, seed=seed, policy=policy)
+    pc = classify_pair(P, lam, mu, policy=policy)
     return {"classification": {"kind": pc.kind, "kappa": pc.kappa,
                                "special_vectors": pc.special_vectors}}, {}
 
 
 def _h_k_const(policy, seed, P, lam, mu, v, u, t1, t2):
-    from .incidence import _draw_direction, k_constant
+    from .incidence import k_constant
     K = k_constant(P, lam, v, mu, u, t1, t2, policy)
-    _, _, K2 = _draw_direction(P, lam, mu, v, u, seed, policy)
+    K2 = k_constant(P, lam, v, mu, u, policy=policy, check_kernels=False)
     return ({"k": K},
             {"parameter_independence": _residual(abs(K - K2) / (1 + abs(K)), policy.rank_tol)})
 
@@ -196,7 +196,7 @@ def _h_partners(policy, seed, P, lam, v, u):
 
 def _h_type1(policy, seed, P, lam, mu, v, u):
     from .transforms import type1
-    return _transformed(P, *type1(P, lam, mu, v, u, seed=seed, policy=policy))
+    return _transformed(P, *type1(P, lam, mu, v, u, policy=policy))
 
 
 def _h_type2(policy, seed, P, lam, v, rho):
@@ -206,7 +206,7 @@ def _h_type2(policy, seed, P, lam, v, rho):
 
 def _h_conint(policy, seed, P, pts, vecs, rhos):
     from .transforms import conint
-    return _transformed(P, *conint(P, pts, vecs, rhos, seed=seed, policy=policy))
+    return _transformed(P, *conint(P, pts, vecs, rhos, policy=policy))
 
 
 def _h_bundle_check(policy, seed, P, rec, samples, curve_samples):

@@ -1,11 +1,11 @@
 """Geometry read off a representation: lines, tangents, point pairing.
 
 Pairs of curve points are coupled through the parameter-independent
-constant ``K`` built from the kernel vectors; its vanishing pattern over
-the two kernel planes classifies the pair as inadmissible (all of K
-vanishes), semiadmissible (rank one) or admissible (invertible), and in
-the admissible case gives a one-to-one correspondence between kernel
-directions at the two points.
+constant ``K`` of the kernel vectors, read with no seed at one fixed
+direction; its vanishing pattern over the two kernel planes classifies
+the pair as inadmissible (all of K vanishes), semiadmissible (rank one)
+or admissible (invertible), and in the admissible case gives a one-to-one
+correspondence between kernel directions at the two points.
 
 Affine formulas live in the chart ``x0 = 1``; operations reject points
 too close to the line ``x0 = 0``.
@@ -104,14 +104,16 @@ def _require_kernel(P: SkewPencil, pt: ProjPoint, v: np.ndarray,
 
 
 def k_constant(P: SkewPencil, lam: ProjPoint, v: np.ndarray,
-               mu: ProjPoint, u: np.ndarray, t1: complex, t2: complex,
-               policy: TolerancePolicy = DEFAULT_POLICY,
+               mu: ProjPoint, u: np.ndarray, t1: complex | None = None,
+               t2: complex | None = None, policy: TolerancePolicy = DEFAULT_POLICY,
                check_kernels: bool = True) -> complex:
     """The coupling constant of kernel vectors at two distinct points.
 
     ``K = v^t (t1 sigma1 + t2 sigma2) u / (t1 (l1-m1) + t2 (l2-m2))`` in
     the affine chart; the value does not depend on ``(t1, t2)`` as long
-    as the denominator stays away from zero.
+    as the denominator stays away from zero, as ``v^t sigma_i u = K (l_i -
+    m_i)`` for i = 1, 2.  The default ``t = conj(lambda - mu)`` makes the
+    denominator ``|lambda - mu|^2`` and K the least-squares solution.
     """
     if lam.close_to(mu, policy):
         raise SamePoint("the two points coincide")
@@ -120,6 +122,8 @@ def k_constant(P: SkewPencil, lam: ProjPoint, v: np.ndarray,
         _require_kernel(P, mu, u, policy)
     l1, l2 = lam.affine(policy)
     m1, m2 = mu.affine(policy)
+    if t1 is None and t2 is None:
+        t1, t2 = (l1 - m1).conjugate(), (l2 - m2).conjugate()
     den = t1 * (l1 - m1) + t2 * (l2 - m2)
     scale = max(abs(t1), abs(t2)) * max(abs(l1 - m1), abs(l2 - m2), policy.zero_tol)
     if abs(den) <= policy.rank_tol * scale:
@@ -127,21 +131,6 @@ def k_constant(P: SkewPencil, lam: ProjPoint, v: np.ndarray,
             f"direction ({t1:.3g}, {t2:.3g}) annihilates the point difference")
     num = v @ (t1 * P.sigma1 + t2 * P.sigma2) @ u
     return complex(num / den)
-
-
-def _draw_direction(P: SkewPencil, lam: ProjPoint, mu: ProjPoint, v, u,
-                    seed: int, policy: TolerancePolicy) -> tuple[complex, complex, complex]:
-    """Seeded generic (t1, t2) with a non-degenerate denominator, plus K."""
-    draw = draws(seed)
-    last = None
-    for _ in range(8):
-        t = draw(2)
-        try:
-            return t[0], t[1], k_constant(P, lam, v, mu, u, t[0], t[1], policy,
-                                          check_kernels=False)
-        except PreconditionError as exc:
-            last = exc
-    raise last
 
 
 def _admissibility_scale(P: SkewPencil, lam: ProjPoint, mu: ProjPoint,
@@ -175,7 +164,6 @@ class PairClassification(Record):
 
 
 def classify_pair(P: SkewPencil, lam: ProjPoint, mu: ProjPoint,
-                  seed: int = 0,
                   policy: TolerancePolicy = DEFAULT_POLICY) -> PairClassification:
     """Classify a distinct pair of curve points by the rank of K over the kernels.
 
@@ -188,12 +176,8 @@ def classify_pair(P: SkewPencil, lam: ProjPoint, mu: ProjPoint,
         raise SamePoint("classification needs two distinct points")
     kb_l = kernel_at(P, lam, policy)
     kb_m = kernel_at(P, mu, policy)
-    t1, t2, _ = _draw_direction(P, lam, mu, kb_l.v1, kb_m.v1, seed, policy)
-    kappa = np.empty((2, 2), dtype=complex)
-    for i, b in enumerate((kb_l.v1, kb_l.v2)):
-        for j, c in enumerate((kb_m.v1, kb_m.v2)):
-            kappa[i, j] = k_constant(P, lam, b, mu, c, t1, t2, policy,
-                                     check_kernels=False)
+    kappa = np.array([[k_constant(P, lam, b, mu, c, policy=policy, check_kernels=False)
+                       for c in (kb_m.v1, kb_m.v2)] for b in (kb_l.v1, kb_l.v2)])
     x_rows, sv = null_space(kappa, policy.rank_tol)
     special = None
     if sv[0] <= policy.rank_tol * _admissibility_scale(P, lam, mu, policy):

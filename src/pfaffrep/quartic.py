@@ -18,7 +18,6 @@ quartic of F.
 
 from __future__ import annotations
 
-import functools
 from typing import Sequence
 
 import numpy as np
@@ -28,8 +27,7 @@ from .errors import (CorankNotOne, DegenerateHessian, InconsistentPolarData,
                      PreconditionError, TangencyCheckFailed)
 from .incidence import sample_curve_points
 from .pencil import DetRep, SkewPencil, _gauge, pfaffian_numeric
-from .poly import (HomPoly, LinearForm, ProjPoint, equal_up_to_scale, relative_deviation,
-                   univariate_roots)
+from .poly import HomPoly, LinearForm, ProjPoint, equal_up_to_scale, univariate_roots
 from .tolerances import DEFAULT_POLICY, Record, TolerancePolicy, draws, null_space
 
 CUBIC_FIELDS = ("w000", "w111", "w222", "w012", "w001",
@@ -146,38 +144,23 @@ def scorza_map(F: HomPoly) -> HomPoly:
     return aronhold_invariant(polar_cubic(F))
 
 
-_QUARTIC_MONOMIALS = np.array(sorted(
-    [(a, b, 4 - a - b) for a in range(5) for b in range(5 - a)], reverse=True))
-
-
-@functools.cache
-def _polar_matrix() -> np.ndarray:
-    """The 30x15 linear map from quartic coefficients to flattened polar
-    coefficients, one column per quartic monomial; built on first use."""
-    A = np.column_stack([polar_cubic(HomPoly.monomial(exp)).flatten()
-                         for exp in _QUARTIC_MONOMIALS])
-    A.setflags(write=False)
-    return A
-
-
 def integrate_polar(w: CubicCoeffs,
                     policy: TolerancePolicy = DEFAULT_POLICY) -> HomPoly:
     """Recover the quartic whose polar coefficients are ``w``.
 
-    Solves the linear system in the fifteen quartic coefficients; exact
-    round-trip inverse of :func:`polar_cubic` on consistent data.
+    The polar of F at x, taken at x, is ``4 F(x)`` (Euler's formula), so
+    ``F = (1/4) sum_k w_k(x) m_k x^(e_k)`` over the ten terms of the cubic
+    normalization; F is accepted when its polar coefficients give back ``w``.
     """
     if not w.is_pencil():
         raise PreconditionError("need linear-form coefficients to integrate")
-    A = _polar_matrix()
     b = w.flatten()
-    sol, *_ = np.linalg.lstsq(A, b, rcond=None)
-    resid = float(np.linalg.norm(A @ sol - b))
+    F = sum((getattr(w, name).as_poly() * HomPoly.monomial(exp, mult / 4)
+             for name, (exp, mult) in _MONOMIAL.items()), HomPoly.zero(4))
+    resid = float(np.linalg.norm(polar_cubic(F).flatten() - b))
     if resid > policy.match_tol * max(1.0, float(np.linalg.norm(b))):
         raise InconsistentPolarData(f"no quartic preimage (residual {resid:.3g})")
-    c = np.zeros((5, 5), dtype=complex)
-    c[_QUARTIC_MONOMIALS[:, 1], _QUARTIC_MONOMIALS[:, 2]] = sol
-    return HomPoly.from_array(c)
+    return F
 
 
 def hessian_det(cubic: HomPoly) -> HomPoly:
@@ -193,11 +176,13 @@ def factor_three_lines(c: HomPoly, seed: int = 0,
                        ) -> tuple[LinearForm, LinearForm, LinearForm]:
     """Split a cubic that is a product of three distinct lines.
 
-    Restricts the cubic to two generic lines, extracts three roots on
-    each, and groups the six points into three collinear pairs; each
-    pair spans one factor.  The restriction lines are redrawn (up to 8
-    times) when roots nearly collide.  The returned forms are unit-norm;
-    their product matches the input up to one scalar.
+    At a point on exactly one of the lines, the gradient of ``l1 l2 l3`` is
+    a multiple of that line's coefficients; so each of the three roots on a
+    generic line gives one factor, and one Gauss-Newton step of the three
+    against the cubic removes the rounding of the gradients.  The line is
+    redrawn (up to 8 times) when roots nearly collide or the factors do not
+    reproduce the cubic.  The returned forms are unit-norm; their product
+    matches the input up to one scalar.
     """
     if c.degree != 3:
         raise ValueError("expected a cubic")
@@ -206,53 +191,32 @@ def factor_three_lines(c: HomPoly, seed: int = 0,
     draw = draws(seed)
     last_reason = "no usable restriction lines"
     for _ in range(8):
-        base_a, dir_a, base_b, dir_b = draw(4, 3)
-        pts = []
-        ok = True
-        for base, direction in ((base_a, dir_a), (base_b, dir_b)):
-            roots = univariate_roots(c.restrict_line(base, direction), policy)
-            if len(roots) != 3:
-                ok = False
-                last_reason = f"restriction has {len(roots)} finite roots"
-                break
-            sep = policy.rank_tol * max(1.0, float(np.max(np.abs(roots))))
-            if min(abs(roots[0] - roots[1]), abs(roots[0] - roots[2]),
-                   abs(roots[1] - roots[2])) < sep:
-                ok = False
-                last_reason = "roots on a restriction line nearly collide"
-                break
-            pts.append([base + t * direction for t in roots])
-        if not ok:
+        base, direction = draw(2, 3)
+        roots = univariate_roots(c.restrict_line(base, direction), policy)
+        if len(roots) != 3:
+            last_reason = f"restriction has {len(roots)} finite roots"
             continue
-        P3, Q3 = pts
-        best = None
-        for perm in ((0, 1, 2), (0, 2, 1), (1, 0, 2), (1, 2, 0), (2, 0, 1), (2, 1, 0)):
-            lines = []
-            degenerate = False
-            for i in range(3):
-                ell = np.cross(P3[i], Q3[perm[i]])
-                norm = np.linalg.norm(ell)
-                if norm <= policy.rank_tol * (np.linalg.norm(P3[i]) * np.linalg.norm(Q3[perm[i]])):
-                    degenerate = True
-                    break
-                lines.append(ell / norm)
-            if degenerate:
-                continue
-            prod = (LinearForm(*lines[0]).as_poly() * LinearForm(*lines[1]).as_poly()
-                    * LinearForm(*lines[2]).as_poly())
-            scale = equal_up_to_scale(prod, c, policy)
-            if scale is not None:
-                resid = relative_deviation(c, prod, scale)
-                if best is None or resid < best[0]:
-                    best = (resid, lines)
-        if best is not None:
-            lines = best[1]
-            for i in range(3):
-                for j in range(i + 1, 3):
-                    if np.linalg.norm(np.cross(lines[i], lines[j])) <= policy.rank_tol:
-                        raise NotAProductOfLines("two factor lines coincide")
-            return tuple(LinearForm(*l) for l in lines)
-        last_reason = "no collinear grouping reproduces the cubic"
+        sep = policy.rank_tol * max(1.0, float(np.max(np.abs(roots))))
+        if np.min(np.abs(roots - np.roll(roots, 1))) < sep:  # every pair of the three
+            last_reason = "roots on a restriction line nearly collide"
+            continue
+        grads = np.array([[g(base + t * direction) for g in c.gradient()] for t in roots])
+        lines = grads / np.linalg.norm(grads, axis=1, keepdims=True)
+        forms = [LinearForm(*l).as_poly() for l in lines]
+        prod = forms[0] * forms[1] * forms[2]
+        scale = equal_up_to_scale(prod, c, policy)
+        if scale is None:
+            last_reason = "the lines at the roots do not reproduce the cubic"
+            continue
+        J = np.column_stack([(forms[k - 1] * forms[k - 2] * LinearForm(*e).as_poly()).c.ravel()
+                             for k in range(3) for e in np.eye(3)])
+        step = np.linalg.lstsq(J, (c.scaled(1 / scale) - prod).c.ravel(), rcond=None)[0]
+        lines = lines + step.reshape(3, 3)
+        lines /= np.linalg.norm(lines, axis=1, keepdims=True)
+        pairs = np.cross(lines, np.roll(lines, 1, axis=0))  # every pair of the three
+        if np.min(np.linalg.norm(pairs, axis=1)) <= policy.rank_tol:
+            raise NotAProductOfLines("two factor lines coincide")
+        return tuple(LinearForm(*l) for l in lines)
     raise NotAProductOfLines(last_reason)
 
 

@@ -25,7 +25,7 @@ import numpy as np
 
 from .errors import (NotAdmissible, PreconditionError, SampleOnExceptionalLine,
                      SingularGamma)
-from .incidence import _admissibility_scale, _draw_direction, _require_kernel
+from .incidence import _admissibility_scale, _require_kernel, k_constant
 from .pencil import SkewPencil, kernel_at
 from .poly import ProjPoint, relative_deviation
 from .tolerances import DEFAULT_POLICY, Record, TolerancePolicy, draws, factory, null_space
@@ -62,22 +62,19 @@ def _step(P: SkewPencil, W: np.ndarray, Ginv: np.ndarray, policy: TolerancePolic
     return P.with_gamma(gamma_after, policy), rec
 
 
-def type1(P: SkewPencil, lam: ProjPoint, mu: ProjPoint,
-          v: np.ndarray, u: np.ndarray, seed: int = 0,
+def type1(P: SkewPencil, lam: ProjPoint, mu: ProjPoint, v: np.ndarray, u: np.ndarray,
           policy: TolerancePolicy = DEFAULT_POLICY) -> tuple[SkewPencil, TransformRecord]:
     """Two-point elementary transformation from an admissible vector pair.
 
     The update has ``W = [v, u]`` and ``Gamma^-1 = [[0, 1/K], [1/K, 0]]``,
     that is ``gamma - (1/K) (s1 u ^ s2 v) + (1/K) (s2 u ^ s1 v)`` with
-    ``a ^ b = a b^t - b a^t``.  Afterwards the kernel roles swap:
-    ``u`` lies in the new kernel at ``lam`` and ``v`` in the new kernel
-    at ``mu``, and repeating the step with those roles undoes it.
+    ``a ^ b = a b^t - b a^t`` and the seed-free K of :func:`k_constant`.
+    Afterwards the kernel roles swap: ``u`` lies in the new kernel at ``lam``
+    and ``v`` in the new kernel at ``mu``; the step with those roles undoes it.
     """
     v = np.asarray(v, dtype=complex)
     u = np.asarray(u, dtype=complex)
-    _require_kernel(P, lam, v, policy)
-    _require_kernel(P, mu, u, policy)
-    _, _, K = _draw_direction(P, lam, mu, v, u, seed, policy)
+    K = k_constant(P, lam, v, mu, u, policy=policy)
     ref = _admissibility_scale(P, lam, mu, policy) * np.linalg.norm(v) * np.linalg.norm(u)
     if abs(K) <= policy.rank_tol * ref:
         raise NotAdmissible(f"coupling constant {K:.3g} is numerically zero")
@@ -111,14 +108,13 @@ def conint_rho_for_type2(rho_type2: complex) -> complex:
 
 def conint(P: SkewPencil, points: Sequence[ProjPoint],
            vectors: Sequence[np.ndarray], rhos: Sequence[complex],
-           seed: int = 0,
            policy: TolerancePolicy = DEFAULT_POLICY) -> tuple[SkewPencil, TransformRecord]:
     """Multi-point elementary transformation.
 
     Builds the symmetric m-by-m coupling matrix
     ``Gamma = -diag(rho) + K_off`` whose off-diagonal entries are the
-    pairwise K values of the chosen kernel vectors; the update is
-    ``gamma + s1 w Gamma^-1 w^t s2 - s2 w Gamma^-1 w^t s1`` for the
+    pairwise (seed-free) K values of the chosen kernel vectors; the update
+    is ``gamma + s1 w Gamma^-1 w^t s2 - s2 w Gamma^-1 w^t s1`` for the
     matrix ``w`` of stacked kernel vectors.  The only existence
     condition is that ``Gamma`` is invertible.  With ``m = 1`` this is a
     one-point step with constant ``-1/(2 rho)``.
@@ -141,9 +137,8 @@ def conint(P: SkewPencil, points: Sequence[ProjPoint],
     for i in range(m):
         Gamma[i, i] = -complex(rhos[i])
         for j in range(i + 1, m):
-            _, _, K = _draw_direction(P, points[i], points[j], vecs[i], vecs[j],
-                                      seed + 101 * i + j, policy)
-            Gamma[i, j] = Gamma[j, i] = K
+            Gamma[i, j] = Gamma[j, i] = k_constant(P, points[i], vecs[i], points[j], vecs[j],
+                                                   policy=policy, check_kernels=False)
     if len(null_space(Gamma, policy.rank_tol)[0]):
         raise SingularGamma("the coupling matrix is numerically singular")
     return _step(P, np.column_stack(vecs), np.linalg.inv(Gamma), policy, kind="CONINT",
@@ -152,13 +147,12 @@ def conint(P: SkewPencil, points: Sequence[ProjPoint],
                               "rhos": [complex(r) for r in rhos], "Gamma": Gamma})
 
 
-def inverse_step(P_after: SkewPencil, record: TransformRecord, seed: int = 0,
+def inverse_step(P_after: SkewPencil, record: TransformRecord,
                  policy: TolerancePolicy = DEFAULT_POLICY
                  ) -> tuple[SkewPencil, TransformRecord]:
     """Undo a recorded step by the inverse transformation of the same type."""
     if record.kind == "I":
-        return type1(P_after, record.lam, record.mu, record.u, record.v,
-                     seed=seed, policy=policy)
+        return type1(P_after, record.lam, record.mu, record.u, record.v, policy=policy)
     if record.kind == "II":
         return type2(P_after, record.lam, record.v, -record.rho, policy=policy)
     raise PreconditionError(f"no generic inverse for kind {record.kind!r}")

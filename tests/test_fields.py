@@ -78,7 +78,7 @@ def _records(rng):
     pts = [c.pt for c in sample_curve_points(P.pfaffian(), 2, seed=5)]
     vecs = [kernel_at(P, pt).v1 for pt in pts]
     return [type2(P, pts[0], vecs[0], 0.3 - 0.2j)[1],
-            conint(P, pts, vecs, [0.5, -0.25], seed=3)[1]]
+            conint(P, pts, vecs, [0.5, -0.25])[1]]
 
 
 def test_a_record_with_explicit_nulls_decodes_as_one_without(rng):
