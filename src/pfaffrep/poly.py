@@ -264,12 +264,6 @@ class ProjPoint(Held):
     def __setattr__(self, name, value):
         raise AttributeError("ProjPoint is immutable")
 
-    def __eq__(self, other):
-        return isinstance(other, ProjPoint) and self.coords.tolist() == other.coords.tolist()
-
-    def __hash__(self):
-        return hash(tuple(self.coords.tolist()))
-
     def affine(self, policy: TolerancePolicy = DEFAULT_POLICY) -> tuple[complex, complex]:
         """Affine coordinates in the chart ``x0 = 1``; the point must have
         ``|x0|`` above ``zero_tol`` times its largest coordinate."""

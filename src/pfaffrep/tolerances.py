@@ -105,7 +105,7 @@ class Record:
 
     def __eq__(self, other):
         if other.__class__ is self.__class__:
-            return self._values() == other._values()
+            return _same(self._values(), other._values())
         return NotImplemented
 
     def __hash__(self):
@@ -118,12 +118,32 @@ class Record:
         raise AttributeError(f"cannot delete field {name!r}")
 
 
+def _same(a, b) -> bool:
+    """Field equality; arrays, also in lists, tuples and dicts, by shape and value."""
+    if isinstance(a, np.ndarray) or isinstance(b, np.ndarray):
+        return type(a) is type(b) and bool(np.array_equal(a, b))
+    if isinstance(a, (list, tuple)):
+        return (type(a) is type(b) and len(a) == len(b)
+                and all(_same(x, y) for x, y in zip(a, b)))
+    if isinstance(a, dict):
+        return (isinstance(b, dict) and a.keys() == b.keys()
+                and all(_same(a[k], b[k]) for k in a))
+    return a is b or bool(a == b)
+
+
 class Held:
     """Base of the immutable values built around the read-only array named by
     ``_held``.  A copy or pickle is rebuilt from that array by ``_adopt`` alone:
     it keeps the views of it, and skips the constructor's policy-bound checks."""
 
     __slots__ = ()
+
+    def __eq__(self, other):
+        return (other.__class__ is self.__class__
+                and getattr(self, self._held).tolist() == getattr(other, self._held).tolist())
+
+    def __hash__(self):
+        return hash(tuple(getattr(self, self._held).ravel().tolist()))
 
     @classmethod
     def _from_held(cls, a: np.ndarray):

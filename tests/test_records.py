@@ -113,6 +113,41 @@ def test_equality_and_hash_go_by_the_field_values(cls):
 
 
 @pytest.mark.parametrize("cls", CLASSES, ids=lambda c: c.__name__)
+def test_equality_goes_by_value_not_by_identity(cls):
+    # the twin's arrays, points and pencils are distinct objects of equal value
+    values = VALUES[cls]
+    rec, twin = cls(**values), cls(**copy.deepcopy(values))
+    assert rec == twin and not rec != twin
+    if cls in HASHABLE:
+        assert hash(rec) == hash(twin)
+
+
+def test_array_fields_compare_by_shape_and_value():
+    eye = np.eye(2, dtype=complex)
+    assert DetRep(eye, eye, eye) == DetRep(eye.copy(), eye.copy(), eye.copy())
+    assert DetRep(eye, eye, eye) != DetRep(eye, eye, 2 * eye)
+    assert DetRep(eye, eye, eye) != DetRep(*np.eye(4, dtype=complex)[None].repeat(3, 0))
+    # arrays nested in a dict field, inside lists and on their own
+    data = {"points": [_PT], "vectors": [np.ones(2, dtype=complex)], "Gamma": eye}
+
+    def record(conint_data):
+        return TransformRecord(**{**VALUES[TransformRecord], "conint_data": conint_data})
+
+    rec = record(data)
+    assert rec == record(copy.deepcopy(data))
+    for change in ({"vectors": [np.ones(3, dtype=complex)]}, {"Gamma": 2 * eye},
+                   {"points": (_PT,)}):
+        assert rec != record({**data, **change})
+
+
+def test_a_pencil_compares_and_hashes_by_its_coefficients():
+    P = SkewPencil(_J.copy(), 2 * _J, 3 * _J)
+    assert P == _PENCIL and hash(P) == hash(_PENCIL)
+    assert P != SkewPencil(_J, _J, _J) and P != _PENCIL.coeffs
+    assert len({P, _PENCIL, SkewPencil(_J, _J, _J)}) == 2
+
+
+@pytest.mark.parametrize("cls", CLASSES, ids=lambda c: c.__name__)
 def test_records_are_immutable(cls):
     rec = cls(**VALUES[cls])
     first = next(iter(VALUES[cls]))
