@@ -133,6 +133,26 @@ def test_drawing_commands_load_no_numpy_random():
     assert "numpy.random" not in loaded
 
 
+# The commands whose reports the README promises do not depend on the seed.
+SEED_FREE = ["type1", "conint", "classify-pair"]
+
+
+def test_seed_free_commands_report_the_same_for_every_seed():
+    from pfaffrep.cli import dispatch, parse_problem
+    problems = _bench_problems()
+    docs = {}
+    for index in range(len(problems.WORKLOADS["cli-small"])):
+        doc = problems.problem("cli-small", 1, index)["doc"]
+        docs.setdefault(doc["kind"], doc)
+    for kind in SEED_FREE:
+        texts = []
+        for seed in (0, 7):
+            report = dispatch(parse_problem({**docs[kind], "seed": seed}))
+            del report["seed"], report["_wall_time_s"]
+            texts.append(json.dumps(report))
+        assert texts[0] == texts[1], kind
+
+
 def test_draws_repeat_and_extend():
     a = draws(5)(3, 2)
     assert a.shape == (3, 2) and a.dtype == complex
@@ -164,6 +184,22 @@ def test_importing_the_layers_generates_no_code():
     generated, dataclasses_loaded = json.loads(proc.stderr.strip().splitlines()[-1])
     assert generated == []
     assert not dataclasses_loaded
+
+
+def test_cli_imports_no_private_library_name():
+    """The CLI uses what the library offers: no ``_``-prefixed name is imported."""
+    import ast
+    tree = ast.parse((Path(pfaffrep.__file__).parent / "cli.py").read_text())
+    private = [alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+               for alias in node.names if alias.name.startswith("_")]
+    assert private == []
+
+
+def test_no_memoizing_cache():
+    """No function result is kept across calls by a ``functools`` cache."""
+    src = Path(pfaffrep.__file__).parent
+    caches = re.compile(r"\bfunctools\.cache\b|\blru_cache\b|@cache\b")
+    assert [p.name for p in sorted(src.glob("*.py")) if caches.search(p.read_text())] == []
 
 
 def test_one_svd_call_site():
