@@ -251,14 +251,14 @@ def _grid_poly(fn, C: np.ndarray, deg: int) -> HomPoly:
     return HomPoly.from_array((F @ vals @ F.T) * np.ldexp(1.0, e * deg))
 
 
-def pfaffian_numeric(A, policy: TolerancePolicy = DEFAULT_POLICY) -> complex:
+def pfaffian_numeric(A) -> complex:
     """Pfaffian of a constant skew matrix.
 
-    Raises :class:`SkewSymmetryViolation` when ``A`` is not square or not
-    skew under ``policy.zero_tol``, since the elimination reads both triangles.
+    Raises :class:`SkewSymmetryViolation` when ``A`` is not square or
+    not skew, since the elimination reads both triangles.
     """
     A = np.asarray(A, dtype=complex)
-    _check_skew(A, "A", policy.zero_tol, float(np.max(np.abs(A), initial=0.0)))
+    _check_skew(A, "A", DEFAULT_POLICY.zero_tol, float(np.max(np.abs(A), initial=0.0)))
     return complex(_pf_stack(A[None])[0])
 
 

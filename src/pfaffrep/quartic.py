@@ -148,15 +148,19 @@ def integrate_polar(w: CubicCoeffs,
                     policy: TolerancePolicy = DEFAULT_POLICY) -> HomPoly:
     """Recover the quartic whose polar coefficients are ``w``.
 
-    The polar of F at x, taken at x, is ``4 F(x)`` (Euler's formula), so
-    ``F = (1/4) sum_k w_k(x) m_k x^(e_k)`` over the ten terms of the cubic
-    normalization; F is accepted when its polar coefficients give back ``w``.
+    ``d_j F`` has coefficient ``a_j F_a`` at ``x^(a - e_j)``, so each partial
+    that reaches ``x^a`` reads off ``F_a``.  The polar map sends ``x^a`` to
+    equal entries ``a0! a1! a2! / 6``: the mean reading is the least-squares
+    preimage, and ``match_tol`` bounds the orthogonal residual.
     """
-    if not w.is_pencil():
-        raise PreconditionError("need linear-form coefficients to integrate")
-    b = w.flatten()
-    F = sum((getattr(w, name).as_poly() * HomPoly.monomial(exp, mult / 4)
-             for name, (exp, mult) in _MONOMIAL.items()), HomPoly.zero(4))
+    b = w.flatten()  # raises PreconditionError unless every entry is a linear form
+    total, count = np.zeros((5, 5), dtype=complex), np.zeros((5, 5))
+    for name, (exp, mult) in _MONOMIAL.items():
+        for j, wj in enumerate(getattr(w, name).coeffs):
+            i, k = exp[1] + (j == 1), exp[2] + (j == 2)  # x^a = x^exp x_j
+            total[i, k] += mult * wj / (exp[j] + 1)
+            count[i, k] += 1
+    F = HomPoly.from_array(total / np.maximum(count, 1))
     resid = float(np.linalg.norm(polar_cubic(F).flatten() - b))
     if resid > policy.match_tol * max(1.0, float(np.linalg.norm(b))):
         raise InconsistentPolarData(f"no quartic preimage (residual {resid:.3g})")

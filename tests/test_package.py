@@ -54,9 +54,10 @@ EXPORTS = {
 DEFERRED = ["pfaffrep.quartic", "pfaffrep.bridge", "pfaffrep.transforms",
             "pfaffrep.canonical", "pfaffrep.incidence", "concurrent.futures"]
 
-# The commands that make a seeded random choice.
-DRAWING = ["canon", "classify-pair", "k-const", "type1", "conint", "bundle-check", "bridge",
-           "triangle", "factor-lines", "identify-theta", "bitangent"]
+# The commands checked for not loading numpy.random: those that make a seeded
+# choice, and classify-pair, k-const, type1 and conint, which once drew one.
+NO_NUMPY_RANDOM = ["canon", "classify-pair", "k-const", "type1", "conint", "bundle-check",
+                   "bridge", "triangle", "factor-lines", "identify-theta", "bitangent"]
 
 
 @pytest.mark.parametrize("module", sorted(EXPORTS))
@@ -116,15 +117,21 @@ def _bench_problems():
     return mod
 
 
-def test_drawing_commands_load_no_numpy_random():
-    """Seeded choices come from the standard library's ``random``, which
-    numpy loads anyway: no command pays for importing ``numpy.random``."""
+def _first_cli_small_docs():
+    """The first problem document of each kind in the cli-small workload, seed 1."""
     problems = _bench_problems()
     docs = {}
     for index in range(len(problems.WORKLOADS["cli-small"])):
         doc = problems.problem("cli-small", 1, index)["doc"]
         docs.setdefault(doc["kind"], doc)
-    batch = [docs[kind] for kind in DRAWING]
+    return docs
+
+
+def test_drawing_commands_load_no_numpy_random():
+    """Seeded choices come from the standard library's ``random``, which
+    numpy loads anyway: no command pays for importing ``numpy.random``."""
+    docs = _first_cli_small_docs()
+    batch = [docs[kind] for kind in NO_NUMPY_RANDOM]
     loaded = _loaded_after(
         "import pfaffrep.cli as cli\n"
         "assert cli.main(['batch', '-', '--format', 'json']) == 0",
@@ -139,11 +146,7 @@ SEED_FREE = ["type1", "conint", "classify-pair"]
 
 def test_seed_free_commands_report_the_same_for_every_seed():
     from pfaffrep.cli import dispatch, parse_problem
-    problems = _bench_problems()
-    docs = {}
-    for index in range(len(problems.WORKLOADS["cli-small"])):
-        doc = problems.problem("cli-small", 1, index)["doc"]
-        docs.setdefault(doc["kind"], doc)
+    docs = _first_cli_small_docs()
     for kind in SEED_FREE:
         texts = []
         for seed in (0, 7):

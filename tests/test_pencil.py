@@ -6,7 +6,7 @@ from pfaffrep import (DetRep, HomPoly, LinearForm, ProjPoint, RankDeficiency,
                       decomposable_from, equal_up_to_scale, gauge_action, kernel_at,
                       pfaffian_adjoint_at, pfaffian_minor, pfaffian_numeric,
                       sample_curve_points, to_canonical, to_second_canonical,
-                      TolerancePolicy, univariate_roots, wedge_to_matrix)
+                      univariate_roots, wedge_to_matrix)
 from conftest import random_pencil, random_skew
 from oracles import (coeff_rel_dev, det_by_laplace, pfaffian_by_expansion,
                      pfaffian_by_matchings, pfaffian_numeric_by_expansion,
@@ -61,14 +61,6 @@ def test_pfaffian_numeric_rejects_non_skew(rng):
         pfaffian_numeric(A)
     with pytest.raises(SkewSymmetryViolation):
         pfaffian_numeric(np.zeros((2, 4)))
-
-
-def test_pfaffian_numeric_checks_skewness_under_the_callers_policy():
-    A = np.array([[0, 1], [-1 + 1e-7, 0]])
-    loose = TolerancePolicy(zero_tol=1e-6, rank_tol=1e-6)
-    assert pfaffian_numeric(A, loose) == pytest.approx(1.0)
-    with pytest.raises(SkewSymmetryViolation):
-        pfaffian_numeric(A)
 
 
 def test_pfaffian_numeric_zero_pivot():

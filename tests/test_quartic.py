@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from pfaffrep import (CorankNotOne, CubicCoeffs, HomPoly, InconsistentPolarData,
+from pfaffrep import (DEFAULT_POLICY, CorankNotOne, CubicCoeffs, HomPoly, InconsistentPolarData,
                       LinearForm, MultipleMatches, NoMatch, NotAProductOfLines,
                       NotOnBaseLocus, PreconditionError, ProjPoint, SymDetRep,
                       aronhold_invariant, aronhold_matrix, bitangent_from_octad,
@@ -140,6 +140,24 @@ def test_integrate_round_trip(rng):
         F = random_quartic(rng)
         back = integrate_polar(polar_cubic(F))
         assert (F - back).max_coeff() <= 1e-8 * F.max_coeff()
+
+
+def test_integrate_noisy_data_is_the_least_squares_preimage(rng):
+    # noise off the range of the polar map is accepted up to match_tol,
+    # and the quartic returned is the least-squares solution
+    mons = [(4 - i - j, i, j) for i in range(5) for j in range(5 - i)]
+    A = np.column_stack([polar_cubic(HomPoly.monomial(e)).flatten() for e in mons])
+    b = polar_cubic(random_quartic(rng)).flatten()
+    noise = rng.standard_normal(30) + 1j * rng.standard_normal(30)
+    noise -= A @ np.linalg.lstsq(A, noise, rcond=None)[0]
+    noise /= np.linalg.norm(noise)
+    for size in (0.5, 0.99):
+        bn = b + size * DEFAULT_POLICY.match_tol * max(1.0, np.linalg.norm(b)) * noise
+        w = CubicCoeffs(*(LinearForm(*bn[k:k + 3]) for k in range(0, 30, 3)))
+        F = integrate_polar(w)
+        sol = np.linalg.lstsq(A, bn, rcond=None)[0]
+        got = np.array([F.coeff(e) for e in mons])
+        assert np.max(np.abs(got - sol)) <= 1e-12 * np.max(np.abs(sol))
 
 
 def test_integrate_inconsistent_rejected(rng):
