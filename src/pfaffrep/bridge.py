@@ -28,11 +28,11 @@ from __future__ import annotations
 
 import numpy as np
 
-from .canonical import off_pattern_blocks, off_pattern_norm, validate_second_canonical
-from .errors import PreconditionError, RankDeficiency
-from .incidence import sample_curve_points
+from .canonical import negligible, off_pattern_blocks, off_pattern_norm, validate_second_canonical
+from .errors import PreconditionError, RankDeficiency, VectorNotInKernel
+from .incidence import _require_kernel, sample_curve_points
 from .pencil import SkewPencil, kernel_at
-from .poly import ProjPoint
+from .poly import ProjPoint, close_pair
 from .tolerances import (BRIDGE_FIT_TOL, BRIDGE_STEP_TOL, DEFAULT_POLICY, Record,
                          TolerancePolicy, null_space)
 from .transforms import TransformRecord, _gamma_update, type2
@@ -64,12 +64,12 @@ def _optimal_rho(G: np.ndarray, U: np.ndarray) -> tuple[complex, float]:
     return complex(rho), float(np.linalg.norm(G + rho * U))
 
 
-def _rank1_from_block(block: np.ndarray, ps: np.ndarray,
-                      policy: TolerancePolicy) -> tuple[np.ndarray, complex] | None:
+def _rank1_from_block(block: np.ndarray, ps: np.ndarray) -> tuple[np.ndarray, complex] | None:
     """Factor ``block[n,l] = c * b_n b_l (p_l - p_n)`` into (unit b, c).
 
     Needs dimension at least 3 to complete the diagonal of the symmetric
     rank-1 matrix ``c b b^t``; returns None when the data does not fit.
+    The entries of ``ps`` are pairwise apart, as checked on entry.
     """
     d = len(ps)
     if d < 3:
@@ -80,12 +80,8 @@ def _rank1_from_block(block: np.ndarray, ps: np.ndarray,
     H = np.zeros((d, d), dtype=complex)
     for n in range(d):
         for l in range(d):
-            if n == l:
-                continue
-            gap = ps[l] - ps[n]
-            if abs(gap) <= policy.rank_tol * max(1.0, float(np.max(np.abs(ps)))):
-                return None
-            H[n, l] = block[n, l] / gap
+            if n != l:
+                H[n, l] = block[n, l] / (ps[l] - ps[n])
     hscale = float(np.max(np.abs(H)))
     for n in range(d):
         others = [l for l in range(d) if l != n]
@@ -120,9 +116,9 @@ def _point_for_vector(P: SkewPencil, v: np.ndarray,
     if np.max(np.abs(x)) == 0 or abs(x[0]) <= policy.rank_tol * np.max(np.abs(x)):
         return None
     pt = ProjPoint(*x, policy=policy)
-    A = P(pt)
-    res = np.linalg.norm(A @ v) / (np.linalg.norm(A, 2) * np.linalg.norm(v))
-    if res > policy.rank_tol:
+    try:
+        _require_kernel(P, pt, v, policy)
+    except VectorNotInKernel:
         return None
     return pt
 
@@ -131,12 +127,9 @@ def _structured_candidates(P: SkewPencil, ps: np.ndarray,
                            policy: TolerancePolicy) -> list[tuple[ProjPoint, np.ndarray]]:
     d = P.half_deg
     top, bot = off_pattern_blocks(P.gamma, d)
-    scale = max(P.scale(), 1.0)
-    fit_top = _rank1_from_block(top, ps, policy)
-    fit_bot = _rank1_from_block(bot, ps, policy)
+    fit_top = _rank1_from_block(top, ps)
+    fit_bot = _rank1_from_block(bot, ps)
     trials: list[np.ndarray] = []
-    top_small = float(np.max(np.abs(top))) <= policy.match_tol * scale
-    bot_small = float(np.max(np.abs(bot))) <= policy.match_tol * scale
     if fit_top and fit_bot:
         b, cb = fit_top
         a, ca = fit_bot
@@ -144,10 +137,10 @@ def _structured_candidates(P: SkewPencil, ps: np.ndarray,
             r = np.sqrt(cb / ca)
             trials.append(np.concatenate([a, r * b]))
             trials.append(np.concatenate([a, -r * b]))
-    elif fit_bot and top_small:
+    elif fit_bot and negligible(top, P, policy):
         a, _ = fit_bot
         trials.append(np.concatenate([a, np.zeros(d, dtype=complex)]))
-    elif fit_top and bot_small:
+    elif fit_top and negligible(bot, P, policy):
         b, _ = fit_top
         trials.append(np.concatenate([np.zeros(d, dtype=complex), b]))
     out = []
@@ -175,8 +168,7 @@ def bridge_to_decomposable(P: SkewPencil, budget: int = 50, seed: int = 0,
     """
     d = P.half_deg
     ps = validate_second_canonical(P, policy)
-    gaps = np.abs(ps[:, None] - ps[None, :]) + np.eye(d)
-    if float(np.min(gaps)) <= policy.rank_tol * max(1.0, float(np.max(np.abs(ps)))):
+    if close_pair(ps, policy) is not None:
         raise PreconditionError("diagonal entries must be pairwise distinct")
     target = stopping_target(P, policy)
     F = P.pfaffian()

@@ -17,9 +17,7 @@ import numpy as np
 from .errors import NotInCanonicalForm, NotUnimodular, SpanFailure
 from .pencil import SkewPencil, congruence
 from .poly import roots_on_line
-from .tolerances import DEFAULT_POLICY, Record, TolerancePolicy, draws, null_space
-
-_I2 = np.array([[0.0, 1.0], [-1.0, 0.0]], dtype=complex)
+from .tolerances import DEFAULT_POLICY, Record, TolerancePolicy, null_space
 
 
 class CanonicalReport(Record):
@@ -35,27 +33,23 @@ class StructureReport(Record):
     free_parameter_count: int
 
 
-def _canonical_block_residual(P: SkewPencil, roots) -> float:
-    """Deviation of A1 and A2 from the first canonical block pattern."""
-    d = P.half_deg
-    scale = max(1.0, max(abs(p) for p in roots))
-    dev = 0.0
-    for i in range(d):
-        s = slice(2 * i, 2 * i + 2)
-        di = np.array([[0.0, -roots[i]], [roots[i], 0.0]], dtype=complex)
-        dev = max(dev, float(np.max(np.abs(P.A1[s, s] - _I2))))
-        dev = max(dev, float(np.max(np.abs(P.A2[s, s] - di))) / scale)
-        for j in range(d):
-            if j == i:
-                continue
-            t = slice(2 * j, 2 * j + 2)
-            dev = max(dev, float(np.max(np.abs(P.A1[s, t]))))
-            dev = max(dev, float(np.max(np.abs(P.A2[s, t]))) / scale)
-    return dev
+def _canonical_shape(ps, rows, cols) -> tuple[np.ndarray, np.ndarray]:
+    """A1 and A2 of a canonical form: root ``ps[i]``'s block on ``rows[i], cols[i]``."""
+    n = 2 * len(ps)
+    J, D = np.zeros((2, n, n), dtype=complex)
+    J[rows, cols], J[cols, rows] = 1.0, -1.0
+    D[rows, cols], D[cols, rows] = -np.asarray(ps), ps
+    return J, D
 
 
-def to_canonical(P: SkewPencil, policy: TolerancePolicy = DEFAULT_POLICY,
-                 seed: int = 0) -> CanonicalReport:
+def _shape_residual(P: SkewPencil, ps, rows, cols) -> float:
+    """Deviation of A1 and A2 from the canonical shape, A2's relative to the roots."""
+    J, D = _canonical_shape(ps, rows, cols)
+    scale = max(1.0, *(abs(p) for p in ps))
+    return max(float(np.max(np.abs(P.A1 - J))), float(np.max(np.abs(P.A2 - D))) / scale)
+
+
+def to_canonical(P: SkewPencil, policy: TolerancePolicy = DEFAULT_POLICY) -> CanonicalReport:
     """Congruence to the first canonical form.
 
     Requires the curve ``Pf A = 0`` to meet ``x0 = 0`` in ``half_deg``
@@ -64,13 +58,14 @@ def to_canonical(P: SkewPencil, policy: TolerancePolicy = DEFAULT_POLICY,
     block is exactly ``[[0, 1], [-1, 0]]``, the two vectors by powers of two
     to a like size, which keeps the basis well conditioned at any scale)
     gives the basis change.  Roots are sorted by (real, imaginary) part.
+    A unitary change of the orthonormal kernel basis multiplies the A1 pairing
+    by a determinant of modulus one, so no other basis rescues a degenerate one.
     """
     d = P.half_deg
     roots = roots_on_line(P.pfaffian(), policy)
     if len(roots) != d:
         raise SpanFailure(
             f"expected {d} intersection points with x0 = 0, found {len(roots)}")
-    draw = draws(seed)
     rows = []
     a1_scale = float(np.max(np.abs(P.A1)))
     for p in roots:
@@ -81,36 +76,24 @@ def to_canonical(P: SkewPencil, policy: TolerancePolicy = DEFAULT_POLICY,
         u, v = kernel
         pairing = u @ P.A1 @ v
         if abs(pairing) <= policy.rank_tol * a1_scale:
-            # unlucky orthonormal gauge: remix once with a random unitary
-            g = _random_su2(draw)
-            u, v = g[0, 0] * u + g[0, 1] * v, g[1, 0] * u + g[1, 1] * v
-            pairing = u @ P.A1 @ v
-            if abs(pairing) <= policy.rank_tol * a1_scale:
-                raise SpanFailure(
-                    f"A1 pairing degenerates on the kernel at root {p:.6g}")
+            raise SpanFailure(f"A1 pairing degenerates on the kernel at root {p:.6g}")
         pow2 = np.ldexp(1.0, -round(np.log2(abs(pairing)) / 2))
         rows += [pow2 * u, v / (pow2 * pairing)]
     B = np.array(rows)
     if len(null_space(B, policy.rank_tol)[0]):
         raise SpanFailure("union of point kernels does not span the full space")
     out = congruence(P, B, policy)
-    residual = _canonical_block_residual(out, roots)
+    residual = _shape_residual(out, roots, 2 * np.arange(d), 2 * np.arange(d) + 1)
     B.setflags(write=False)
     return CanonicalReport(roots=roots, basis_change=B, pencil=out, residual=residual)
-
-
-def _random_su2(draw) -> np.ndarray:
-    q, r = np.linalg.qr(draw(2, 2))
-    q = q @ np.diag(np.exp(-1j * np.angle(np.diag(r))))
-    return q / np.sqrt(np.linalg.det(q))
 
 
 def validate_canonical(P: SkewPencil, policy: TolerancePolicy = DEFAULT_POLICY
                        ) -> list[complex]:
     """Check the first canonical block pattern; returns the roots read off A2."""
-    d = P.half_deg
-    roots = [complex(P.A2[2 * i + 1, 2 * i]) for i in range(d)]
-    if _canonical_block_residual(P, roots) > policy.match_tol:
+    pairs = 2 * np.arange(P.half_deg)
+    roots = [complex(P.A2[i + 1, i]) for i in pairs]
+    if _shape_residual(P, roots, pairs, pairs + 1) > policy.match_tol:
         raise NotInCanonicalForm("pencil is not in the first canonical form")
     return roots
 
@@ -151,16 +134,7 @@ def validate_second_canonical(P: SkewPencil,
     """Check the second canonical block pattern; returns ``diag(D)``."""
     d = P.half_deg
     ps = np.diag(-P.A2[:d, d:]).copy()
-    scale = max(1.0, float(np.max(np.abs(ps))) if ps.size else 1.0)
-    J = np.zeros((2 * d, 2 * d), dtype=complex)
-    J[:d, d:] = np.eye(d)
-    J[d:, :d] = -np.eye(d)
-    A2_expect = np.zeros((2 * d, 2 * d), dtype=complex)
-    A2_expect[:d, d:] = -np.diag(ps)
-    A2_expect[d:, :d] = np.diag(ps)
-    dev = max(float(np.max(np.abs(P.A1 - J))),
-              float(np.max(np.abs(P.A2 - A2_expect))) / scale)
-    if dev > policy.match_tol:
+    if _shape_residual(P, ps, np.arange(d), np.arange(d, 2 * d)) > policy.match_tol:
         raise NotInCanonicalForm("pencil is not in the second canonical form")
     return ps
 
@@ -199,6 +173,11 @@ def off_pattern_norm(gamma: np.ndarray, d: int) -> float:
                          + np.linalg.norm(bot, "fro") ** 2))
 
 
+def negligible(block: np.ndarray, P: SkewPencil, policy: TolerancePolicy) -> bool:
+    """Whether no entry of ``block`` exceeds ``match_tol`` times the pencil scale (at least 1)."""
+    return float(np.max(np.abs(block))) <= policy.match_tol * max(P.scale(), 1.0)
+
+
 def structure_report(P: SkewPencil,
                      policy: TolerancePolicy = DEFAULT_POLICY) -> StructureReport:
     """Classify a second-canonical-form pencil by the shape of its constant part.
@@ -212,12 +191,10 @@ def structure_report(P: SkewPencil,
     """
     d = P.half_deg
     validate_second_canonical(P, policy)
-    scale = max(P.scale(), 1.0)
     top, bot = off_pattern_blocks(P.A0, d)
-    decomposable = (float(np.max(np.abs(top)) if top.size else 0.0) <= policy.match_tol * scale
-                    and float(np.max(np.abs(bot)) if bot.size else 0.0) <= policy.match_tol * scale)
+    decomposable = negligible(top, P, policy) and negligible(bot, P, policy)
     C = P.A0[:d, d:]
-    symmetric = decomposable and float(np.max(np.abs(C - C.T))) <= policy.match_tol * scale
+    symmetric = decomposable and negligible(C - C.T, P, policy)
     return StructureReport(
         is_decomposable_form=decomposable,
         is_symmetric_blocks=symmetric,

@@ -79,6 +79,19 @@ def _pf_invariance(P_before, P_after) -> dict:
     return _residual(relative_deviation(P_before.pfaffian(), P_after.pfaffian()), PF_TOL)
 
 
+def _pf_scaling(P, out, det, policy) -> dict:
+    """The residual of ``Pf(out) = det * Pf(P)``, relative to ``|det|``."""
+    scale = equal_up_to_scale(P.pfaffian(), out.pfaffian(), policy)
+    dev = abs(scale - det) / max(abs(det), 1e-300) if scale is not None else float("inf")
+    return _residual(dev, policy.match_tol)
+
+
+def _vanishing(ell, pt, policy) -> dict:
+    """The residual of ``ell(pt) = 0``, relative to the largest coefficient of ``ell``."""
+    return _residual(abs(ell(pt)) / max(float(np.max(np.abs(ell.coeffs))), 1e-300),
+                     policy.match_tol)
+
+
 def _transformed(P, out, rec=None) -> tuple[dict, dict]:
     """Outputs and residuals of a command that maps pencil ``P`` to ``out``."""
     outputs = {"pencil": out} if rec is None else {"pencil": out, "record": rec}
@@ -120,23 +133,17 @@ def _h_kernel(policy, seed, P, pt):
 
 def _h_canon(policy, seed, P):
     from .canonical import to_canonical
-    rep = to_canonical(P, policy, seed)
-    scale = equal_up_to_scale(P.pfaffian(), rep.pencil.pfaffian(), policy)
-    detb = np.linalg.det(rep.basis_change)
-    dev = abs(scale - detb) / max(abs(detb), 1e-300) if scale is not None else float("inf")
+    rep = to_canonical(P, policy)
     return ({"report": rep},
             {"block_residual": _residual(rep.residual, policy.match_tol),
-             "pf_scaling": _residual(dev, policy.match_tol)})
+             "pf_scaling": _pf_scaling(P, rep.pencil, np.linalg.det(rep.basis_change), policy)})
 
 
 def _h_canon2(policy, seed, P):
     from .canonical import second_canonical_transform, to_second_canonical
     out = to_second_canonical(P, policy)
     detq = float(np.linalg.det(second_canonical_transform(P.half_deg)).real)
-    scale = equal_up_to_scale(P.pfaffian(), out.pfaffian(), policy)
-    dev = abs(scale - detq) if scale is not None else float("inf")
-    return ({"pencil": out, "det_q": detq},
-            {"pf_scaling": _residual(dev, policy.match_tol)})
+    return {"pencil": out, "det_q": detq}, {"pf_scaling": _pf_scaling(P, out, detq, policy)}
 
 
 def _h_gauge(policy, seed, P, blocks):
@@ -152,9 +159,7 @@ def _h_structure(policy, seed, P):
 def _h_tangent(policy, seed, P, pt):
     from .incidence import tangent_line
     ell = tangent_line(P, pt, policy)
-    dev = abs(ell(pt)) / max(float(np.max(np.abs(ell.coeffs))), 1e-300)
-    return ({"line": ell},
-            {"vanishing_at_point": _residual(dev, policy.match_tol)})
+    return {"line": ell}, {"vanishing_at_point": _vanishing(ell, pt, policy)}
 
 
 def _h_line(policy, seed, P, lam, mu, v, u):
@@ -162,13 +167,9 @@ def _h_line(policy, seed, P, lam, mu, v, u):
     ell = line_through(P, lam, v, mu, u, policy)
     # a genuine u^t A(x) v has coefficients of the size |A| |u| |v|
     is_zero = ell.is_zero(P.scale() * np.linalg.norm(u) * np.linalg.norm(v), policy)
-    outputs = {"line": ell, "is_zero": is_zero}
-    residuals = {}
-    if not is_zero:
-        scale = max(float(np.max(np.abs(ell.coeffs))), 1e-300)
-        residuals["vanishing_at_lambda"] = _residual(abs(ell(lam)) / scale, policy.match_tol)
-        residuals["vanishing_at_mu"] = _residual(abs(ell(mu)) / scale, policy.match_tol)
-    return outputs, residuals
+    residuals = {} if is_zero else {"vanishing_at_lambda": _vanishing(ell, lam, policy),
+                                    "vanishing_at_mu": _vanishing(ell, mu, policy)}
+    return {"line": ell, "is_zero": is_zero}, residuals
 
 
 def _h_classify_pair(policy, seed, P, lam, mu):

@@ -302,6 +302,15 @@ def univariate_roots(coeffs: Iterable[complex],
     return np.roots(c[:cut][::-1])
 
 
+def close_pair(roots, policy: TolerancePolicy = DEFAULT_POLICY):
+    """The first two ``roots`` closer than ``sep = rank_tol * max(1, max |r|)``,
+    and ``sep``; ``None`` when every two roots are at least ``sep`` apart."""
+    r = np.asarray(roots, dtype=complex)
+    sep = policy.rank_tol * max(1.0, float(np.max(np.abs(r), initial=0.0)))
+    i, j = np.nonzero(np.triu(np.abs(r[:, None] - r) < sep, 1))
+    return (r[i[0]], r[j[0]], sep) if len(i) else None
+
+
 def roots_on_line(p: HomPoly, policy: TolerancePolicy = DEFAULT_POLICY) -> list[complex]:
     """Roots ``t`` of ``p(0, t, 1)``, checked distinct and re-verified.
 
@@ -314,12 +323,8 @@ def roots_on_line(p: HomPoly, policy: TolerancePolicy = DEFAULT_POLICY) -> list[
         raise PreconditionError("restriction of p to x0 = 0 is identically zero")
     roots = univariate_roots(c, policy)
     scale = float(np.max(np.abs(c)))
-    sep = policy.rank_tol * max(1.0, float(np.max(np.abs(roots))) if roots.size else 1.0)
-    for i in range(len(roots)):
-        for j in range(i + 1, len(roots)):
-            if abs(roots[i] - roots[j]) < sep:
-                raise RepeatedRoots(
-                    f"roots {roots[i]:.6g} and {roots[j]:.6g} closer than {sep:.2g}")
+    if (close := close_pair(roots, policy)) is not None:
+        raise RepeatedRoots("roots {:.6g} and {:.6g} closer than {:.2g}".format(*close))
     for r in roots:
         bound = scale * sum(abs(r) ** k for k in range(len(c)))
         if abs(np.polyval(c[::-1], r)) > policy.match_tol * bound:

@@ -27,7 +27,7 @@ from .errors import (CorankNotOne, DegenerateHessian, InconsistentPolarData,
                      PreconditionError, TangencyCheckFailed)
 from .incidence import sample_curve_points
 from .pencil import DetRep, SkewPencil, _gauge, pfaffian_numeric
-from .poly import HomPoly, LinearForm, ProjPoint, equal_up_to_scale, univariate_roots
+from .poly import HomPoly, LinearForm, ProjPoint, close_pair, equal_up_to_scale, univariate_roots
 from .tolerances import DEFAULT_POLICY, Record, TolerancePolicy, draws, null_space
 
 CUBIC_FIELDS = ("w000", "w111", "w222", "w012", "w001",
@@ -200,8 +200,7 @@ def factor_three_lines(c: HomPoly, seed: int = 0,
         if len(roots) != 3:
             last_reason = f"restriction has {len(roots)} finite roots"
             continue
-        sep = policy.rank_tol * max(1.0, float(np.max(np.abs(roots))))
-        if np.min(np.abs(roots - np.roll(roots, 1))) < sep:  # every pair of the three
+        if close_pair(roots, policy) is not None:
             last_reason = "roots on a restriction line nearly collide"
             continue
         grads = np.array([[g(base + t * direction) for g in c.gradient()] for t in roots])

@@ -203,11 +203,6 @@ class BundleCheckReport(Record):
     transport_angle: float = 0.0
     parameter_independence: float = 0.0
 
-    def ok(self, tol: float) -> bool:
-        worst = max([self.identity_residual, self.transport_angle,
-                     self.parameter_independence, *self.zero_patterns.values()])
-        return worst <= tol
-
 
 def _factor_pair(P: SkewPencil, x: np.ndarray, base: tuple, t1: complex, t2: complex,
                  policy: TolerancePolicy) -> tuple[np.ndarray, np.ndarray]:

@@ -55,7 +55,7 @@ DEFERRED = ["pfaffrep.quartic", "pfaffrep.bridge", "pfaffrep.transforms",
             "pfaffrep.canonical", "pfaffrep.incidence", "concurrent.futures"]
 
 # The commands checked for not loading numpy.random: those that make a seeded
-# choice, and classify-pair, k-const, type1 and conint, which once drew one.
+# choice, and canon, classify-pair, k-const, type1 and conint, which once drew one.
 NO_NUMPY_RANDOM = ["canon", "classify-pair", "k-const", "type1", "conint", "bundle-check",
                    "bridge", "triangle", "factor-lines", "identify-theta", "bitangent"]
 
@@ -141,7 +141,7 @@ def test_drawing_commands_load_no_numpy_random():
 
 
 # The commands whose reports the README promises do not depend on the seed.
-SEED_FREE = ["type1", "conint", "classify-pair"]
+SEED_FREE = ["canon", "type1", "conint", "classify-pair"]
 
 
 def test_seed_free_commands_report_the_same_for_every_seed():
@@ -210,6 +210,50 @@ def test_one_svd_call_site():
     src = Path(pfaffrep.__file__).parent
     sites = {p.name: p.read_text().count("np.linalg.svd") for p in sorted(src.glob("*.py"))}
     assert {name: n for name, n in sites.items() if n} == {"tolerances.py": 1}
+
+
+def _functions_containing(path: Path, pattern: str) -> list[str]:
+    """The top-level functions of ``path`` whose source matches ``pattern``."""
+    import ast
+    text = path.read_text()
+    return [node.name for node in ast.parse(text).body if isinstance(node, ast.FunctionDef)
+            and re.search(pattern, ast.get_source_segment(text, node))]
+
+
+def test_one_canonical_shape_comparison():
+    """Both canonical forms are checked by one residual against one shape."""
+    path = Path(pfaffrep.__file__).parent / "canonical.py"
+    assert _functions_containing(path, r"np\.abs\(P\.A[12]\b[^)]* - ") == ["_shape_residual"]
+
+
+def test_one_root_separation_rule():
+    """Roots count as distinct by one rule, ``poly.close_pair``, and the
+    curve's roots on ``x0 = 0``, the three-line roots and the bridge's
+    diagonal all use it."""
+    src = Path(pfaffrep.__file__).parent
+    sites = {p.name: _functions_containing(p, r"rank_tol \* max\(1\.0, float\(np\.max")
+             for p in sorted(src.glob("*.py"))}
+    assert {name: f for name, f in sites.items() if f} == {"poly.py": ["close_pair"]}
+    users = {p.name: _functions_containing(p, r"\bclose_pair\(") for p in sorted(src.glob("*.py"))}
+    assert {name: f for name, f in users.items() if f} == {
+        "bridge.py": ["bridge_to_decomposable"], "poly.py": ["close_pair", "roots_on_line"],
+        "quartic.py": ["factor_three_lines"]}
+
+
+def test_bridge_computes_no_kernel_residual():
+    """The bridge checks kernel membership with ``incidence._require_kernel``."""
+    text = (Path(pfaffrep.__file__).parent / "bridge.py").read_text()
+    assert "_require_kernel(" in text
+    assert not re.search(r"norm\(A @|A @ v\b", text)
+
+
+def test_canonical_form_draws_nothing():
+    """``to_canonical`` takes no seed: the canonical module never draws."""
+    import inspect
+    from pfaffrep.canonical import to_canonical
+    text = (Path(pfaffrep.__file__).parent / "canonical.py").read_text()
+    assert "draws" not in text
+    assert "seed" not in inspect.signature(to_canonical).parameters
 
 
 def test_one_random_source():

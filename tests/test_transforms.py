@@ -215,7 +215,6 @@ def test_bundle_maps_type1(rng):
     assert max(rep.zero_patterns.values()) <= 1e-7
     assert rep.transport_angle <= 1e-5
     assert rep.parameter_independence <= 1e-6
-    assert rep.ok(1e-5)
 
 
 def test_bundle_maps_type2(rng):

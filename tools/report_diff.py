@@ -2,6 +2,13 @@
 
     python3 tools/report_diff.py --parent HEAD~1 --change HEAD \\
         --seeds 1 2 3 4 5 --cycles 2 [--workload cli-small --workload batch-highdeg]
+    python3 tools/report_diff.py --parent HEAD~1 --change HEAD \\
+        --seeds 5 6 7 --cycles 1 --workload bridge-corpus
+
+The first compares the two gated workloads (the default).  The second
+compares ``bridge-corpus``, whose 1-, 2- and 3-step plants and random
+constant parts at d = 3 and 4 exercise the bridge far more than the 4
+bridges in a cli-small cycle.
 
 Each revision's committed files are exported with ``git archive`` (as
 ``tools/bench_pairs.py`` does) into its own directory.  Each side then runs
