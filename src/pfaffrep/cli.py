@@ -1,32 +1,21 @@
-"""Command-line front end.
+"""Command-line front end: ``pfaffrep <command> [problem.json]``.
 
-One command per library operation, plus ``run`` (kind taken from the
-file) and ``batch``; every command reads a JSON problem document (file
-argument or stdin), dispatches to the library, and emits either a
-human-readable report or a deterministic JSON run report.  A handler
-returns library values and ``dispatch`` encodes them once, with
-``jsonio.enc_value``, so a record's fields are its keys in the report.
-Commands that transform a pencil always append a pfaffian-invariance
-residual.
-``batch`` runs a JSON array of problems in input order; a problem that
-fails gets an error entry in its slot instead of a report.
+One command per library operation, plus ``run`` (kind taken from the file)
+and ``batch`` (a JSON array of problems, run in input order).  A single
+problem runs through the batch's runner, which checks the envelope and
+applies ``--seed``; a batch keeps a failure as an error entry in the
+problem's slot, and a single command prints it to stderr.  ``--tol`` and a
+problem's ``tolerances`` override the policy by one rule.
 
-``COMMANDS`` maps each kind to its handler and its payload fields, which
-``jsonio.dec_fields`` decodes into the handler's arguments, so a missing
-or wrong-typed field is a :class:`SchemaError` at ``$.payload.<name>``
-before any handler runs.
-
-Only numpy and the core modules are imported here; each handler imports
-the library functions it calls, so a process loads only what its
-command uses.  Run as a process (``python -m pfaffrep.cli`` or the
-``pfaffrep`` script, which both run this module as ``__main__``), the
-module keeps the garbage collector off its start-up heap: paused while it
-imports, frozen before the problem runs and again before the interpreter
-finalizes.  Such a process also asks OpenBLAS for one thread, since its
-small pencils never reach OpenBLAS's threading thresholds, unless the
-caller set ``OPENBLAS_NUM_THREADS``, ``GOTO_NUM_THREADS`` or
-``OMP_NUM_THREADS``.  Imported as a library, the module leaves the
-caller's collector and environment alone.
+Each command is one row of ``COMMANDS``: its payload fields, decoded by
+``jsonio.dec_fields`` before anything runs; its library call, looked up by
+module and name when it runs, so a process imports only the layers its
+command uses; its output keys; and its residuals, each a value the result
+carries, held to a tolerance, or an identity the CLI checks itself.  A
+residual that would check nothing is left out (README, "Command line").
+Run as a process, the module keeps the garbage collector off its start-up
+heap and OpenBLAS to one thread (README, "Start-up"); imported, it leaves
+both alone.
 
 Exit codes: 0 all residuals within their declared tolerances, 1 usage,
 2 schema, 3 numerical failure, 4 violated precondition.  A batch exits
@@ -50,6 +39,8 @@ import argparse
 import json
 import sys
 import time
+from functools import reduce
+from importlib import import_module
 
 try:  # CPython's builtin sha256, as random.py does for sha512: hashlib loads OpenSSL
     from _sha2 import sha256  # Python 3.12 on
@@ -63,11 +54,11 @@ import numpy as np
 
 from . import jsonio as io
 from .errors import NumericalError, PfaffrepError, PreconditionError, SchemaError
-from .pencil import kernel_at, pfaffian_adjoint_at, pfaffian_minor
 from .poly import equal_up_to_scale, relative_deviation
 from .tolerances import BUNDLE_TOL, DEFAULT_POLICY, PF_TOL, TRANSPORT_ANGLE_TOL, TolerancePolicy
 
 _EXIT_USAGE, _EXIT_SCHEMA, _EXIT_NUMERICAL, _EXIT_PRECONDITION = 1, 2, 3, 4
+_TOLERANCES = ("zero_tol", "rank_tol", "match_tol")
 
 
 def _residual(value: float, tol: float) -> dict:
@@ -75,275 +66,211 @@ def _residual(value: float, tol: float) -> dict:
     return {"value": value, "tolerance": tol, "ok": bool(value <= tol)}
 
 
-def _pf_invariance(P_before, P_after) -> dict:
-    return _residual(relative_deviation(P_before.pfaffian(), P_after.pfaffian()), PF_TOL)
+def _call(spec: str, a: dict):
+    """Call ``module.function arg...``, a package module's function looked up
+    now, or a function of this module, with the named arguments of ``a``."""
+    target, *names = spec.split()
+    module, dot, name = target.partition(".")
+    fn = (reduce(getattr, name.split("."), import_module("pfaffrep." + module)) if dot
+          else globals()[target])
+    return fn(*(a[n] for n in names))
 
 
-def _pf_scaling(P, out, det, policy) -> dict:
-    """The residual of ``Pf(out) = det * Pf(P)``, relative to ``|det|``."""
-    scale = equal_up_to_scale(P.pfaffian(), out.pfaffian(), policy)
+def _carried(a: dict, result, name: str, attr: str, tol, guard: str = "") -> dict:
+    """Residual ``name``: the result's ``attr`` (of each entry of a list; ``""``
+    is the result) held to ``tol`` (a number, a policy field or a call); a
+    list by its largest entry, a dict as one ``name[key]`` per entry.  A false
+    ``guard``, an argument or an attribute of the result, leaves it out."""
+    def read(attr):
+        if attr in a or not attr:
+            return a.get(attr, result)
+        return ([getattr(r, attr) for r in result] if isinstance(result, list)
+                else getattr(result, attr))
+    if guard and not read(guard):
+        return {}
+    if not isinstance(tol, float):
+        tol = _call(tol, a) if " " in tol else getattr(a["policy"], tol)
+    value = read(attr)
+    if isinstance(value, dict):
+        return {f"{name}[{key}]": _residual(v, tol) for key, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        value = max(value, default=0.0)
+    return {name: _residual(value, tol)}
+
+
+# -- the identities the CLI checks itself: (arguments, outputs) -> residuals,
+# adding any output they derive
+
+def _pf_invariance(a, out) -> dict:
+    return {"pf_invariance": _residual(
+        relative_deviation(a["pencil"].pfaffian(), out["pencil"].pfaffian()), PF_TOL)}
+
+
+def _pf_scaling(a, out) -> dict:
+    """``Pf(out) = det Q * Pf(P)`` for the basis change ``Q``, relative to
+    ``|det Q|``; ``canon`` reports ``Q``, ``canon2`` adds its fixed one's determinant."""
+    P, policy = a["pencil"], a["policy"]
+    if "report" in out:
+        pencil, det = out["report"].pencil, np.linalg.det(out["report"].basis_change)
+    else:
+        from .canonical import second_canonical_transform
+        pencil = out["pencil"]
+        det = out["det_q"] = float(np.linalg.det(second_canonical_transform(P.half_deg)).real)
+    scale = equal_up_to_scale(P.pfaffian(), pencil.pfaffian(), policy)
     dev = abs(scale - det) / max(abs(det), 1e-300) if scale is not None else float("inf")
-    return _residual(dev, policy.match_tol)
+    return {"pf_scaling": _residual(dev, policy.match_tol)}
 
 
-def _vanishing(ell, pt, policy) -> dict:
-    """The residual of ``ell(pt) = 0``, relative to the largest coefficient of ``ell``."""
-    return _residual(abs(ell(pt)) / max(float(np.max(np.abs(ell.coeffs))), 1e-300),
-                     policy.match_tol)
+def _vanishing(a, out) -> dict:
+    """``ell(pt) = 0`` at the line's points, relative to its largest coefficient;
+    ``line`` adds whether its form is zero, and a zero form gets no residual."""
+    ell, policy, points = out["line"], a["policy"], ["point"]
+    if "u" in a:  # a genuine u^t A(x) v has coefficients of the size |A| |u| |v|
+        size = a["pencil"].scale() * np.linalg.norm(a["u"]) * np.linalg.norm(a["v"])
+        out["is_zero"] = ell.is_zero(size, policy)
+        points = [] if out["is_zero"] else ["lambda", "mu"]
+    scale = max(float(np.max(np.abs(ell.coeffs))), 1e-300)
+    return {f"vanishing_at_{n}": _residual(abs(ell(a[n])) / scale, policy.match_tol)
+            for n in points}
 
 
-def _transformed(P, out, rec=None) -> tuple[dict, dict]:
-    """Outputs and residuals of a command that maps pencil ``P`` to ``out``."""
-    outputs = {"pencil": out} if rec is None else {"pencil": out, "record": rec}
-    return outputs, {"pf_invariance": _pf_invariance(P, out)}
+def _adjoint_identity(a, out) -> dict:
+    P, pt, adj = a["pencil"], a["point"], out["adjoint"]
+    A = P(pt)
+    dev = np.max(np.abs(adj @ A - P.pfaffian()(pt) * np.eye(P.dim)))
+    scale = max(np.max(np.abs(adj)) * np.max(np.abs(A)), 1e-300)
+    return {"adjoint_identity": _residual(dev / scale, a["policy"].match_tol)}
 
 
-# -- handlers -------------------------------------------------------------------
-# Each handler: (policy, seed, *decoded payload fields) -> (outputs, residuals).
-# Outputs are library values, a record or a dict of them; ``dispatch``
-# encodes them with ``jsonio.enc_value``, so a record's fields are its keys.
+def _k_independence(a, out) -> dict:
+    """K at the payload's direction against K at the least-squares one."""
+    from .incidence import k_constant
+    K, policy = out["k"], a["policy"]
+    K2 = k_constant(a["pencil"], a["lambda"], a["v"], a["mu"], a["u"], policy=policy,
+                    check_kernels=False)
+    return {"parameter_independence": _residual(abs(K - K2) / (1 + abs(K)), policy.rank_tol)}
 
-def _h_pf(policy, seed, P):
-    return {"pfaffian": P.pfaffian()}, {}
+
+def _round_trip(a, out) -> dict:
+    from .quartic import polar_cubic
+    w = a["coeffs"].flatten()
+    dev = float(np.max(np.abs(polar_cubic(out["quartic"]).flatten() - w)))
+    return {"round_trip": _residual(dev / max(float(np.max(np.abs(w))), 1e-300),
+                                    a["policy"].match_tol)}
 
 
-def _h_pf_minor(policy, seed, P, i, j):
+def _line_product(a, out) -> dict:
+    cubic, (l1, l2, l3), policy = a["cubic"], out["lines"], a["policy"]
+    prod = l1.as_poly() * l2.as_poly() * l3.as_poly()
+    dev = relative_deviation(cubic, prod, equal_up_to_scale(prod, cubic, policy))
+    return {"product_residual": _residual(dev, policy.match_tol)}
+
+
+def _scorza_match(a, out) -> dict:
+    """The covariant against the payload's ``expected`` quartic, up to scale."""
+    S, expected, policy = out["scorza"], a["expected"], a["policy"]
+    if expected is None:
+        return {}
+    scale = equal_up_to_scale(S, expected, policy)
+    if scale is not None:
+        out["scale_vs_expected"] = scale
+    return {"match_up_to_scale": _residual(relative_deviation(expected, S, scale),
+                                           policy.match_tol)}
+
+
+# -- the two calls whose payload needs a check the field kinds cannot make
+
+def _pf_minor(P, i, j):
     for name, k in (("i", i), ("j", j)):
         if k >= P.dim:
             raise SchemaError(f"index {k} out of range for dimension {P.dim}", "$.payload." + name)
     if i == j:
         raise SchemaError("minor indices must differ", "$.payload.j")
-    return {"minor": pfaffian_minor(P, i, j)}, {}
+    from .pencil import pfaffian_minor
+    return pfaffian_minor(P, i, j)
 
 
-def _h_adjoint(policy, seed, P, pt):
-    adj = pfaffian_adjoint_at(P, pt)
-    A = P(pt)
-    dev = np.max(np.abs(adj @ A - P.pfaffian()(pt) * np.eye(P.dim)))
-    scale = max(np.max(np.abs(adj)) * np.max(np.abs(A)), 1e-300)
-    return ({"adjoint": adj},
-            {"adjoint_identity": _residual(dev / scale, policy.match_tol)})
-
-
-def _h_kernel(policy, seed, P, pt):
-    kb = kernel_at(P, pt, policy)
-    kernel = {"point": kb.point, "vectors": kb.vectors.T, "residual": kb.residual}
-    return {"kernel": kernel}, {"kernel_residual": _residual(kb.residual, policy.rank_tol)}
-
-
-def _h_canon(policy, seed, P):
-    from .canonical import to_canonical
-    rep = to_canonical(P, policy)
-    return ({"report": rep},
-            {"block_residual": _residual(rep.residual, policy.match_tol),
-             "pf_scaling": _pf_scaling(P, rep.pencil, np.linalg.det(rep.basis_change), policy)})
-
-
-def _h_canon2(policy, seed, P):
-    from .canonical import second_canonical_transform, to_second_canonical
-    out = to_second_canonical(P, policy)
-    detq = float(np.linalg.det(second_canonical_transform(P.half_deg)).real)
-    return {"pencil": out, "det_q": detq}, {"pf_scaling": _pf_scaling(P, out, detq, policy)}
-
-
-def _h_gauge(policy, seed, P, blocks):
-    from .canonical import gauge_action
-    return _transformed(P, gauge_action(P, blocks, policy))
-
-
-def _h_structure(policy, seed, P):
-    from .canonical import structure_report
-    return {"report": structure_report(P, policy)}, {}
-
-
-def _h_tangent(policy, seed, P, pt):
-    from .incidence import tangent_line
-    ell = tangent_line(P, pt, policy)
-    return {"line": ell}, {"vanishing_at_point": _vanishing(ell, pt, policy)}
-
-
-def _h_line(policy, seed, P, lam, mu, v, u):
-    from .incidence import line_through
-    ell = line_through(P, lam, v, mu, u, policy)
-    # a genuine u^t A(x) v has coefficients of the size |A| |u| |v|
-    is_zero = ell.is_zero(P.scale() * np.linalg.norm(u) * np.linalg.norm(v), policy)
-    residuals = {} if is_zero else {"vanishing_at_lambda": _vanishing(ell, lam, policy),
-                                    "vanishing_at_mu": _vanishing(ell, mu, policy)}
-    return {"line": ell, "is_zero": is_zero}, residuals
-
-
-def _h_classify_pair(policy, seed, P, lam, mu):
-    from .incidence import classify_pair
-    pc = classify_pair(P, lam, mu, policy=policy)
-    return {"classification": {"kind": pc.kind, "kappa": pc.kappa,
-                               "special_vectors": pc.special_vectors}}, {}
-
-
-def _h_k_const(policy, seed, P, lam, mu, v, u, t1, t2):
-    from .incidence import k_constant
-    K = k_constant(P, lam, v, mu, u, t1, t2, policy)
-    K2 = k_constant(P, lam, v, mu, u, policy=policy, check_kernels=False)
-    return ({"k": K},
-            {"parameter_independence": _residual(abs(K - K2) / (1 + abs(K)), policy.rank_tol)})
-
-
-def _h_partners(policy, seed, P, lam, v, u):
-    from .incidence import partner_points
-    pts = partner_points(P, lam, v, u, policy)
-    worst = max((p.curve_residual for p in pts), default=0.0)
-    return ({"points": [p.pt for p in pts]},
-            {"curve_residual": _residual(worst, policy.match_tol)})
-
-
-def _h_type1(policy, seed, P, lam, mu, v, u):
-    from .transforms import type1
-    return _transformed(P, *type1(P, lam, mu, v, u, policy=policy))
-
-
-def _h_type2(policy, seed, P, lam, v, rho):
-    from .transforms import type2
-    return _transformed(P, *type2(P, lam, v, rho, policy=policy))
-
-
-def _h_conint(policy, seed, P, pts, vecs, rhos):
-    from .transforms import conint
-    return _transformed(P, *conint(P, pts, vecs, rhos, policy=policy))
-
-
-def _h_bundle_check(policy, seed, P, rec, samples, curve_samples):
-    from .transforms import bundle_maps_check
-    rep = bundle_maps_check(P, rec, samples, curve_samples, seed=seed, policy=policy)
-    residuals = {"intertwining_identity": _residual(rep.identity_residual, BUNDLE_TOL),
-                 "transport_angle": _residual(rep.transport_angle, TRANSPORT_ANGLE_TOL),
-                 "parameter_independence": _residual(rep.parameter_independence, BUNDLE_TOL)}
-    for name, val in rep.zero_patterns.items():
-        residuals[f"zero[{name}]"] = _residual(val, BUNDLE_TOL)
-    return {"report": rep}, residuals
-
-
-def _h_bridge(policy, seed, P, budget):
-    from .bridge import bridge_to_decomposable, stopping_target
-    res = bridge_to_decomposable(P, budget=budget, seed=seed, policy=policy)
-    target = stopping_target(P, policy)
-    return res, {"off_pattern_norm": _residual(res.off_pattern_norm, target),
-                 "pf_invariance": _pf_invariance(P, res.pencil)}
-
-
-def _h_polar_cubic(policy, seed, F):
-    from .quartic import polar_cubic
-    return {"coeffs": polar_cubic(F)}, {}
-
-
-def _h_aronhold(policy, seed, w):
-    from .quartic import aronhold_invariant
-    return {"pfaffian": aronhold_invariant(w)}, {}
-
-
-def _h_scorza(policy, seed, F, expected):
-    from .quartic import scorza_map
-    S = scorza_map(F)
-    outputs = {"scorza": S}
-    residuals = {}
-    if expected is not None:
-        scale = equal_up_to_scale(S, expected, policy)
-        if scale is not None:
-            outputs["scale_vs_expected"] = scale
-        residuals["match_up_to_scale"] = _residual(relative_deviation(expected, S, scale),
-                                                   policy.match_tol)
-    return outputs, residuals
-
-
-def _h_integrate_polar(policy, seed, w):
-    from .quartic import integrate_polar, polar_cubic
-    F = integrate_polar(w, policy)
-    back = polar_cubic(F)
-    dev = float(np.max(np.abs(back.flatten() - w.flatten())))
-    scale = max(float(np.max(np.abs(w.flatten()))), 1e-300)
-    return ({"quartic": F},
-            {"round_trip": _residual(dev / scale, policy.match_tol)})
-
-
-def _h_triangle(policy, seed, F, pt):
-    from .quartic import polar_triangle
-    tri = polar_triangle(F, pt, seed=seed, policy=policy)
-    return ({"triangle": tri},
-            {"three_cube_residual": _residual(tri.residual, policy.match_tol)})
-
-
-def _h_factor_lines(policy, seed, cubic):
-    from .quartic import factor_three_lines
-    lines = factor_three_lines(cubic, seed=seed, policy=policy)
-    prod = lines[0].as_poly() * lines[1].as_poly() * lines[2].as_poly()
-    dev = relative_deviation(cubic, prod, equal_up_to_scale(prod, cubic, policy))
-    return ({"lines": lines},
-            {"product_residual": _residual(dev, policy.match_tol)})
-
-
-def _h_related(policy, seed, M, lam, mu):
-    from .quartic import scorza_related
-    rel = scorza_related(M, lam, mu, policy)
-    # an unrelated pair has no pairing to hold to a tolerance, as a zero line has none
-    residuals = {}
-    if rel.related:
-        residuals["pairing_residual"] = _residual(max(rel.residuals), policy.match_tol)
-    return {"relation": rel}, residuals
-
-
-def _h_identify_theta(policy, seed, quartic, coeffs, cands, samples):
-    from .quartic import identify_theta
-    source = quartic if quartic is not None else coeffs
-    if source is None:
+def _identify_theta(quartic, coeffs, candidates, samples, seed, policy):
+    if quartic is None and coeffs is None:
         raise SchemaError("need either 'quartic' or 'coeffs'", "$.payload")
-    ident = identify_theta(source, cands, samples=samples, seed=seed, policy=policy)
-    return {"identification": ident}, {}
+    from .quartic import identify_theta
+    return identify_theta(coeffs if quartic is None else quartic, candidates, samples, seed,
+                          policy)
 
 
-def _h_bitangent(policy, seed, M, b_i, b_j):
-    from .quartic import bitangent_from_octad
-    ell = bitangent_from_octad(M, b_i, b_j, seed=seed, policy=policy)
-    return {"line": ell}, {}
-
-
-def _h_verify_replay(policy, seed, P, recs):
-    from .transforms import verify_replay
-    devs = verify_replay(P, recs, policy)
-    return ({"step_residuals": devs},
-            {"pf_invariance": _residual(max(devs, default=0.0), PF_TOL)})
-
-
-# kind -> (handler, payload fields)
+# kind -> (payload fields, call, output keys, residuals).  The call's arguments
+# are payload fields, ``policy`` and ``seed``.  One output key takes the
+# result, several the items of a tuple or the fields of a record, and a
+# function of the result builds other outputs.  A residual is an identity
+# above, or ``_carried``'s (name, value, tolerance[, guard]).
 COMMANDS = {
-    "pf": (_h_pf, "pencil"),
-    "pf-minor": (_h_pf_minor, "pencil i:int j:int"),
-    "adjoint": (_h_adjoint, "pencil point"),
-    "kernel": (_h_kernel, "pencil point"),
-    "canon": (_h_canon, "pencil"),
-    "canon2": (_h_canon2, "pencil"),
-    "gauge": (_h_gauge, "pencil blocks:matrix[]"),
-    "structure": (_h_structure, "pencil"),
-    "tangent": (_h_tangent, "pencil point"),
-    "line": (_h_line, "pencil lambda:point mu:point v:vector u:vector"),
-    "classify-pair": (_h_classify_pair, "pencil lambda:point mu:point"),
-    "k-const": (_h_k_const,
-                "pencil lambda:point mu:point v:vector u:vector t1:complex t2:complex"),
-    "partners": (_h_partners, "pencil lambda:point v:vector u:vector"),
-    "type1": (_h_type1, "pencil lambda:point mu:point v:vector u:vector"),
-    "type2": (_h_type2, "pencil lambda:point v:vector rho:complex"),
-    "conint": (_h_conint, "pencil points:point[] vectors:vector[] rhos:complex[]"),
-    "bundle-check": (_h_bundle_check,
-                     "pencil record samples:point[] curve_samples:point[]=[]"),
-    "bridge": (_h_bridge, "pencil budget:int=50"),
-    "polar-cubic": (_h_polar_cubic, "quartic:poly"),
-    "aronhold": (_h_aronhold, "coeffs:cubic_coeffs"),
-    "scorza": (_h_scorza, "quartic:poly expected:poly=null"),
-    "integrate-polar": (_h_integrate_polar, "coeffs:cubic_coeffs"),
-    "triangle": (_h_triangle, "quartic:poly point"),
-    "factor-lines": (_h_factor_lines, "cubic:poly"),
-    "related": (_h_related, "rep:detrep lambda:point mu:point"),
-    "identify-theta": (_h_identify_theta, "quartic:poly=null coeffs:cubic_coeffs=null "
-                                          "candidates:detrep[] samples:int=3"),
-    "bitangent": (_h_bitangent, "rep:detrep b_i:vector b_j:vector"),
-    "verify-replay": (_h_verify_replay, "pencil records:record[]"),
+    "pf": ("pencil", "pencil.SkewPencil.pfaffian pencil", "pfaffian", ()),
+    "pf-minor": ("pencil i:int j:int", "_pf_minor pencil i j", "minor", ()),
+    "adjoint": ("pencil point", "pencil.pfaffian_adjoint_at pencil point", "adjoint",
+                [_adjoint_identity]),
+    "kernel": ("pencil point", "pencil.kernel_at pencil point policy",
+               lambda kb: {"kernel": {"point": kb.point, "vectors": kb.vectors.T,
+                                      "residual": kb.residual}},
+               [("kernel_residual", "residual", "rank_tol")]),
+    "canon": ("pencil", "canonical.to_canonical pencil policy", "report",
+              [("block_residual", "residual", "match_tol"), _pf_scaling]),
+    "canon2": ("pencil", "canonical.to_second_canonical pencil policy", "pencil", [_pf_scaling]),
+    "gauge": ("pencil blocks:matrix[]", "canonical.gauge_action pencil blocks policy", "pencil",
+              [_pf_invariance]),
+    "structure": ("pencil", "canonical.structure_report pencil policy", "report", ()),
+    "tangent": ("pencil point", "incidence.tangent_line pencil point policy", "line",
+                [_vanishing]),
+    "line": ("pencil lambda:point mu:point v:vector u:vector",
+             "incidence.line_through pencil lambda v mu u policy", "line", [_vanishing]),
+    "classify-pair": ("pencil lambda:point mu:point",
+                      "incidence.classify_pair pencil lambda mu policy",
+                      lambda pc: {"classification": {"kind": pc.kind, "kappa": pc.kappa,
+                                                     "special_vectors": pc.special_vectors}},
+                      ()),
+    "k-const": ("pencil lambda:point mu:point v:vector u:vector t1:complex t2:complex",
+                "incidence.k_constant pencil lambda v mu u t1 t2 policy", "k",
+                [_k_independence]),
+    "partners": ("pencil lambda:point v:vector u:vector",
+                 "incidence.partner_points pencil lambda v u policy",
+                 lambda pts: {"points": [p.pt for p in pts]},
+                 [("curve_residual", "curve_residual", "match_tol")]),
+    "type1": ("pencil lambda:point mu:point v:vector u:vector",
+              "transforms.type1 pencil lambda mu v u policy", "pencil record", [_pf_invariance]),
+    "type2": ("pencil lambda:point v:vector rho:complex",
+              "transforms.type2 pencil lambda v rho policy", "pencil record", [_pf_invariance]),
+    "conint": ("pencil points:point[] vectors:vector[] rhos:complex[]",
+               "transforms.conint pencil points vectors rhos policy", "pencil record",
+               [_pf_invariance]),
+    "bundle-check": (
+        "pencil record samples:point[] curve_samples:point[]=[]",
+        "transforms.bundle_maps_check pencil record samples curve_samples seed policy", "report",
+        [("intertwining_identity", "identity_residual", BUNDLE_TOL),
+         ("transport_angle", "transport_angle", TRANSPORT_ANGLE_TOL, "curve_samples"),
+         ("parameter_independence", "parameter_independence", BUNDLE_TOL, "curve_samples"),
+         ("zero", "zero_patterns", BUNDLE_TOL)]),
+    "bridge": ("pencil budget:int=50", "bridge.bridge_to_decomposable pencil budget seed policy",
+               "records pencil off_pattern_norm converged history",
+               [("off_pattern_norm", "off_pattern_norm", "bridge.stopping_target pencil policy"),
+                _pf_invariance]),
+    "polar-cubic": ("quartic:poly", "quartic.polar_cubic quartic", "coeffs", ()),
+    "aronhold": ("coeffs:cubic_coeffs", "quartic.aronhold_invariant coeffs", "pfaffian", ()),
+    "scorza": ("quartic:poly expected:poly=null", "quartic.scorza_map quartic", "scorza",
+               [_scorza_match]),
+    "integrate-polar": ("coeffs:cubic_coeffs", "quartic.integrate_polar coeffs policy",
+                        "quartic", [_round_trip]),
+    "triangle": ("quartic:poly point", "quartic.polar_triangle quartic point seed policy",
+                 "triangle", [("three_cube_residual", "residual", "match_tol")]),
+    "factor-lines": ("cubic:poly", "quartic.factor_three_lines cubic seed policy", "lines",
+                     [_line_product]),
+    "related": ("rep:detrep lambda:point mu:point", "quartic.scorza_related rep lambda mu policy",
+                "relation", [("pairing_residual", "residuals", "match_tol", "related")]),
+    "identify-theta": (
+        "quartic:poly=null coeffs:cubic_coeffs=null candidates:detrep[] samples:int=3",
+        "_identify_theta quartic coeffs candidates samples seed policy", "identification", ()),
+    "bitangent": ("rep:detrep b_i:vector b_j:vector",
+                  "quartic.bitangent_from_octad rep b_i b_j seed policy", "line", ()),
+    "verify-replay": ("pencil records:record[]", "transforms.verify_replay pencil records policy",
+                      "step_residuals", [("pf_invariance", "", PF_TOL)]),
 }
 
 
@@ -373,7 +300,7 @@ def parse_problem(doc) -> dict:
     if not isinstance(payload, dict):
         raise SchemaError("payload must be a JSON object", "$.payload")
     tol = doc.get("tolerances", {})
-    if not isinstance(tol, dict) or not set(tol) <= {"zero_tol", "rank_tol", "match_tol"}:
+    if not isinstance(tol, dict) or not set(tol) <= set(_TOLERANCES):
         raise SchemaError("tolerances may override zero_tol, rank_tol, match_tol",
                           "$.tolerances")
     for name, value in tol.items():
@@ -386,7 +313,9 @@ def parse_problem(doc) -> dict:
 
 
 def _policy_from(tol_dict: dict, base: TolerancePolicy) -> TolerancePolicy:
-    kw = {"zero_tol": base.zero_tol, "rank_tol": base.rank_tol, "match_tol": base.match_tol}
+    """``base`` with the tolerances named in ``tol_dict`` overridden: the one
+    rule of a problem's ``tolerances`` and of ``--tol``."""
+    kw = {name: getattr(base, name) for name in _TOLERANCES}
     for name, value in tol_dict.items():
         try:
             kw[name] = float(value)
@@ -402,10 +331,22 @@ def dispatch(problem: dict, base_policy: TolerancePolicy = DEFAULT_POLICY) -> di
     """Run one validated problem and assemble its run report."""
     policy = _policy_from(problem["tolerances"], base_policy)
     digest = sha256(json.dumps(problem["payload"], sort_keys=True).encode()).hexdigest()[:16]
-    handler, fields = COMMANDS[problem["kind"]]
+    fields, call, keys, checks = COMMANDS[problem["kind"]]
     start = time.perf_counter()
-    outputs, residuals = handler(policy, problem["seed"],
-                                 *io.dec_fields(fields, problem["payload"], "$.payload", policy))
+    names = [word.partition("=")[0].partition(":")[0] for word in fields.split()]
+    a = dict(zip(names, io.dec_fields(fields, problem["payload"], "$.payload", policy)),
+             policy=policy, seed=problem["seed"])
+    result = _call(call, a)
+    if callable(keys):
+        outputs = keys(result)
+    elif " " not in keys:
+        outputs = {keys: result}
+    else:
+        outputs = (dict(zip(keys.split(), result)) if isinstance(result, tuple)
+                   else {key: getattr(result, key) for key in keys.split()})
+    residuals = {}
+    for check in checks:
+        residuals.update(check(a, outputs) if callable(check) else _carried(a, result, *check))
     outputs = io.enc_value(outputs)
     elapsed = time.perf_counter() - start
     return {"command": problem["kind"], "inputs_digest": digest,
@@ -469,13 +410,13 @@ def _exit_code_for(report: dict) -> int:
     return _EXIT_NUMERICAL if bad else 0
 
 
-def _run_batch_problem(doc, index: int, seed: int | None,
-                       base_policy: TolerancePolicy) -> dict:
-    """One batch problem: its run report, or an error entry if it fails.
+def _run_problem(doc, index: int | None, seed: int | None, base_policy: TolerancePolicy) -> dict:
+    """The run report of a batch's ``index``-th problem, or its error entry,
+    or of a single problem (``index`` None), whose failure is raised.
 
-    A schema error's path is moved under ``$[index]``, the problem's place
-    in the batch.  An error entry reports the problem's kind and seed only
-    where they are valid, and ``None`` where they are not.
+    A batch problem's schema error path is moved under ``$[index]``, its
+    place in the batch.  An error entry reports the problem's kind and seed
+    only where they are valid, and ``None`` where they are not.
     """
     try:
         problem = parse_problem(doc)
@@ -483,11 +424,12 @@ def _run_batch_problem(doc, index: int, seed: int | None,
             problem["seed"] = seed
         return dispatch(problem, base_policy)
     except (PfaffrepError, ValueError) as exc:
+        if index is None:
+            raise
         if isinstance(exc, SchemaError):
             exc = exc.under(f"$[{index}]")
         raw = doc if isinstance(doc, dict) else {}
-        return {"command": _valid_kind(raw),
-                "seed": _valid_seed(raw) if seed is None else seed,
+        return {"command": _valid_kind(raw), "seed": _valid_seed(raw) if seed is None else seed,
                 "error": {"type": type(exc).__name__, "message": str(exc),
                           "exit_code": _failure(exc)[0]}}
 
@@ -539,9 +481,9 @@ def _base_policy(tol_arg: str | None) -> TolerancePolicy:
     if len(parts) != 3:
         raise SchemaError("--tol needs three comma-separated values (zero,rank,match)")
     try:
-        return TolerancePolicy(*(float(p) for p in parts))
-    except ValueError as exc:
-        raise SchemaError(f"bad --tol: {exc}")
+        return _policy_from(dict(zip(_TOLERANCES, parts)), DEFAULT_POLICY)
+    except (SchemaError, ValueError) as exc:
+        raise SchemaError(f"bad --tol: {getattr(exc, 'message', exc)}") from None
 
 
 def main(argv=None) -> int:
@@ -550,50 +492,37 @@ def main(argv=None) -> int:
     args = parser.parse_intermixed_args(argv)
     if args.seed is not None and args.seed < 0:
         parser.error("argument --seed: expected a nonnegative integer")
+    batch = args.command == "batch"
     try:
         base_policy = _base_policy(args.tol)
-        doc = _load_json(args.problem)
-        if args.command == "batch":
-            if not isinstance(doc, list):
-                raise SchemaError("batch input must be a JSON array", "$")
-            reports = [_run_batch_problem(p, i, None if args.seed is None else args.seed + i,
-                                          base_policy)
-                       for i, p in enumerate(doc)]
-            if args.format == "json":
-                print(json.dumps([_public(r) for r in reports], sort_keys=True))
-            else:
-                print("\n".join(_render_text(r) for r in reports))
-            return max((_exit_code_for(r) for r in reports), default=0)
-
-        if args.command != "run" and isinstance(doc, dict):
-            if "kind" in doc and doc["kind"] != args.command:
-                raise SchemaError(
-                    f"file kind {doc['kind']!r} does not match subcommand {args.command!r}",
-                    "$.kind")
-            doc = {**doc, "kind": args.command}
-        problem = parse_problem(doc)
-        if args.seed is not None:
-            problem["seed"] = args.seed
-        report = dispatch(problem, base_policy)
-        print(json.dumps(_public(report), sort_keys=True) if args.format == "json"
-              else _render_text(report))
-        return _exit_code_for(report)
+        docs = _load_json(args.problem)
+        if batch and not isinstance(docs, list):
+            raise SchemaError("batch input must be a JSON array", "$")
+        if not batch:
+            if args.command != "run" and isinstance(docs, dict):
+                if "kind" in docs and docs["kind"] != args.command:
+                    raise SchemaError(f"file kind {docs['kind']!r} does not match "
+                                      f"subcommand {args.command!r}", "$.kind")
+                docs = {**docs, "kind": args.command}
+            docs = [docs]
+        reports = [_run_problem(doc, i if batch else None,
+                                None if args.seed is None else args.seed + i, base_policy)
+                   for i, doc in enumerate(docs)]
     except (PfaffrepError, ValueError) as exc:
         code, label = _failure(exc)
         print(f"pfaffrep: {label}: {exc}", file=sys.stderr)
         return code
+    if args.format == "json":
+        public = [_public(r) for r in reports]
+        print(json.dumps(public if batch else public[0], sort_keys=True))
+    else:
+        print("\n".join(_render_text(r) for r in reports))
+    return max(_exit_code_for(r) for r in reports) if reports else 0
 
 
 def process_main() -> int:
-    """The process entry of ``python -m pfaffrep.cli`` and the ``pfaffrep`` script.
-
-    The objects loaded so far are moved to the collector's permanent
-    generation and the collector runs for the problem, so a long batch
-    still frees its cyclic garbage.  After ``main`` they are frozen again:
-    the collections of interpreter finalization then skip the start-up heap,
-    while stdout is still flushed and atexit handlers still run.  Only a
-    process should call this; ``main`` leaves the caller's collector alone.
-    """
+    """The process entry: the start-up heap stays frozen, the collector runs
+    for the problem, and finalization skips the heap again (README, "Start-up")."""
     gc.freeze()
     gc.enable()
     try:

@@ -223,6 +223,12 @@ def factor_three_lines(c: HomPoly, seed: int = 0,
     raise NotAProductOfLines(last_reason)
 
 
+def _cubes(G) -> np.ndarray:
+    """The raveled coefficients of ``(G[k] . x)^3``, one column for each line ``G[k]``."""
+    return np.stack([(p * p * p).c.ravel() for p in (LinearForm(*g).as_poly() for g in G)],
+                    axis=1)
+
+
 class PolarTriangle(Record):
     """Cube-scaled lines with ``polar = g1^3 + g2^3 + g3^3`` and their vertices.
 
@@ -241,8 +247,11 @@ def polar_triangle(F: HomPoly, lam: ProjPoint, seed: int = 0,
 
     The three lines are found by factoring the Hessian determinant of
     the polar cubic; the cube weights come from a least-squares solve,
-    and the principal cube root folds them into the lines.  Vertices are
-    pairwise line intersections.
+    and the principal cube root folds them into the lines.  One joint
+    Gauss-Newton step on ``g1^3 + g2^3 + g3^3 = c3`` (the derivative in the
+    coefficient ``j`` of ``g_k`` is ``3 g_k^2 x_j``) then removes the
+    rounding of the factored Hessian.  Vertices are pairwise intersections
+    of the refined lines.
     """
     c3 = polar_cubic_at(F, lam)
     if c3.is_zero():
@@ -254,14 +263,17 @@ def polar_triangle(F: HomPoly, lam: ProjPoint, seed: int = 0,
         ells = factor_three_lines(hd, seed=seed, policy=policy)
     except NotAProductOfLines as exc:
         raise DegenerateHessian(str(exc)) from exc
-    cubes = np.stack([(ell.as_poly() * ell.as_poly() * ell.as_poly()).c.ravel()
-                      for ell in ells], axis=1)
     b = c3.c.ravel()
-    sol, *_ = np.linalg.lstsq(cubes, b, rcond=None)
-    residual = float(np.max(np.abs(cubes @ sol - b))) / c3.max_coeff()
+    sol, *_ = np.linalg.lstsq(_cubes([ell.coeffs for ell in ells]), b, rcond=None)
+    G = np.array([ell.coeffs * complex(ck) ** (1.0 / 3.0) for ck, ell in zip(sol, ells)])
+    J = 3.0 * np.column_stack([(p * p * LinearForm(*e).as_poly()).c.ravel()
+                               for p in (LinearForm(*g).as_poly() for g in G)
+                               for e in np.eye(3)])
+    G = G + np.linalg.lstsq(J, b - _cubes(G).sum(axis=1), rcond=None)[0].reshape(3, 3)
+    residual = float(np.max(np.abs(_cubes(G).sum(axis=1) - b))) / c3.max_coeff()
     if residual > policy.match_tol:
         raise DegenerateHessian(f"three-cube fit fails (residual {residual:.3g})")
-    gs = tuple(ell.scaled(complex(ck) ** (1.0 / 3.0)) for ck, ell in zip(sol, ells))
+    gs = tuple(LinearForm(*g) for g in G)
     verts = []
     for k in range(3):
         others = [gs[i].coeffs for i in range(3) if i != k]

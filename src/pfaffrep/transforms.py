@@ -252,9 +252,13 @@ def bundle_maps_check(P: SkewPencil, record: TransformRecord,
     right factors on old kernel vectors nor the left factors on new ones
     depend on the direction parameters.
 
-    Raises :class:`SampleOnExceptionalLine` when a sample annihilates
-    one of the rational denominators; the caller should resample.
+    Raises :class:`PreconditionError` without samples, whose identity
+    residual would check nothing, and :class:`SampleOnExceptionalLine` when
+    a sample annihilates one of the rational denominators; the caller
+    should resample.
     """
+    if not samples:
+        raise PreconditionError("need at least one sample point")
     if record.kind == "I":
         c = 1 / record.k_value
         bases = [(record.lam, "lambda", record.u, record.v, c),

@@ -140,6 +140,31 @@ def test_drawing_commands_load_no_numpy_random():
     assert "numpy.random" not in loaded
 
 
+def test_a_single_problem_runs_as_a_batch_of_one(tmp_path, capsys):
+    """``main([kind, file])`` and ``main(["batch", file of [doc]])`` agree on the
+    exit code, the report and the error message, up to the batch slot's ``$[0]``."""
+    from pfaffrep.cli import COMMANDS, main
+    docs = _first_cli_small_docs()
+    pf = docs["pf"]
+    malformed = [{"kind": "bogus", "payload": {}}, {**pf, "payload": {}}, {**pf, "seed": -1}]
+    single, batch = tmp_path / "single.json", tmp_path / "batch.json"
+    for doc in [*docs.values(), *malformed]:
+        single.write_text(json.dumps(doc))
+        batch.write_text(json.dumps([doc]))
+        command = doc["kind"] if doc["kind"] in COMMANDS else "run"
+        code = main([command, str(single), "--format", "json"])
+        alone = capsys.readouterr()
+        assert main(["batch", str(batch), "--format", "json"]) == code, doc["kind"]
+        (entry,) = json.loads(capsys.readouterr().out)
+        if "error" in entry:
+            assert code == entry["error"]["exit_code"] and not alone.out
+            message = entry["error"]["message"].replace("(at $[0]", "(at $")
+            assert alone.err.split(": ", 2)[2] == message + "\n"
+        else:
+            assert json.loads(alone.out) == entry and not alone.err
+    assert code == 2 and "seed must be a nonnegative integer (at $.seed)" in alone.err
+
+
 # The commands whose reports the README promises do not depend on the seed.
 SEED_FREE = ["canon", "type1", "conint", "classify-pair"]
 

@@ -10,8 +10,11 @@ from pfaffrep import (DEFAULT_POLICY, CorankNotOne, CubicCoeffs, HomPoly, Incons
                       polar_cubic, polar_cubic_at,
                       polar_triangle, sample_curve_points, scorza_map,
                       scorza_related)
+from pfaffrep import jsonio as io
+from pfaffrep.tolerances import draws
 from conftest import CBRT107, theta_rep
 from oracles import coeff_rel_dev, pfaffian_by_matchings
+from test_package import _bench_problems
 
 
 def random_quartic(rng):
@@ -237,6 +240,22 @@ def test_polar_triangle_plant_and_recover(rng):
                         for (a, b, c), v in cubic.terms.items()})
         tri = polar_triangle(F, ProjPoint(1, 0, 0), seed=trial)
         assert tri.residual <= 1e-6
+
+
+def test_polar_triangle_fits_the_polar_to_rounding():
+    """The benchmark's cli-small seed 2108, problem 66: the cube weights of the
+    factored Hessian alone fit the polar to 2.3e-8; the joint Gauss-Newton step
+    on the three lines brings the fit to rounding."""
+    doc = _bench_problems().problem("cli-small", 2108, 66)["doc"]
+    assert doc["kind"] == "triangle"
+    F, pt = io.dec_poly(doc["payload"]["quartic"]), io.dec_point(doc["payload"]["point"])
+    tri = polar_triangle(F, pt, seed=doc["seed"])
+    assert tri.residual <= 1e-12
+    # independently, as the benchmark's checker does: both sides at random points
+    xs, polar = draws(3)(6, 3), polar_cubic_at(F, pt)
+    cubes = np.array([sum(g(x) ** 3 for g in tri.lines) for x in xs])
+    want = np.array([polar(x) for x in xs])
+    assert np.max(np.abs(cubes - want)) <= 1e-11 * np.max(np.abs(want))
 
 
 # -- the kernel pairing ----------------------------------------------------------

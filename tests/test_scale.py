@@ -282,3 +282,19 @@ def test_replay_start_check_is_relative_to_the_pencil(rng):
         text=True, input=json.dumps({"kind": "verify-replay", "payload": {
             "pencil": io.enc_pencil(P), "records": [io.enc_value(rec)]}}))
     assert proc.returncode == 4, proc.stdout
+
+
+def test_the_scale_sweep_reads_no_failure(monkeypatch, capsys):
+    """``tools/scale_sweep.py``, run in-process on seed 1 through ``cli.dispatch``,
+    ``_failure``, ``_exit_code_for`` and ``_public``, fails no problem."""
+    import importlib.util
+    from pathlib import Path
+    monkeypatch.setattr(sys, "path", list(sys.path))  # the tool adds bench/ and src/
+    path = Path(__file__).resolve().parent.parent / "tools" / "scale_sweep.py"
+    spec = importlib.util.spec_from_file_location("scale_sweep", path)
+    sweep = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(sweep)
+    assert sweep.main(["--seeds", "1"]) == 0
+    out = capsys.readouterr().out
+    assert "wide sweep, seeds [1]: 0 of 144 failed, 0 silent" in out
+    assert "scale_probe, seeds [1]: 0 of 21 failed" in out

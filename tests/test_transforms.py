@@ -203,6 +203,13 @@ def test_bundle_maps_reject_a_record_of_another_pencil():
         bundle_maps_check(R, _type2_record(Q), samples)
 
 
+def test_bundle_maps_need_a_sample():
+    # without samples the intertwining identity would be checked nowhere
+    P = random_pencil(np.random.default_rng(2), 6)
+    with pytest.raises(PreconditionError, match="need at least one sample point"):
+        bundle_maps_check(P, _type2_record(P), [])
+
+
 def test_bundle_maps_type1(rng):
     P = random_pencil(rng, 6)
     lam, mu, v, u = admissible_data(P)

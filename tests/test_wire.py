@@ -185,3 +185,29 @@ def test_enc_value_rules():
     assert np.array_equal(io.dec_record(out).lam.coords, rec.lam.coords)
     with pytest.raises(TypeError, match="object"):
         io.enc_value(object())
+
+
+def _bundle_check(problems, **payload) -> dict:
+    doc = problems["bundle-check"]
+    return {**doc, "payload": {**doc["payload"], **payload}}
+
+
+def test_bundle_check_reports_curve_residuals_only_with_curve_samples(problems):
+    curve = {"transport_angle", "parameter_independence"}
+    report = dispatch(parse_problem(_bundle_check(problems)))
+    assert curve <= set(report["residuals"])
+    report = dispatch(parse_problem(_bundle_check(problems, curve_samples=[])))
+    assert "intertwining_identity" in report["residuals"]
+    assert curve.isdisjoint(report["residuals"])
+    assert _exit_code_for(report) == 0
+
+
+def test_bundle_check_without_samples_is_a_violated_precondition(problems, monkeypatch,
+                                                                 capsys):
+    doc = _bundle_check(problems, samples=[], curve_samples=[])
+    data = json.dumps(doc).encode()
+    monkeypatch.setattr("sys.stdin", SimpleNamespace(buffer=SimpleNamespace(read=lambda: data)))
+    assert main(["bundle-check", "-"]) == 4
+    out = capsys.readouterr()
+    assert not out.out
+    assert out.err == "pfaffrep: precondition violated: need at least one sample point\n"
