@@ -204,8 +204,8 @@ def _identify_theta(quartic, coeffs, candidates, samples, seed, policy):
 # function of the result builds other outputs.  A residual is an identity
 # above, or ``_carried``'s (name, value, tolerance[, guard]).
 COMMANDS = {
-    "pf": ("pencil", "pencil.SkewPencil.pfaffian pencil", "pfaffian", ()),
-    "pf-minor": ("pencil i:int j:int", "_pf_minor pencil i j", "minor", ()),
+    "pf": ("pencil", "pencil.SkewPencil.pfaffian pencil", "pfaffian", []),
+    "pf-minor": ("pencil i:int j:int", "_pf_minor pencil i j", "minor", []),
     "adjoint": ("pencil point", "pencil.pfaffian_adjoint_at pencil point", "adjoint",
                 [_adjoint_identity]),
     "kernel": ("pencil point", "pencil.kernel_at pencil point policy",
@@ -217,7 +217,7 @@ COMMANDS = {
     "canon2": ("pencil", "canonical.to_second_canonical pencil policy", "pencil", [_pf_scaling]),
     "gauge": ("pencil blocks:matrix[]", "canonical.gauge_action pencil blocks policy", "pencil",
               [_pf_invariance]),
-    "structure": ("pencil", "canonical.structure_report pencil policy", "report", ()),
+    "structure": ("pencil", "canonical.structure_report pencil policy", "report", []),
     "tangent": ("pencil point", "incidence.tangent_line pencil point policy", "line",
                 [_vanishing]),
     "line": ("pencil lambda:point mu:point v:vector u:vector",
@@ -226,7 +226,7 @@ COMMANDS = {
                       "incidence.classify_pair pencil lambda mu policy",
                       lambda pc: {"classification": {"kind": pc.kind, "kappa": pc.kappa,
                                                      "special_vectors": pc.special_vectors}},
-                      ()),
+                      []),
     "k-const": ("pencil lambda:point mu:point v:vector u:vector t1:complex t2:complex",
                 "incidence.k_constant pencil lambda v mu u t1 t2 policy", "k",
                 [_k_independence]),
@@ -252,8 +252,8 @@ COMMANDS = {
                "records pencil off_pattern_norm converged history",
                [("off_pattern_norm", "off_pattern_norm", "bridge.stopping_target pencil policy"),
                 _pf_invariance]),
-    "polar-cubic": ("quartic:poly", "quartic.polar_cubic quartic", "coeffs", ()),
-    "aronhold": ("coeffs:cubic_coeffs", "quartic.aronhold_invariant coeffs", "pfaffian", ()),
+    "polar-cubic": ("quartic:poly", "quartic.polar_cubic quartic", "coeffs", []),
+    "aronhold": ("coeffs:cubic_coeffs", "quartic.aronhold_invariant coeffs", "pfaffian", []),
     "scorza": ("quartic:poly expected:poly=null", "quartic.scorza_map quartic", "scorza",
                [_scorza_match]),
     "integrate-polar": ("coeffs:cubic_coeffs", "quartic.integrate_polar coeffs policy",
@@ -266,9 +266,9 @@ COMMANDS = {
                 "relation", [("pairing_residual", "residuals", "match_tol", "related")]),
     "identify-theta": (
         "quartic:poly=null coeffs:cubic_coeffs=null candidates:detrep[] samples:int=3",
-        "_identify_theta quartic coeffs candidates samples seed policy", "identification", ()),
+        "_identify_theta quartic coeffs candidates samples seed policy", "identification", []),
     "bitangent": ("rep:detrep b_i:vector b_j:vector",
-                  "quartic.bitangent_from_octad rep b_i b_j seed policy", "line", ()),
+                  "quartic.bitangent_from_octad rep b_i b_j seed policy", "line", []),
     "verify-replay": ("pencil records:record[]", "transforms.verify_replay pencil records policy",
                       "step_residuals", [("pf_invariance", "", PF_TOL)]),
 }
