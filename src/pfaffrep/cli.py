@@ -190,19 +190,18 @@ def _pf_minor(P, i, j):
     return pfaffian_minor(P, i, j)
 
 
-def _identify_theta(quartic, coeffs, candidates, samples, seed, policy):
+def _identify_theta(quartic, coeffs, candidates, samples, policy):
     if quartic is None and coeffs is None:
         raise SchemaError("need either 'quartic' or 'coeffs'", "$.payload")
     from .quartic import identify_theta
-    return identify_theta(coeffs if quartic is None else quartic, candidates, samples, seed,
-                          policy)
+    return identify_theta(coeffs if quartic is None else quartic, candidates, samples, policy)
 
 
 # kind -> (payload fields, call, output keys, residuals).  The call's arguments
-# are payload fields, ``policy`` and ``seed``.  One output key takes the
-# result, several the items of a tuple or the fields of a record, and a
-# function of the result builds other outputs.  A residual is an identity
-# above, or ``_carried``'s (name, value, tolerance[, guard]).
+# are payload fields, ``policy`` and, for the bridge alone, ``seed``.  One
+# output key takes the result, several the items of a tuple or the fields of
+# a record, and a function of the result builds other outputs.  A residual is
+# an identity above, or ``_carried``'s (name, value, tolerance[, guard]).
 COMMANDS = {
     "pf": ("pencil", "pencil.SkewPencil.pfaffian pencil", "pfaffian", []),
     "pf-minor": ("pencil i:int j:int", "_pf_minor pencil i j", "minor", []),
@@ -243,7 +242,7 @@ COMMANDS = {
                [_pf_invariance]),
     "bundle-check": (
         "pencil record samples:point[] curve_samples:point[]=[]",
-        "transforms.bundle_maps_check pencil record samples curve_samples seed policy", "report",
+        "transforms.bundle_maps_check pencil record samples curve_samples policy", "report",
         [("intertwining_identity", "identity_residual", BUNDLE_TOL),
          ("transport_angle", "transport_angle", TRANSPORT_ANGLE_TOL, "curve_samples"),
          ("parameter_independence", "parameter_independence", BUNDLE_TOL, "curve_samples"),
@@ -258,17 +257,17 @@ COMMANDS = {
                [_scorza_match]),
     "integrate-polar": ("coeffs:cubic_coeffs", "quartic.integrate_polar coeffs policy",
                         "quartic", [_round_trip]),
-    "triangle": ("quartic:poly point", "quartic.polar_triangle quartic point seed policy",
+    "triangle": ("quartic:poly point", "quartic.polar_triangle quartic point policy",
                  "triangle", [("three_cube_residual", "residual", "match_tol")]),
-    "factor-lines": ("cubic:poly", "quartic.factor_three_lines cubic seed policy", "lines",
+    "factor-lines": ("cubic:poly", "quartic.factor_three_lines cubic policy", "lines",
                      [_line_product]),
     "related": ("rep:detrep lambda:point mu:point", "quartic.scorza_related rep lambda mu policy",
                 "relation", [("pairing_residual", "residuals", "match_tol", "related")]),
     "identify-theta": (
         "quartic:poly=null coeffs:cubic_coeffs=null candidates:detrep[] samples:int=3",
-        "_identify_theta quartic coeffs candidates samples seed policy", "identification", []),
+        "_identify_theta quartic coeffs candidates samples policy", "identification", []),
     "bitangent": ("rep:detrep b_i:vector b_j:vector",
-                  "quartic.bitangent_from_octad rep b_i b_j seed policy", "line", []),
+                  "quartic.bitangent_from_octad rep b_i b_j policy", "line", []),
     "verify-replay": ("pencil records:record[]", "transforms.verify_replay pencil records policy",
                       "step_residuals", [("pf_invariance", "", PF_TOL)]),
 }

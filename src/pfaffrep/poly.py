@@ -17,8 +17,7 @@ from typing import Iterable, Mapping
 import numpy as np
 
 from .errors import NumericalError, PreconditionError, RepeatedRoots
-from .tolerances import (DEFAULT_POLICY, Held, Record, TolerancePolicy, require_finite,
-                         require_finite_array)
+from .tolerances import DEFAULT_POLICY, Held, Record, TolerancePolicy, require_finite_array
 
 Triple = tuple[int, int, int]
 
@@ -31,9 +30,10 @@ class LinearForm(Record):
     c2: complex
 
     def __post_init__(self):
-        require_finite(self.c0, self.c1, self.c2)
-        for name in ("c0", "c1", "c2"):
-            object.__setattr__(self, name, complex(getattr(self, name)))
+        c = np.array([self.c0, self.c1, self.c2], dtype=complex)
+        require_finite_array(c)
+        for name, z in zip(("c0", "c1", "c2"), c.tolist()):
+            object.__setattr__(self, name, z)
 
     @property
     def coeffs(self) -> np.ndarray:
@@ -250,7 +250,7 @@ class ProjPoint(Held):
     def __init__(self, x0: complex, x1: complex, x2: complex,
                  policy: TolerancePolicy = DEFAULT_POLICY):
         raw = np.array([x0, x1, x2], dtype=complex)
-        require_finite(*raw)
+        require_finite_array(raw)
         mag = np.abs(raw)
         if not mag.any():
             raise ValueError("all coordinates are zero")

@@ -25,7 +25,6 @@ import numpy as np
 from .errors import (CorankNotOne, DegenerateHessian, InconsistentPolarData,
                      MultipleMatches, NoMatch, NotAProductOfLines, NotOnBaseLocus,
                      PreconditionError, TangencyCheckFailed)
-from .incidence import sample_curve_points
 from .pencil import DetRep, SkewPencil, _gauge, pfaffian_numeric
 from .poly import HomPoly, LinearForm, ProjPoint, close_pair, equal_up_to_scale, univariate_roots
 from .tolerances import DEFAULT_POLICY, Record, TolerancePolicy, draws, null_space
@@ -175,24 +174,24 @@ def hessian_det(cubic: HomPoly) -> HomPoly:
             + H[0][2] * (H[1][0] * H[2][1] - H[1][1] * H[2][0]))
 
 
-def factor_three_lines(c: HomPoly, seed: int = 0,
-                       policy: TolerancePolicy = DEFAULT_POLICY
+def factor_three_lines(c: HomPoly, policy: TolerancePolicy = DEFAULT_POLICY
                        ) -> tuple[LinearForm, LinearForm, LinearForm]:
     """Split a cubic that is a product of three distinct lines.
 
     At a point on exactly one of the lines, the gradient of ``l1 l2 l3`` is
     a multiple of that line's coefficients; so each of the three roots on a
     generic line gives one factor, and one Gauss-Newton step of the three
-    against the cubic removes the rounding of the gradients.  The line is
-    redrawn (up to 8 times) when roots nearly collide or the factors do not
-    reproduce the cubic.  The returned forms are unit-norm; their product
-    matches the input up to one scalar.
+    against the cubic removes the rounding of the gradients.  The lines come
+    from the fixed stream ``draws(0)``; the next is tried (up to 8) when
+    roots nearly collide or the factors do not reproduce the cubic.  The
+    returned forms are unit-norm; their product matches the input up to one
+    scalar.
     """
     if c.degree != 3:
         raise ValueError("expected a cubic")
     if c.is_zero():
         raise NotAProductOfLines("the zero cubic has no line factors")
-    draw = draws(seed)
+    draw = draws(0)
     last_reason = "no usable restriction lines"
     for _ in range(8):
         base, direction = draw(2, 3)
@@ -241,7 +240,7 @@ class PolarTriangle(Record):
     residual: float
 
 
-def polar_triangle(F: HomPoly, lam: ProjPoint, seed: int = 0,
+def polar_triangle(F: HomPoly, lam: ProjPoint,
                    policy: TolerancePolicy = DEFAULT_POLICY) -> PolarTriangle:
     """Express the polar cubic at ``lam`` as a sum of three cubes.
 
@@ -260,7 +259,7 @@ def polar_triangle(F: HomPoly, lam: ProjPoint, seed: int = 0,
     if hd.is_zero():
         raise DegenerateHessian("Hessian determinant vanishes identically")
     try:
-        ells = factor_three_lines(hd, seed=seed, policy=policy)
+        ells = factor_three_lines(hd, policy)
     except NotAProductOfLines as exc:
         raise DegenerateHessian(str(exc)) from exc
     b = c3.c.ravel()
@@ -329,7 +328,7 @@ class ThetaIdentification(Record):
 
 def identify_theta(source: HomPoly | CubicCoeffs,
                    candidates: Sequence[SymDetRep],
-                   samples: int = 3, seed: int = 0,
+                   samples: int = 3,
                    policy: TolerancePolicy = DEFAULT_POLICY,
                    det_match_tol: float | None = None) -> ThetaIdentification:
     """Pick the symmetric representation realizing the polar-triangle pairing.
@@ -362,7 +361,8 @@ def identify_theta(source: HomPoly | CubicCoeffs,
         if equal_up_to_scale(M.det_poly(), S, det_policy) is None:
             raise PreconditionError(
                 f"candidate {idx} is not a determinantal representation of the covariant")
-    pts = sample_curve_points(S, 3 * samples, seed=seed, policy=policy)
+    from .incidence import sample_curve_points
+    pts = sample_curve_points(S, 3 * samples, policy=policy)
     alive = set(range(len(candidates)))
     evidence: list[dict] = []
     used = 0
@@ -370,7 +370,7 @@ def identify_theta(source: HomPoly | CubicCoeffs,
         if used >= samples:
             break
         try:
-            tri = polar_triangle(F, cp.pt, seed=seed + used, policy=policy)
+            tri = polar_triangle(F, cp.pt, policy)
         except DegenerateHessian:
             continue
         used += 1
@@ -401,7 +401,6 @@ def identify_theta(source: HomPoly | CubicCoeffs,
 
 
 def bitangent_from_octad(M: SymDetRep, b_i: np.ndarray, b_j: np.ndarray,
-                         seed: int = 0,
                          policy: TolerancePolicy = DEFAULT_POLICY) -> LinearForm:
     """The bitangent ``x -> b_i^t M(x) b_j`` from two base points of the net.
 
@@ -423,14 +422,13 @@ def bitangent_from_octad(M: SymDetRep, b_i: np.ndarray, b_j: np.ndarray,
     if len(null_space(np.column_stack([b_i, b_j]), policy.rank_tol)[0]):
         raise PreconditionError("the two base points must be distinct")
     ell = M.pairing(b_i, b_j)
-    _check_double_tangency(M.det_poly(), ell, seed, policy)
+    _check_double_tangency(M.det_poly(), ell, policy)
     return ell
 
 
-def _check_double_tangency(quartic: HomPoly, ell: LinearForm, seed: int,
-                           policy: TolerancePolicy) -> None:
+def _check_double_tangency(quartic: HomPoly, ell: LinearForm, policy: TolerancePolicy) -> None:
     span = null_space(ell.coeffs.reshape(1, 3), policy.rank_tol)[0][-2:]
-    mix = draws(seed)(2, 2)
+    mix = draws(0)(2, 2)
     base = mix[0, 0] * span[0] + mix[0, 1] * span[1]
     direction = mix[1, 0] * span[0] + mix[1, 1] * span[1]
     roots = univariate_roots(quartic.restrict_line(base, direction), policy)

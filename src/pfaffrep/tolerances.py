@@ -9,7 +9,8 @@ drives rank decisions, ``match_tol`` accepts or rejects residuals.
 Every rank, kernel and full-rank decision goes through :func:`null_space`,
 which holds the one rank rule: a singular value counts as zero when it is
 at most ``tol`` times the largest one (times 1 for the zero matrix).
-Every seeded random choice comes from :func:`draws`.
+Every generic choice comes from :func:`draws`: the bridge's from the
+problem's seed, every other one from the fixed stream ``draws(0)``.
 
 The module also holds :class:`Record`, the base of the policy and of the
 library's other immutable value records, and :class:`Held`, the base of
@@ -27,23 +28,13 @@ import numpy as np
 _MISSING = object()
 
 
-class factory:
-    """A default made afresh for each record by calling ``make()``."""
-
-    __slots__ = ("make",)
-
-    def __init__(self, make):
-        self.make = make
-
-
 class Record:
     """Base of the library's immutable records.
 
     A subclass declares its fields as annotated names of its class body,
-    in order; a class attribute of the same name is the field's default,
-    and a :class:`factory` default is called once per record.  Records
-    are built by position or keyword, then ``__post_init__`` runs.  repr,
-    equality and hashing go by the field values, and no field can be
+    in order; a class attribute of the same name is the field's default.
+    Records are built by position or keyword, then ``__post_init__`` runs.
+    repr, equality and hashing go by the field values, and no field can be
     assigned or deleted afterwards.  This is what ``@dataclass(frozen=True)``
     provides, without generating and compiling methods for every class.
     """
@@ -61,8 +52,6 @@ class Record:
             value = cls.__dict__.get(name, _MISSING)
             if value is not _MISSING:
                 defaults[name] = value
-            if isinstance(value, factory):
-                delattr(cls, name)
         cls._fields = cls._fields + names
         cls._defaults = defaults
         cls.__match_args__ = cls._fields
@@ -88,7 +77,7 @@ class Record:
             value = kwargs.pop(name, self._defaults.get(name, _MISSING))
             if value is _MISSING:
                 raise TypeError(f"{cls}() missing required argument {name!r}")
-            values.append(value.make() if isinstance(value, factory) else value)
+            values.append(value)
         if kwargs:
             raise TypeError(f"{cls}() got an unexpected keyword argument {next(iter(kwargs))!r}")
         return values
@@ -184,15 +173,8 @@ BRIDGE_STEP_TOL = 1e-3
 BRIDGE_FIT_TOL = 1e-6
 
 
-def require_finite(*values: complex) -> None:
-    """Reject NaN or infinite components before they propagate."""
-    for z in values:
-        z = complex(z)
-        if not (math.isfinite(z.real) and math.isfinite(z.imag)):
-            raise ValueError(f"non-finite scalar {z!r}")
-
-
 def require_finite_array(a: np.ndarray) -> None:
+    """Reject an array with a NaN or infinite entry before it propagates."""
     if not np.isfinite(a).all():
         raise ValueError("array contains non-finite entries")
 

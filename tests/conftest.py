@@ -1,7 +1,12 @@
+import importlib.util
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from pfaffrep import HomPoly, ProjPoint, SkewPencil, SymDetRep, TolerancePolicy
+from pfaffrep import (HomPoly, ProjPoint, SkewPencil, SymDetRep, TolerancePolicy, kernel_at,
+                      polar_triangle, sample_curve_points, to_canonical)
+from pfaffrep import jsonio as io
 
 CBRT107 = 107.0 ** (1.0 / 3.0)
 
@@ -100,3 +105,48 @@ def relation_policy():
     >= 1.8e-4; a 1e-5 threshold separates them all with margin.
     """
     return TolerancePolicy(zero_tol=1e-9, rank_tol=1e-5, match_tol=1e-5)
+
+
+def bench_problems():
+    """The benchmark's problem generator (numpy only), loaded from its file."""
+    path = Path(__file__).resolve().parent.parent / "bench" / "problems.py"
+    spec = importlib.util.spec_from_file_location("bench_problems", path)
+    mod = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(mod)
+    return mod
+
+
+def related_doc(lam, mu, policy) -> dict:
+    """A ``related`` problem on the worked symmetric representation."""
+    tolerances = {name: getattr(policy, name) for name in ("zero_tol", "rank_tol", "match_tol")}
+    return {"kind": "related", "tolerances": tolerances,
+            "payload": {"rep": io.enc_value(theta_rep()), "lambda": io.enc_value(lam),
+                        "mu": io.enc_value(mu)}}
+
+
+@pytest.fixture
+def theta_vertex(quartic_example, theta_lambda, relation_policy):
+    return polar_triangle(quartic_example, theta_lambda, policy=relation_policy).vertices[0]
+
+
+@pytest.fixture
+def problems(theta_lambda, theta_vertex, relation_policy):
+    """One successful problem per command: the first cli-small problem of each
+    kind the benchmark draws, and built here for ``gauge``, ``line`` and ``related``."""
+    bench = bench_problems()
+    docs = {}
+    for index in range(len(bench.WORKLOADS["cli-small"])):
+        doc = bench.problem("cli-small", 1, index)["doc"]
+        docs.setdefault(doc["kind"], doc)
+    rng = np.random.default_rng(11)
+    rot = np.array([[0.0, 1.0], [-1.0, 0.0]])
+    docs["gauge"] = {"kind": "gauge", "payload": {
+        "pencil": io.enc_value(to_canonical(random_pencil(rng, 4)).pencil),
+        "blocks": io.enc_value([np.eye(2), rot])}}
+    P = random_pencil(rng, 6)
+    lam, mu = (cp.pt for cp in sample_curve_points(P.pfaffian(), 2, seed=3))
+    docs["line"] = {"kind": "line", "payload": io.enc_value(
+        {"pencil": P, "lambda": lam, "mu": mu, "v": kernel_at(P, lam).v1,
+         "u": kernel_at(P, mu).v1})}
+    docs["related"] = related_doc(theta_lambda, theta_vertex, relation_policy)
+    return docs

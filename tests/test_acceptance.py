@@ -183,7 +183,7 @@ def test_criterion_06_bundle_map_instruments():
         pc = classify_pair(P, lam, mu)
         v, u = pc.basis_lambda.v1, pc.basis_mu.v1
         _, rec1 = type1(P, lam, mu, v, u)
-        rep = bundle_maps_check(P, rec1, samples, curve_samples, seed=trial)
+        rep = bundle_maps_check(P, rec1, samples, curve_samples)
         worst_id = max(worst_id, rep.identity_residual)
         worst_zero = max(worst_zero, max(rep.zero_patterns.values()))
         worst_angle = max(worst_angle, rep.transport_angle)
@@ -191,7 +191,7 @@ def test_criterion_06_bundle_map_instruments():
               and max(rep.zero_patterns.values()) <= 1e-6
               and rep.transport_angle <= 1e-5)
         _, rec2 = type2(P, lam, v, complex(*rng.standard_normal(2)))
-        rep2 = bundle_maps_check(P, rec2, samples, curve_samples, seed=trial)
+        rep2 = bundle_maps_check(P, rec2, samples, curve_samples)
         worst_id = max(worst_id, rep2.identity_residual)
         worst_angle = max(worst_angle, rep2.transport_angle)
         ok = ok and rep2.identity_residual <= 1e-6 and rep2.transport_angle <= 1e-5
@@ -255,7 +255,7 @@ def test_criterion_09_round_trips():
     for trial in range(20):
         lines = [random_line(rng) for _ in range(3)]
         cubic = lines[0].as_poly() * lines[1].as_poly() * lines[2].as_poly()
-        got = factor_three_lines(cubic, seed=trial)
+        got = factor_three_lines(cubic)
         prod = got[0].as_poly() * got[1].as_poly() * got[2].as_poly()
         scale = equal_up_to_scale(prod, cubic)
         dev = (float("inf") if scale is None else

@@ -1,5 +1,6 @@
 """The lazy package surface and the modules each CLI process loads."""
 
+import ast
 import hashlib
 import importlib.util
 import json
@@ -15,8 +16,9 @@ import pytest
 import pfaffrep
 from pfaffrep import DetRep, SkewPencil, SymDetRep
 from pfaffrep import jsonio as io
+from pfaffrep.cli import COMMANDS, dispatch, parse_problem
 from pfaffrep.tolerances import draws
-from conftest import random_pencil
+from conftest import bench_problems, random_pencil
 
 # Every public name of the package, by defining module.
 EXPORTS = {
@@ -108,18 +110,20 @@ def test_pf_command_loads_no_deferred_layer():
     assert [m for m in DEFERRED if m in loaded] == []
 
 
-def _bench_problems():
-    """The benchmark's problem generator (numpy only), loaded from its file."""
-    path = Path(__file__).resolve().parent.parent / "bench" / "problems.py"
-    spec = importlib.util.spec_from_file_location("bench_problems", path)
-    mod = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(mod)
-    return mod
+def test_polar_cubic_command_loads_no_incidence():
+    """Of the quartic commands only ``identify-theta`` samples curve points."""
+    doc = _first_cli_small_docs()["polar-cubic"]
+    loaded = _loaded_after(
+        "import pfaffrep.cli as cli\n"
+        "assert cli.main(['polar-cubic', '-', '--format', 'json']) == 0",
+        json.dumps(doc))
+    assert "pfaffrep.quartic" in loaded
+    assert "pfaffrep.incidence" not in loaded
 
 
 def _first_cli_small_docs():
     """The first problem document of each kind in the cli-small workload, seed 1."""
-    problems = _bench_problems()
+    problems = bench_problems()
     docs = {}
     for index in range(len(problems.WORKLOADS["cli-small"])):
         doc = problems.problem("cli-small", 1, index)["doc"]
@@ -165,17 +169,16 @@ def test_a_single_problem_runs_as_a_batch_of_one(tmp_path, capsys):
     assert code == 2 and "seed must be a nonnegative integer (at $.seed)" in alone.err
 
 
-# The commands whose reports the README promises do not depend on the seed.
-SEED_FREE = ["canon", "type1", "conint", "classify-pair"]
+# The commands whose reports the README promises do not depend on the seed:
+# all but the bridge.
+SEED_FREE = sorted(set(COMMANDS) - {"bridge"})
 
 
-def test_seed_free_commands_report_the_same_for_every_seed():
-    from pfaffrep.cli import dispatch, parse_problem
-    docs = _first_cli_small_docs()
+def test_seed_free_commands_report_the_same_for_every_seed(problems):
     for kind in SEED_FREE:
         texts = []
         for seed in (0, 7):
-            report = dispatch(parse_problem({**docs[kind], "seed": seed}))
+            report = dispatch(parse_problem({**problems[kind], "seed": seed}))
             del report["seed"], report["_wall_time_s"]
             texts.append(json.dumps(report))
         assert texts[0] == texts[1], kind
@@ -270,6 +273,31 @@ def test_bridge_computes_no_kernel_residual():
     text = (Path(pfaffrep.__file__).parent / "bridge.py").read_text()
     assert "_require_kernel(" in text
     assert not re.search(r"norm\(A @|A @ v\b", text)
+
+
+def _calls(name: str) -> list:
+    """``(module file, innermost enclosing function, call)`` for every call of
+    ``name`` in the package."""
+    owner = {}
+    for path in sorted(Path(pfaffrep.__file__).parent.glob("*.py")):
+        for fn in ast.walk(ast.parse(path.read_text())):
+            if isinstance(fn, ast.FunctionDef):  # ast.walk reaches outer functions first
+                for node in ast.walk(fn):
+                    if isinstance(node, ast.Call) and getattr(node.func, "id", None) == name:
+                        owner[node] = (path.name, fn.name)
+    return [(*where, node) for node, where in owner.items()]
+
+
+def test_only_the_bridge_draws_from_a_seed():
+    """Every generic choice but the bridge's comes from the fixed stream
+    ``draws(0)``: ``draws`` takes a variable only in ``sample_curve_points``,
+    and only the bridge passes that function a seed."""
+    variable = [(f, fn) for f, fn, call in _calls("draws")
+                if not (isinstance(call.args[0], ast.Constant) and call.args[0].value == 0)]
+    assert variable == [("incidence.py", "sample_curve_points")]
+    seeded = {f for f, _, call in _calls("sample_curve_points")
+              if len(call.args) > 2 or any(k.arg == "seed" for k in call.keywords)}
+    assert seeded == {"bridge.py"}
 
 
 def test_canonical_form_draws_nothing():

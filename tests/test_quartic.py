@@ -12,9 +12,8 @@ from pfaffrep import (DEFAULT_POLICY, CorankNotOne, CubicCoeffs, HomPoly, Incons
                       scorza_related)
 from pfaffrep import jsonio as io
 from pfaffrep.tolerances import draws
-from conftest import CBRT107, theta_rep
+from conftest import CBRT107, bench_problems, theta_rep
 from oracles import coeff_rel_dev, pfaffian_by_matchings
-from test_package import _bench_problems
 
 
 def random_quartic(rng):
@@ -194,7 +193,7 @@ def test_factor_three_lines_random(rng):
     for trial in range(20):
         lines = [random_line(rng) for _ in range(3)]
         cubic = lines[0].as_poly() * lines[1].as_poly() * lines[2].as_poly()
-        got = factor_three_lines(cubic, seed=trial)
+        got = factor_three_lines(cubic)
         prod = got[0].as_poly() * got[1].as_poly() * got[2].as_poly()
         scale = equal_up_to_scale(prod, cubic)
         assert scale is not None
@@ -238,7 +237,7 @@ def test_polar_triangle_plant_and_recover(rng):
             cubic = cubic + p * p * p
         F = HomPoly(4, {(a + 1, b, c): v / (a + 1)
                         for (a, b, c), v in cubic.terms.items()})
-        tri = polar_triangle(F, ProjPoint(1, 0, 0), seed=trial)
+        tri = polar_triangle(F, ProjPoint(1, 0, 0))
         assert tri.residual <= 1e-6
 
 
@@ -246,10 +245,10 @@ def test_polar_triangle_fits_the_polar_to_rounding():
     """The benchmark's cli-small seed 2108, problem 66: the cube weights of the
     factored Hessian alone fit the polar to 2.3e-8; the joint Gauss-Newton step
     on the three lines brings the fit to rounding."""
-    doc = _bench_problems().problem("cli-small", 2108, 66)["doc"]
+    doc = bench_problems().problem("cli-small", 2108, 66)["doc"]
     assert doc["kind"] == "triangle"
     F, pt = io.dec_poly(doc["payload"]["quartic"]), io.dec_point(doc["payload"]["point"])
-    tri = polar_triangle(F, pt, seed=doc["seed"])
+    tri = polar_triangle(F, pt)
     assert tri.residual <= 1e-12
     # independently, as the benchmark's checker does: both sides at random points
     xs, polar = draws(3)(6, 3), polar_cubic_at(F, pt)
@@ -338,7 +337,7 @@ def test_identify_theta_example(quartic_example, m_theta, rng):
     # so the correspondence rules them out
     decoys = [_decoy_from(m_theta, rng) for _ in range(2)]
     ident = identify_theta(quartic_example, [decoys[0], m_theta, decoys[1]],
-                           samples=3, seed=3, policy=_identify_policy(),
+                           samples=3, policy=_identify_policy(),
                            det_match_tol=0.5)
     assert ident.index == 1
     assert len(ident.evidence) == 3
@@ -351,7 +350,7 @@ def test_identify_theta_empty_candidates(quartic_example):
 
 def test_identify_theta_duplicate_candidates(quartic_example, m_theta):
     with pytest.raises(MultipleMatches):
-        identify_theta(quartic_example, [m_theta, theta_rep()], samples=3, seed=3,
+        identify_theta(quartic_example, [m_theta, theta_rep()], samples=3,
                        policy=_identify_policy())
 
 
@@ -359,7 +358,7 @@ def test_identify_theta_from_polar_coefficients(quartic_example, m_theta):
     # feeding the polar coefficients of F must reproduce the same answer,
     # with F recovered by integration
     w = polar_cubic(quartic_example)
-    ident = identify_theta(w, [m_theta], samples=3, seed=3, policy=_identify_policy())
+    ident = identify_theta(w, [m_theta], samples=3, policy=_identify_policy())
     assert ident.index == 0
 
 
@@ -393,11 +392,11 @@ def test_bitangent_from_diagonal_octad(rng):
     # sign patterns differing in exactly two slots give the lines through
     # two nodes of the four-line curve, the honest double tangents here
     # (one- or three-slot flips collapse onto a component line instead)
-    ell = bitangent_from_octad(M, octad[0], octad[4], seed=1)
+    ell = bitangent_from_octad(M, octad[0], octad[4])
     assert not ell.is_zero()
-    ell2 = bitangent_from_octad(M, octad[1], octad[3], seed=2)
+    ell2 = bitangent_from_octad(M, octad[1], octad[3])
     assert not ell2.is_zero()
-    ell3 = bitangent_from_octad(M, octad[5], octad[6], seed=3)
+    ell3 = bitangent_from_octad(M, octad[5], octad[6])
     assert not ell3.is_zero()
 
 
@@ -441,7 +440,7 @@ def test_bitangent_guard_rejects_component_line(rng):
     from pfaffrep import TangencyCheckFailed
     M, octad = four_line_rep(rng)
     with pytest.raises(TangencyCheckFailed):
-        bitangent_from_octad(M, octad[0], octad[3], seed=1)
+        bitangent_from_octad(M, octad[0], octad[3])
 
 
 def test_theta_rep_pfaffian_det_consistency(m_theta):

@@ -180,14 +180,6 @@ def test_defaults():
     assert repr(TolerancePolicy()) == (
         "TolerancePolicy(zero_tol=1e-09, rank_tol=1e-08, match_tol=1e-06)")
     assert TolerancePolicy(rank_tol=1e-7).match_tol == 1e-6
-    a, b = BundleCheckReport(0.5), BundleCheckReport(identity_residual=0.5)
-    assert a == b
-    assert (a.zero_patterns, a.transport_angle, a.parameter_independence) == ({}, 0.0, 0.0)
-    # a fresh dict for every report
-    assert a.zero_patterns is not b.zero_patterns
-    a.zero_patterns["x"] = 1.0
-    assert b.zero_patterns == {} and BundleCheckReport(0.5).zero_patterns == {}
-    assert "zero_patterns" not in vars(BundleCheckReport)
 
 
 def test_post_init_validation():

@@ -13,12 +13,10 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from pfaffrep import (LinearForm, ProjPoint, TransformRecord, kernel_at, polar_triangle,
-                      sample_curve_points, to_canonical)
+from pfaffrep import LinearForm, ProjPoint, TransformRecord
 from pfaffrep import jsonio as io
 from pfaffrep.cli import COMMANDS, _exit_code_for, dispatch, main, parse_problem
-from conftest import random_pencil, theta_rep
-from test_package import _bench_problems
+from conftest import related_doc
 
 RECORD = {"kind", "lambda", "mu", "v", "u", "rho", "k_value", "conint_data",
           "gamma_before", "gamma_after"}
@@ -79,42 +77,6 @@ CONINT_DATA = {"points", "vectors", "rhos", "Gamma"}
 EVIDENCE_ROW = {"point", "vertices", "residuals"}
 
 
-def _related_doc(lam, mu, policy) -> dict:
-    """A ``related`` problem on the worked symmetric representation."""
-    tolerances = {name: getattr(policy, name) for name in ("zero_tol", "rank_tol", "match_tol")}
-    return {"kind": "related", "tolerances": tolerances,
-            "payload": {"rep": io.enc_value(theta_rep()), "lambda": io.enc_value(lam),
-                        "mu": io.enc_value(mu)}}
-
-
-@pytest.fixture
-def theta_vertex(quartic_example, theta_lambda, relation_policy):
-    return polar_triangle(quartic_example, theta_lambda, policy=relation_policy).vertices[0]
-
-
-@pytest.fixture
-def problems(theta_lambda, theta_vertex, relation_policy):
-    """One successful problem per command: the first cli-small problem of each
-    kind the benchmark draws, and built here for ``gauge``, ``line`` and ``related``."""
-    bench = _bench_problems()
-    docs = {}
-    for index in range(len(bench.WORKLOADS["cli-small"])):
-        doc = bench.problem("cli-small", 1, index)["doc"]
-        docs.setdefault(doc["kind"], doc)
-    rng = np.random.default_rng(11)
-    rot = np.array([[0.0, 1.0], [-1.0, 0.0]])
-    docs["gauge"] = {"kind": "gauge", "payload": {
-        "pencil": io.enc_value(to_canonical(random_pencil(rng, 4)).pencil),
-        "blocks": io.enc_value([np.eye(2), rot])}}
-    P = random_pencil(rng, 6)
-    lam, mu = (cp.pt for cp in sample_curve_points(P.pfaffian(), 2, seed=3))
-    docs["line"] = {"kind": "line", "payload": io.enc_value(
-        {"pencil": P, "lambda": lam, "mu": mu, "v": kernel_at(P, lam).v1,
-         "u": kernel_at(P, mu).v1})}
-    docs["related"] = _related_doc(theta_lambda, theta_vertex, relation_policy)
-    return docs
-
-
 def test_every_command_is_pinned():
     assert set(OUTPUT_KEYS) == set(COMMANDS)
 
@@ -144,7 +106,7 @@ def _run_main(argv, doc, monkeypatch, capsys):
 
 def test_related_reports_a_related_pair(theta_lambda, theta_vertex, relation_policy,
                                         monkeypatch, capsys):
-    doc = _related_doc(theta_lambda, theta_vertex, relation_policy)
+    doc = related_doc(theta_lambda, theta_vertex, relation_policy)
     code, report = _run_main(["related", "-", "--format", "json"], doc, monkeypatch, capsys)
     assert code == 0
     assert report["outputs"]["relation"]["related"] is True
@@ -153,7 +115,7 @@ def test_related_reports_a_related_pair(theta_lambda, theta_vertex, relation_pol
 
 def test_related_reports_an_unrelated_pair_without_a_residual(theta_lambda, relation_policy,
                                                               monkeypatch, capsys):
-    doc = _related_doc(theta_lambda, theta_lambda, relation_policy)
+    doc = related_doc(theta_lambda, theta_lambda, relation_policy)
     code, report = _run_main(["related", "-", "--format", "json"], doc, monkeypatch, capsys)
     assert code == 0
     assert report["outputs"]["relation"]["related"] is False
@@ -200,6 +162,9 @@ def test_bundle_check_reports_curve_residuals_only_with_curve_samples(problems):
     assert "intertwining_identity" in report["residuals"]
     assert curve.isdisjoint(report["residuals"])
     assert _exit_code_for(report) == 0
+    # nothing was measured, so the report says so rather than reading 0.0
+    wire = json.loads(json.dumps(report["outputs"]["report"]))
+    assert {name: wire[name] for name in curve} == dict.fromkeys(curve)
 
 
 def test_bundle_check_without_samples_is_a_violated_precondition(problems, monkeypatch,
