@@ -28,7 +28,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .canonical import negligible, off_pattern_blocks, off_pattern_norm, validate_second_canonical
+from .canonical import (negligible, negligible_norm, off_pattern_blocks, off_pattern_norm,
+                        validate_second_canonical)
 from .errors import PreconditionError, RankDeficiency, VectorNotInKernel
 from .incidence import _require_kernel, sample_curve_points
 from .pencil import SkewPencil, kernel_at
@@ -112,10 +113,9 @@ def _point_for_vector(P: SkewPencil, v: np.ndarray,
     kernel, s = null_space((P.coeffs @ v).T, BRIDGE_FIT_TOL)
     if s[0] == 0 or not len(kernel):
         return None
-    x = kernel[-1]
-    if np.max(np.abs(x)) == 0 or abs(x[0]) <= policy.rank_tol * np.max(np.abs(x)):
+    pt = ProjPoint(*kernel[-1], policy=policy)
+    if not pt.in_chart(policy):
         return None
-    pt = ProjPoint(*x, policy=policy)
     try:
         _require_kernel(P, pt, v, policy)
     except VectorNotInKernel:
@@ -151,26 +151,22 @@ def _structured_candidates(P: SkewPencil, ps: np.ndarray,
     return out
 
 
-def stopping_target(P: SkewPencil, policy: TolerancePolicy = DEFAULT_POLICY) -> float:
-    """The off-pattern norm below which a bridge from ``P`` has converged."""
-    return 0.1 * policy.match_tol * max(P.scale(), 1.0)
-
-
 def bridge_to_decomposable(P: SkewPencil, budget: int = 50, seed: int = 0,
                            policy: TolerancePolicy = DEFAULT_POLICY) -> BridgeResult:
     """Greedy sequence of one-point steps toward the decomposable pattern.
 
     Accepts a candidate step only when it shrinks the off-pattern norm
     by the relative factor ``BRIDGE_STEP_TOL``, so the recorded norm
-    history is strictly decreasing.  Stops successfully once the norm falls below
-    :func:`stopping_target`; returns ``converged=False`` with the final
+    history is strictly decreasing.  Stops successfully once the norm falls to
+    :func:`canonical.negligible_norm`, where ``structure_report`` reads the
+    pencil as decomposable; returns ``converged=False`` with the final
     norm when the budget runs out or no candidate improves.
     """
     d = P.half_deg
     ps = validate_second_canonical(P, policy)
     if close_pair(ps, policy) is not None:
         raise PreconditionError("diagonal entries must be pairwise distinct")
-    target = stopping_target(P, policy)
+    target = negligible_norm(P, policy)
     F = P.pfaffian()
     cur = P
     records: list[TransformRecord] = []

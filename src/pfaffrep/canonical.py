@@ -173,16 +173,23 @@ def off_pattern_norm(gamma: np.ndarray, d: int) -> float:
                          + np.linalg.norm(bot, "fro") ** 2))
 
 
+def negligible_norm(P: SkewPencil, policy: TolerancePolicy) -> float:
+    """The Frobenius norm up to which a block of ``P``'s constant part counts as zero."""
+    return 0.1 * policy.match_tol * max(P.scale(), 1.0)
+
+
 def negligible(block: np.ndarray, P: SkewPencil, policy: TolerancePolicy) -> bool:
-    """Whether no entry of ``block`` exceeds ``match_tol`` times the pencil scale (at least 1)."""
-    return float(np.max(np.abs(block))) <= policy.match_tol * max(P.scale(), 1.0)
+    """Whether the Frobenius norm of ``block`` is within :func:`negligible_norm`."""
+    return float(np.linalg.norm(block)) <= negligible_norm(P, policy)
 
 
 def structure_report(P: SkewPencil,
                      policy: TolerancePolicy = DEFAULT_POLICY) -> StructureReport:
     """Classify a second-canonical-form pencil by the shape of its constant part.
 
-    Decomposable means both diagonal d-by-d blocks of A0 vanish; the
+    Decomposable means both diagonal d-by-d blocks of A0 vanish: their
+    joint Frobenius norm is within :func:`negligible_norm`, where the
+    bridge stops; the
     symmetric-block refinement additionally requires the off-diagonal
     block to be symmetric, the shape induced by symmetric determinantal
     representations.  The free parameter count ``3/2 d (d-3)`` counts
@@ -191,8 +198,7 @@ def structure_report(P: SkewPencil,
     """
     d = P.half_deg
     validate_second_canonical(P, policy)
-    top, bot = off_pattern_blocks(P.A0, d)
-    decomposable = negligible(top, P, policy) and negligible(bot, P, policy)
+    decomposable = off_pattern_norm(P.A0, d) <= negligible_norm(P, policy)
     C = P.A0[:d, d:]
     symmetric = decomposable and negligible(C - C.T, P, policy)
     return StructureReport(

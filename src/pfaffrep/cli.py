@@ -249,8 +249,8 @@ COMMANDS = {
          ("zero", "zero_patterns", BUNDLE_TOL)]),
     "bridge": ("pencil budget:int=50", "bridge.bridge_to_decomposable pencil budget seed policy",
                "records pencil off_pattern_norm converged history",
-               [("off_pattern_norm", "off_pattern_norm", "bridge.stopping_target pencil policy"),
-                _pf_invariance]),
+               [("off_pattern_norm", "off_pattern_norm",
+                 "canonical.negligible_norm pencil policy"), _pf_invariance]),
     "polar-cubic": ("quartic:poly", "quartic.polar_cubic quartic", "coeffs", []),
     "aronhold": ("coeffs:cubic_coeffs", "quartic.aronhold_invariant coeffs", "pfaffian", []),
     "scorza": ("quartic:poly expected:poly=null", "quartic.scorza_map quartic", "scorza",

@@ -42,8 +42,9 @@ def sample_curve_points(F: HomPoly, count: int, seed: int = 0,
     """Sample points of ``F = 0`` by intersecting with random lines.
 
     Lines pass through a fixed (seeded) interior point; roots along each
-    line give curve points.  Points too close to ``x0 = 0`` are
-    discarded, so the affine-chart operations apply.
+    line give curve points.  Points outside the chart ``x0 = 1``
+    (:meth:`ProjPoint.in_chart`) are discarded, so the affine-chart
+    operations apply.
     """
     draw = draws(seed)
     center = draw(3)
@@ -54,10 +55,9 @@ def sample_curve_points(F: HomPoly, count: int, seed: int = 0,
         direction = draw(3)
         coeffs = F.restrict_line(center, direction)
         for t in univariate_roots(coeffs, policy):
-            raw = center + t * direction
-            if abs(raw[0]) <= policy.rank_tol * np.max(np.abs(raw)):
+            pt = ProjPoint(*(center + t * direction), policy=policy)
+            if not pt.in_chart(policy):
                 continue
-            pt = ProjPoint(*raw, policy=policy)
             try:
                 out.append(curve_point(F, pt, policy))
             except PreconditionError:

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import RankDeficiency, SingularTransform, SkewSymmetryViolation
+from .errors import PreconditionError, RankDeficiency, SingularTransform, SkewSymmetryViolation
 from .poly import HomPoly, LinearForm, ProjPoint
 from .tolerances import (DEFAULT_POLICY, Held, Record, TolerancePolicy, null_space,
                          require_finite_array)
@@ -272,9 +272,9 @@ def pfaffian_minor(P: SkewPencil, i: int, j: int) -> HomPoly:
     """
     n = P.dim
     if not (0 <= i < n and 0 <= j < n):
-        raise IndexError(f"indices ({i}, {j}) out of range for dimension {n}")
+        raise PreconditionError(f"indices ({i}, {j}) out of range for dimension {n}")
     if i == j:
-        raise IndexError("minor indices must differ")
+        raise PreconditionError("minor indices must differ")
     keep = [k for k in range(n) if k not in (i, j)]
     return _grid_poly(_pf_stack, P.coeffs[np.ix_(range(3), keep, keep)], P.half_deg - 1)
 

@@ -264,10 +264,14 @@ class ProjPoint(Held):
     def __setattr__(self, name, value):
         raise AttributeError("ProjPoint is immutable")
 
+    def in_chart(self, policy: TolerancePolicy = DEFAULT_POLICY) -> bool:
+        """Whether the point lies in the chart ``x0 = 1``: ``|x0|`` above
+        ``zero_tol`` times its largest coordinate."""
+        return bool(abs(self.coords[0]) > policy.zero_tol * np.max(np.abs(self.coords)))
+
     def affine(self, policy: TolerancePolicy = DEFAULT_POLICY) -> tuple[complex, complex]:
-        """Affine coordinates in the chart ``x0 = 1``; the point must have
-        ``|x0|`` above ``zero_tol`` times its largest coordinate."""
-        if abs(self.coords[0]) <= policy.zero_tol * np.max(np.abs(self.coords)):
+        """Affine coordinates in the chart ``x0 = 1``; the point must be :meth:`in_chart`."""
+        if not self.in_chart(policy):
             raise PreconditionError("point lies on the line x0 = 0")
         return (complex(self.coords[1] / self.coords[0]),
                 complex(self.coords[2] / self.coords[0]))

@@ -9,13 +9,11 @@ an independent oracle, or pinned by construction.
 import time
 
 import numpy as np
-import pytest
 
 from pfaffrep import (ProjPoint, TolerancePolicy,
                       bridge_to_decomposable, bundle_maps_check, classify_pair,
                       conint, decomposable_from, equal_up_to_scale, factor_three_lines,
-                      integrate_polar, kernel_at, off_pattern_norm,
-                      pfaffian_numeric, polar_cubic,
+                      integrate_polar, kernel_at, polar_cubic,
                       polar_triangle, sample_curve_points, scorza_related,
                       structure_report, to_canonical, type1, type2)
 from pfaffrep.quartic import CubicCoeffs, aronhold_invariant

@@ -268,6 +268,29 @@ def test_one_root_separation_rule():
         "quartic.py": ["factor_three_lines"]}
 
 
+
+def test_one_decomposability_threshold():
+    """Decomposable is decided against one threshold, ``canonical.negligible_norm``,
+    which ``structure_report`` and the bridge both read; ``bridge.py`` has none
+    of its own."""
+    src = Path(pfaffrep.__file__).parent
+    sites = {p.name: p.read_text().count("0.1 * policy.match_tol")
+             for p in sorted(src.glob("*.py"))}
+    assert {name: n for name, n in sites.items() if n} == {"canonical.py": 1}
+    assert _functions_containing(src / "canonical.py", r"0\.1 \* policy\.match_tol") == [
+        "negligible_norm"]
+    bridge = (src / "bridge.py").read_text()
+    assert "negligible_norm(" in bridge
+    assert not re.search(r"match_tol|\bdef stopping_target\b", bridge)
+
+
+def test_one_affine_chart_rule():
+    """Only ``ProjPoint.in_chart`` compares a point's ``x0`` with a tolerance."""
+    src = Path(pfaffrep.__file__).parent
+    x0_test = re.compile(r"abs\([\w.]+\[0\]\)\s*[<>]=?\s*policy\.\w+_tol")
+    sites = {p.name: len(x0_test.findall(p.read_text())) for p in sorted(src.glob("*.py"))}
+    assert {name: n for name, n in sites.items() if n} == {"poly.py": 1}
+
 def test_bridge_computes_no_kernel_residual():
     """The bridge checks kernel membership with ``incidence._require_kernel``."""
     text = (Path(pfaffrep.__file__).parent / "bridge.py").read_text()

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from pfaffrep import (DetRep, HomPoly, LinearForm, ProjPoint, RankDeficiency,
-                      SingularTransform, SkewPencil, SkewSymmetryViolation, congruence,
+from pfaffrep import (DetRep, HomPoly, LinearForm, PreconditionError, ProjPoint,
+                      RankDeficiency, SingularTransform, SkewPencil, SkewSymmetryViolation,
+                      congruence,
                       decomposable_from, equal_up_to_scale, gauge_action, kernel_at,
                       pfaffian_adjoint_at, pfaffian_minor, pfaffian_numeric,
                       sample_curve_points, to_canonical, to_second_canonical,
@@ -143,9 +144,9 @@ def test_minor_2x2_is_one():
 
 def test_minor_index_errors(rng):
     P = random_pencil(rng, 4)
-    with pytest.raises(IndexError):
+    with pytest.raises(PreconditionError, match="out of range"):
         pfaffian_minor(P, 0, 4)
-    with pytest.raises(IndexError):
+    with pytest.raises(PreconditionError, match="must differ"):
         pfaffian_minor(P, 2, 2)
 
 

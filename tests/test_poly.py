@@ -136,6 +136,18 @@ def test_proj_point_affine_chart():
         ProjPoint(0, 1, 1).affine()
 
 
+
+@pytest.mark.parametrize("ratio, inside", [(5e-10, False), (5e-9, True)])
+def test_in_chart_agrees_with_affine(ratio, inside):
+    # |x0| / max|x| on either side of zero_tol = 1e-9
+    pt = ProjPoint(ratio, 1, 0.5)
+    assert pt.in_chart() is inside
+    if inside:
+        assert pt.affine() == (pytest.approx(1 / ratio), pytest.approx(0.5 / ratio))
+    else:
+        with pytest.raises(PreconditionError):
+            pt.affine()
+
 def test_linear_form_zero_detection():
     assert LinearForm(0, 0, 0).is_zero()
     assert LinearForm(1e-12, 0, 0).is_zero()
