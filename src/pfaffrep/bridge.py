@@ -157,10 +157,9 @@ def bridge_to_decomposable(P: SkewPencil, budget: int = 50, seed: int = 0,
 
     Accepts a candidate step only when it shrinks the off-pattern norm
     by the relative factor ``BRIDGE_STEP_TOL``, so the recorded norm
-    history is strictly decreasing.  Stops successfully once the norm falls to
-    :func:`canonical.negligible_norm`, where ``structure_report`` reads the
-    pencil as decomposable; returns ``converged=False`` with the final
-    norm when the budget runs out or no candidate improves.
+    history is strictly decreasing.  Stops successfully once the norm falls
+    to :func:`canonical.negligible_norm`; returns ``converged=False`` with
+    the final norm when the budget runs out or no candidate improves.
     """
     d = P.half_deg
     ps = validate_second_canonical(P, policy)
@@ -172,13 +171,11 @@ def bridge_to_decomposable(P: SkewPencil, budget: int = 50, seed: int = 0,
     records: list[TransformRecord] = []
     off = off_pattern_norm(cur.gamma, d)
     history = [off]
-
-    step = 0
-    while off > target and step < budget:
+    while off > target and len(records) < budget:
         G = _pattern_vector(cur.gamma, d)
         candidates = _structured_candidates(cur, ps, policy)
         try:
-            pts = sample_curve_points(F, _CANDIDATE_POINTS, seed=seed + 977 * step,
+            pts = sample_curve_points(F, _CANDIDATE_POINTS, seed=seed + 977 * len(records),
                                       policy=policy)
         except PreconditionError:
             pts = []
@@ -205,7 +202,6 @@ def bridge_to_decomposable(P: SkewPencil, budget: int = 50, seed: int = 0,
         records.append(rec)
         off = off_pattern_norm(cur.gamma, d)
         history.append(off)
-        step += 1
 
     return BridgeResult(records=records, pencil=cur, off_pattern_norm=off,
                         converged=off <= target, history=history)

@@ -187,14 +187,12 @@ def structure_report(P: SkewPencil,
                      policy: TolerancePolicy = DEFAULT_POLICY) -> StructureReport:
     """Classify a second-canonical-form pencil by the shape of its constant part.
 
-    Decomposable means both diagonal d-by-d blocks of A0 vanish: their
-    joint Frobenius norm is within :func:`negligible_norm`, where the
-    bridge stops; the
-    symmetric-block refinement additionally requires the off-diagonal
-    block to be symmetric, the shape induced by symmetric determinantal
-    representations.  The free parameter count ``3/2 d (d-3)`` counts
-    the moduli left after the pfaffian constraints and the block gauge;
-    it is meaningful for ``d >= 3``.
+    Decomposable means the two diagonal d-by-d blocks of A0 have a joint
+    Frobenius norm within :func:`negligible_norm`, where the bridge stops; the
+    symmetric-block refinement also requires the off-diagonal block to be
+    symmetric, the shape of symmetric determinantal representations.  The
+    free parameter count ``3/2 d (d-3)`` counts the moduli left after the
+    pfaffian constraints and the block gauge; it is meaningful for ``d >= 3``.
     """
     d = P.half_deg
     validate_second_canonical(P, policy)

@@ -42,9 +42,8 @@ def sample_curve_points(F: HomPoly, count: int, seed: int = 0,
     """Sample points of ``F = 0`` by intersecting with random lines.
 
     Lines pass through a fixed (seeded) interior point; roots along each
-    line give curve points.  Points outside the chart ``x0 = 1``
-    (:meth:`ProjPoint.in_chart`) are discarded, so the affine-chart
-    operations apply.
+    line give curve points.  Points not :meth:`ProjPoint.in_chart` are
+    discarded, so the affine-chart operations apply.
     """
     draw = draws(seed)
     center = draw(3)

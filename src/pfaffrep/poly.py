@@ -265,8 +265,7 @@ class ProjPoint(Held):
         raise AttributeError("ProjPoint is immutable")
 
     def in_chart(self, policy: TolerancePolicy = DEFAULT_POLICY) -> bool:
-        """Whether the point lies in the chart ``x0 = 1``: ``|x0|`` above
-        ``zero_tol`` times its largest coordinate."""
+        """Whether ``|x0|`` exceeds ``zero_tol`` times the largest coordinate."""
         return bool(abs(self.coords[0]) > policy.zero_tol * np.max(np.abs(self.coords)))
 
     def affine(self, policy: TolerancePolicy = DEFAULT_POLICY) -> tuple[complex, complex]:

@@ -66,25 +66,19 @@ def test_budget_zero_reports_not_converged(rng):
     assert not res.records
 
 
-
-def second_canonical_d3(off):
-    """Roots 1, 2, 3 and skew diagonal blocks of A0 whose largest entry is ``off``."""
-    d = 3
-    Z, I = np.zeros((d, d)), np.eye(d)
-    D = np.diag([1.0, 2.0, 3.0])
-    K = off * np.array([[0, 1, -0.5], [-1, 0, 0.25], [0.5, -0.25, 0]])
-    C = np.array([[0.3, -1.1, 0.2], [0.7, 0.4, -0.9], [1.2, 0.5, -0.6]])
-    A0 = np.block([[K, C], [-C.T, -K]])
-    return SkewPencil(A0, np.block([[Z, I], [-I, Z]]), np.block([[Z, -D], [D, Z]]))
-
-
 def test_structure_and_bridge_agree_on_decomposable():
-    # entries of 5e-7 are within match_tol * scale, but their Frobenius norm
-    # is not within a tenth of it, where the bridge stops
+    # roots 1, 2, 3 and skew diagonal blocks of A0 whose largest entry is
+    # ``off``: 5e-7 is within match_tol * scale, but the blocks' Frobenius
+    # norm is not within a tenth of it, where the bridge stops
+    Z, I, D = np.zeros((3, 3)), np.eye(3), np.diag([1.0, 2.0, 3.0])
+    K = np.array([[0, 1, -0.5], [-1, 0, 0.25], [0.5, -0.25, 0]])
+    C = np.array([[0.3, -1.1, 0.2], [0.7, 0.4, -0.9], [1.2, 0.5, -0.6]])
     for off, decomposable in ((5e-7, False), (1e-9, True)):
-        P = second_canonical_d3(off)
+        P = SkewPencil(np.block([[off * K, C], [-C.T, -off * K]]),
+                       np.block([[Z, I], [-I, Z]]), np.block([[Z, -D], [D, Z]]))
         assert structure_report(P).is_decomposable_form is decomposable
         assert bridge_to_decomposable(P, budget=0).converged is decomposable
+
 
 def test_repeated_diagonal_rejected(rng):
     d = 2

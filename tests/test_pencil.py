@@ -3,11 +3,9 @@ import pytest
 
 from pfaffrep import (DetRep, HomPoly, LinearForm, PreconditionError, ProjPoint,
                       RankDeficiency, SingularTransform, SkewPencil, SkewSymmetryViolation,
-                      congruence,
-                      decomposable_from, equal_up_to_scale, gauge_action, kernel_at,
-                      pfaffian_adjoint_at, pfaffian_minor, pfaffian_numeric,
-                      sample_curve_points, to_canonical, to_second_canonical,
-                      univariate_roots, wedge_to_matrix)
+                      congruence, decomposable_from, equal_up_to_scale, gauge_action,
+                      kernel_at, pfaffian_adjoint_at, pfaffian_minor, pfaffian_numeric,
+                      sample_curve_points, to_canonical, to_second_canonical, wedge_to_matrix)
 from conftest import random_pencil, random_skew
 from oracles import (coeff_rel_dev, det_by_laplace, pfaffian_by_expansion,
                      pfaffian_by_matchings, pfaffian_numeric_by_expansion,
