@@ -14,9 +14,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import NotInCanonicalForm, NotUnimodular, SpanFailure
+from .errors import NotInCanonicalForm, NotUnimodular, RepeatedRoots, SpanFailure
 from .pencil import SkewPencil, congruence
-from .poly import roots_on_line
+from .poly import close_pair
 from .tolerances import DEFAULT_POLICY, Record, TolerancePolicy, null_space
 
 
@@ -49,6 +49,21 @@ def _shape_residual(P: SkewPencil, ps, rows, cols) -> float:
     return max(float(np.max(np.abs(P.A1 - J))), float(np.max(np.abs(P.A2 - D))) / scale)
 
 
+def _roots_on_line(P: SkewPencil, policy: TolerancePolicy) -> list[complex]:
+    """The ``p`` where the curve meets ``x0 = 0``, at ``(0, p, 1)``: the eigenvalues
+    of ``-A1^-1 A2``, each double since ``det = Pf^2``, paired by nearest neighbour."""
+    if len(null_space(P.A1, policy.rank_tol)[0]):
+        raise SpanFailure("A1 is singular: the curve passes through (0, 1, 0)")
+    left = list(np.linalg.eigvals(-np.linalg.solve(P.A1, P.A2)))
+    roots = []
+    while left:
+        z = left.pop()
+        roots.append(complex(z + left.pop(int(np.argmin(np.abs(np.array(left) - z))))) / 2)
+    if (close := close_pair(roots, policy)) is not None:
+        raise RepeatedRoots("roots {:.6g} and {:.6g} closer than {:.2g}".format(*close))
+    return sorted(roots, key=lambda z: (z.real, z.imag))
+
+
 def to_canonical(P: SkewPencil, policy: TolerancePolicy = DEFAULT_POLICY) -> CanonicalReport:
     """Congruence to the first canonical form.
 
@@ -62,10 +77,7 @@ def to_canonical(P: SkewPencil, policy: TolerancePolicy = DEFAULT_POLICY) -> Can
     by a determinant of modulus one, so no other basis rescues a degenerate one.
     """
     d = P.half_deg
-    roots = roots_on_line(P.pfaffian(), policy)
-    if len(roots) != d:
-        raise SpanFailure(
-            f"expected {d} intersection points with x0 = 0, found {len(roots)}")
+    roots = _roots_on_line(P, policy)
     rows = []
     a1_scale = float(np.max(np.abs(P.A1)))
     for p in roots:
@@ -174,8 +186,9 @@ def off_pattern_norm(gamma: np.ndarray, d: int) -> float:
 
 
 def negligible_norm(P: SkewPencil, policy: TolerancePolicy) -> float:
-    """The Frobenius norm up to which a block of ``P``'s constant part counts as zero."""
-    return 0.1 * policy.match_tol * max(P.scale(), 1.0)
+    """The Frobenius norm up to which a block of ``P``'s constant part counts as
+    zero, relative to that part's own largest entry, which scales with ``x0``."""
+    return 0.1 * policy.match_tol * float(np.max(np.abs(P.A0)))
 
 
 def negligible(block: np.ndarray, P: SkewPencil, policy: TolerancePolicy) -> bool:

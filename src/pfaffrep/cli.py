@@ -135,9 +135,10 @@ def _vanishing(a, out) -> dict:
 
 
 def _adjoint_identity(a, out) -> dict:
-    P, pt, adj = a["pencil"], a["point"], out["adjoint"]
-    A = P(pt)
-    dev = np.max(np.abs(adj @ A - P.pfaffian()(pt) * np.eye(P.dim)))
+    """``adj(A) A = Pf(A) Id`` at the point, ``Pf(A)`` by elimination on ``A``."""
+    from .pencil import pfaffian_numeric
+    A, adj = a["pencil"](a["point"]), out["adjoint"]
+    dev = np.max(np.abs(adj @ A - pfaffian_numeric(A) * np.eye(len(A))))
     scale = max(np.max(np.abs(adj)) * np.max(np.abs(A)), 1e-300)
     return {"adjoint_identity": _residual(dev / scale, a["policy"].match_tol)}
 
@@ -178,7 +179,17 @@ def _scorza_match(a, out) -> dict:
                                            policy.match_tol)}
 
 
-# -- the two calls whose payload needs a check the field kinds cannot make
+# -- the calls whose payload needs a check the field kinds cannot make
+
+def _adjoint(P, point):
+    """The adjoint at the payload's own coordinates: it is homogeneous of
+    degree ``d - 1``, so a normalized representative would change it."""
+    if point.shape != (3,) or not point.any() or not np.isfinite(point).all():
+        raise SchemaError("a point needs three finite coordinates, not all zero",
+                          "$.payload.point")
+    from .pencil import pfaffian_adjoint_at
+    return pfaffian_adjoint_at(P, point)
+
 
 def _pf_minor(P, i, j):
     for name, k in (("i", i), ("j", j)):
@@ -205,8 +216,7 @@ def _identify_theta(quartic, coeffs, candidates, samples, policy):
 COMMANDS = {
     "pf": ("pencil", "pencil.SkewPencil.pfaffian pencil", "pfaffian", []),
     "pf-minor": ("pencil i:int j:int", "_pf_minor pencil i j", "minor", []),
-    "adjoint": ("pencil point", "pencil.pfaffian_adjoint_at pencil point", "adjoint",
-                [_adjoint_identity]),
+    "adjoint": ("pencil point:vector", "_adjoint pencil point", "adjoint", [_adjoint_identity]),
     "kernel": ("pencil point", "pencil.kernel_at pencil point policy",
                lambda kb: {"kernel": {"point": kb.point, "vectors": kb.vectors.T,
                                       "residual": kb.residual}},

@@ -16,7 +16,7 @@ from typing import Iterable, Mapping
 
 import numpy as np
 
-from .errors import NumericalError, PreconditionError, RepeatedRoots
+from .errors import PreconditionError
 from .tolerances import DEFAULT_POLICY, Held, Record, TolerancePolicy, require_finite_array
 
 Triple = tuple[int, int, int]
@@ -211,10 +211,6 @@ class HomPoly(Held):
             out += self.c[i, j] * prod[:d + 1]
         return out
 
-    def x0_zero_coeffs(self) -> np.ndarray:
-        """Coefficients (ascending in t) of ``p(0, t, 1)``, the anti-diagonal of ``c``."""
-        return np.fliplr(self.c).diagonal().copy()
-
 
 def _hold(c: np.ndarray) -> HomPoly:
     """The polynomial holding ``c``, a new triangular array, checked finite."""
@@ -312,27 +308,6 @@ def close_pair(roots, policy: TolerancePolicy = DEFAULT_POLICY):
     sep = policy.rank_tol * max(1.0, float(np.max(np.abs(r), initial=0.0)))
     i, j = np.nonzero(np.triu(np.abs(r[:, None] - r) < sep, 1))
     return (r[i[0]], r[j[0]], sep) if len(i) else None
-
-
-def roots_on_line(p: HomPoly, policy: TolerancePolicy = DEFAULT_POLICY) -> list[complex]:
-    """Roots ``t`` of ``p(0, t, 1)``, checked distinct and re-verified.
-
-    Raises :class:`RepeatedRoots` when two roots fall within the rank
-    tolerance of each other, which signals that the curve meets the line
-    ``x0 = 0`` non-transversally and a coordinate change is required.
-    """
-    c = p.x0_zero_coeffs()
-    if np.all(np.abs(c) == 0):
-        raise PreconditionError("restriction of p to x0 = 0 is identically zero")
-    roots = univariate_roots(c, policy)
-    scale = float(np.max(np.abs(c)))
-    if (close := close_pair(roots, policy)) is not None:
-        raise RepeatedRoots("roots {:.6g} and {:.6g} closer than {:.2g}".format(*close))
-    for r in roots:
-        bound = scale * sum(abs(r) ** k for k in range(len(c)))
-        if abs(np.polyval(c[::-1], r)) > policy.match_tol * bound:
-            raise NumericalError(f"root {r:.6g} fails the residual re-check")
-    return sorted((complex(r) for r in roots), key=lambda z: (z.real, z.imag))
 
 
 def equal_up_to_scale(p: HomPoly, q: HomPoly,

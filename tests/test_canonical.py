@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
-from pfaffrep import (DetRep, NotInCanonicalForm, NotUnimodular, SkewPencil,
-                      decomposable_from, equal_up_to_scale, gauge_action,
-                      second_canonical_transform, structure_report, to_canonical,
-                      to_second_canonical, validate_canonical,
+from pfaffrep import (DetRep, NotInCanonicalForm, NotUnimodular, RepeatedRoots, SkewPencil,
+                      SpanFailure, congruence, decomposable_from, equal_up_to_scale,
+                      gauge_action, second_canonical_transform, structure_report,
+                      to_canonical, to_second_canonical, validate_canonical,
                       validate_second_canonical)
 from conftest import random_pencil, random_skew
 from test_poly import match_multiset
@@ -58,6 +58,28 @@ def test_kernel_pairing_never_degenerate(rng):
     for i in range(3):
         s = slice(2 * i, 2 * i + 2)
         assert abs(rep.pencil.A1[s, s][0, 1]) > 1e-6
+
+
+def _hidden(rng, P):
+    """``P`` under a random congruence, which hides its block pattern."""
+    X = rng.standard_normal((P.dim, P.dim)) + 1j * rng.standard_normal((P.dim, P.dim))
+    return congruence(P, X)
+
+
+def test_curve_tangent_to_x0_is_refused(rng):
+    # a double root: the curve touches x0 = 0 at (0, 0.5, 1)
+    P = _hidden(rng, canonical_pencil(rng, [0.5, -1.0 + 0.4j, 0.5]))
+    with pytest.raises(RepeatedRoots):
+        to_canonical(P)
+
+
+def test_singular_a1_is_refused(rng):
+    # Pf(A1) = 0 puts (0, 1, 0) on the curve: one root of x0 = 0 is lost at infinity
+    P = canonical_pencil(rng, [0.5, -1.0 + 0.4j, 2.0])
+    A1 = P.A1.copy()
+    A1[4:, 4:] = 0
+    with pytest.raises(SpanFailure):
+        to_canonical(_hidden(rng, SkewPencil(P.A0, A1, P.A2)))
 
 
 def test_second_canonical_d1_fixed(rng):

@@ -504,6 +504,19 @@ def test_integer_fields_and_minor_indices(pencil_doc):
         _assert_schema_error("$.payload.budget", "bridge", {**bridge, "budget": budget})
 
 
+def test_adjoint_is_taken_at_the_payload_coordinates(pencil_doc):
+    """The adjoint is homogeneous of degree d - 1 = 1, so the command answers for
+    the coordinates as sent; three zeros or a wrong length name the point."""
+    P, pen = pencil_doc
+    x = np.array([0.5, 1.0 - 2.0j, 0.25j])
+    adj = [io.dec_matrix(dispatch(parse_problem({"kind": "adjoint", "payload": {
+        "pencil": pen, "point": io.enc_vector(s * x)}}))["outputs"]["adjoint"])
+        for s in (1.0, 3.0)]
+    assert np.allclose(adj[1], 3.0 * adj[0], rtol=1e-12, atol=0)
+    for point in ([[0.0, 0.0]] * 3, [[1.0, 0.0]] * 2, [[1.0, 0.0], [float("nan"), 0.0], [0.0, 0.0]]):
+        _assert_schema_error("$.payload.point", "adjoint", {"pencil": pen, "point": point})
+
+
 def test_decoders_raise_schema_errors_with_paths(pencil_doc):
     doc = pencil_doc[1]
     cases = [(io.dec_pencil, {**doc, "d": "x"}, "$.d"),

@@ -39,8 +39,7 @@ EXPORTS = {
     "pencil": ["DetRep", "KernelBasis", "SkewPencil", "congruence", "decomposable_from",
                "kernel_at", "pfaffian_adjoint_at", "pfaffian_minor", "pfaffian_numeric",
                "wedge_to_matrix"],
-    "poly": ["HomPoly", "LinearForm", "ProjPoint", "equal_up_to_scale", "roots_on_line",
-             "univariate_roots"],
+    "poly": ["HomPoly", "LinearForm", "ProjPoint", "equal_up_to_scale", "univariate_roots"],
     "quartic": ["CubicCoeffs", "PolarTriangle", "ScorzaRelation", "SymDetRep",
                 "ThetaIdentification", "aronhold_invariant", "aronhold_matrix",
                 "bitangent_from_octad", "corank_one_kernel", "factor_three_lines",
@@ -256,16 +255,23 @@ def test_one_canonical_shape_comparison():
 
 def test_one_root_separation_rule():
     """Roots count as distinct by one rule, ``poly.close_pair``, and the
-    curve's roots on ``x0 = 0``, the three-line roots and the bridge's
-    diagonal all use it."""
+    curve's roots on ``x0 = 0`` (``canonical._roots_on_line``), the
+    three-line roots and the bridge's diagonal all use it."""
     src = Path(pfaffrep.__file__).parent
     sites = {p.name: _functions_containing(p, r"rank_tol \* max\(1\.0, float\(np\.max")
              for p in sorted(src.glob("*.py"))}
     assert {name: f for name, f in sites.items() if f} == {"poly.py": ["close_pair"]}
     users = {p.name: _functions_containing(p, r"\bclose_pair\(") for p in sorted(src.glob("*.py"))}
     assert {name: f for name, f in users.items() if f} == {
-        "bridge.py": ["bridge_to_decomposable"], "poly.py": ["close_pair", "roots_on_line"],
-        "quartic.py": ["factor_three_lines"]}
+        "bridge.py": ["bridge_to_decomposable"], "canonical.py": ["_roots_on_line"],
+        "poly.py": ["close_pair"], "quartic.py": ["factor_three_lines"]}
+
+
+def test_canonical_form_asks_for_no_pfaffian():
+    """``to_canonical`` reads its roots off the pencil, as eigenvalues of
+    ``-A1^-1 A2``: the canonical module computes no pfaffian polynomial."""
+    text = (Path(pfaffrep.__file__).parent / "canonical.py").read_text()
+    assert ".pfaffian(" not in text
 
 
 

@@ -1,8 +1,7 @@
 import numpy as np
 import pytest
 
-from pfaffrep import (HomPoly, LinearForm, PreconditionError, ProjPoint,
-                      RepeatedRoots, equal_up_to_scale, roots_on_line,
+from pfaffrep import (HomPoly, LinearForm, PreconditionError, ProjPoint, equal_up_to_scale,
                       univariate_roots)
 
 
@@ -62,12 +61,6 @@ def test_normalization_idempotent(rng):
     assert (0, 4, 0) not in p.terms  # pruned below the zero tolerance
 
 
-def test_roots_on_line_quadric():
-    p = HomPoly(2, {(0, 2, 0): 1, (0, 0, 2): -1})
-    roots = roots_on_line(p)
-    assert np.allclose(sorted(r.real for r in roots), [-1, 1])
-
-
 def match_multiset(found, expected, tol):
     """Greedy nearest-match of two complex multisets; asserts all within tol."""
     left = list(found)
@@ -76,25 +69,6 @@ def match_multiset(found, expected, tol):
         assert abs(best - e) <= tol, f"no root near {e}"
         left.remove(best)
     assert not left
-
-
-def test_roots_on_line_scorza_restriction(scorza_printed):
-    # restriction to x0 = 0 is -x1^4 - 27 x1 x2^3
-    roots = roots_on_line(scorza_printed)
-    expected = [0, -3, 3 * np.exp(1j * np.pi / 3), 3 * np.exp(-1j * np.pi / 3)]
-    match_multiset(roots, expected, 1e-8)
-
-
-def test_roots_on_line_rejects_repeated():
-    p = HomPoly(2, {(0, 2, 0): 1})  # x1^2: double root at 0
-    with pytest.raises(RepeatedRoots):
-        roots_on_line(p)
-
-
-def test_roots_on_line_rejects_zero_restriction():
-    p = HomPoly(2, {(2, 0, 0): 1})
-    with pytest.raises(PreconditionError):
-        roots_on_line(p)
 
 
 def test_univariate_roots_residual(rng):

@@ -19,11 +19,12 @@ from hypothesis import strategies as st
 from pfaffrep import (DetRep, HomPoly, PreconditionError, ProjPoint, SchemaError,
                       SingularTransform, SkewPencil, SkewSymmetryViolation, SymDetRep,
                       classify_pair, congruence, curve_point, decomposable_from, kernel_at,
-                      partner_points, pfaffian_minor, pfaffian_numeric, polar_triangle,
+                      partner_points, pfaffian_adjoint_at, pfaffian_minor, pfaffian_numeric,
+                      polar_triangle,
                       sample_curve_points, to_canonical, type2, verify_replay)
 from pfaffrep import jsonio as io
 from pfaffrep.cli import _exit_code_for, dispatch, parse_problem
-from conftest import random_pencil
+from conftest import random_pencil, random_skew
 
 
 def _scaled(P, c):
@@ -78,7 +79,8 @@ def test_dense_operations_match_point_evaluation(seed, dp, dq):
         value, bound = _value_and_bound(p, base + t * direction)
         assert abs(np.polyval(line[::-1], t) - value) <= 1e-11 * bound
         value, bound = _value_and_bound(p, np.array([0, t, 1]))
-        assert abs(np.polyval(p.x0_zero_coeffs()[::-1], t) - value) <= 1e-12 * max(bound, 1)
+        on_x0 = p.restrict_line([0, 0, 1], [0, 1, 0])
+        assert abs(np.polyval(on_x0[::-1], t) - value) <= 1e-12 * max(bound, 1)
 
 
 def _projector(vectors):
@@ -119,6 +121,52 @@ def test_congruence_scales_the_pfaffian_and_moves_kernels(seed, d):
     moved = np.linalg.solve(X.T, kernel_at(P, lam).vectors)
     assert np.max(np.abs(_projector(moved) - _projector(kernel_at(Q, lam).vectors))) <= 1e-10
     assert classify_pair(Q, lam, mu).kind == classify_pair(P, lam, mu).kind
+
+
+def _run(kind, **payload) -> dict:
+    """The outputs of one CLI problem, which must exit 0."""
+    report = dispatch(parse_problem({"kind": kind, "payload": payload}))
+    assert _exit_code_for(report) == 0, (kind, report["residuals"])
+    return report["outputs"]
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2 ** 32 - 1), k=st.integers(0, 2), u=st.floats(-6, 6))
+def test_commands_survive_a_diagonal_change_of_coordinates(seed, k, u):
+    """``x = D y`` with ``D = diag(c)``, ``c_k = 10^u`` and the other two 1, sends
+    ``A_k`` to ``c_k A_k`` and a point ``p`` to ``D^-1 p``; no answer may depend
+    on it beyond that.  ``structure`` needs ``A1`` in its canonical shape, so
+    it is checked off axis 1."""
+    rng = np.random.default_rng(seed)
+    c = np.ones(3)
+    c[k] = 10.0 ** u
+    P = random_pencil(rng, 8)
+    Q = SkewPencil(*(c[:, None, None] * P.coeffs))
+    pen = io.enc_pencil(Q)
+    F = P.pfaffian()
+    i, j = np.indices(F.c.shape)  # F.c[i, j] multiplies x0^(4-i-j) x1^i x2^j
+    expected = HomPoly.from_array(F.c * c[0] ** np.maximum(4 - i - j, 0) * c[1] ** i * c[2] ** j)
+    # the report leaves out terms at or below zero_tol = 1e-9 of the largest
+    assert _rel_dev(io.dec_poly(_run("pf", pencil=pen)["pfaffian"]), expected) <= 1e-9
+    p = sample_curve_points(F, 1, seed=seed % 997)[0].pt.coords
+    kernel = _run("kernel", pencil=pen, point=io.enc_vector(p / c))["kernel"]["vectors"]
+    there = kernel_at(P, ProjPoint(*p)).vectors
+    assert np.max(np.abs(_projector(io.dec_matrix(kernel).T) - _projector(there))) <= 1e-8
+    roots = io.dec_vector(_run("canon", pencil=pen)["report"]["roots"])
+    assert np.allclose(roots, c[2] / c[1] * np.array(to_canonical(P).roots),
+                       rtol=1e-6, atol=1e-6 * np.max(np.abs(roots)))
+    off = _cnormal(rng, 3)
+    adj = io.dec_matrix(_run("adjoint", pencil=pen, point=io.enc_vector(off / c))["adjoint"])
+    want = pfaffian_adjoint_at(P, off)
+    assert np.max(np.abs(adj - want)) <= 1e-8 * np.max(np.abs(want))
+    if k == 1:
+        return
+    Z, I, D = np.zeros((4, 4)), np.eye(4), np.diag(_cnormal(rng, 4))
+    C, G = _cnormal(rng, (4, 4)), random_skew(rng, 8)
+    for A0, decomposable in ((np.block([[Z, C], [-C.T, Z]]), True), (G, False)):
+        R = SkewPencil(c[0] * A0, np.block([[Z, I], [-I, Z]]), c[2] * np.block([[Z, -D], [D, Z]]))
+        report = _run("structure", pencil=io.enc_pencil(R))["report"]
+        assert report["is_decomposable_form"] is decomposable
 
 
 def test_zero_is_decided_relative_to_the_largest_coefficient():
@@ -286,7 +334,8 @@ def test_replay_start_check_is_relative_to_the_pencil(rng):
 
 def test_the_scale_sweep_reads_no_failure(monkeypatch, capsys):
     """``tools/scale_sweep.py``, run in-process on seed 1 through ``cli.dispatch``,
-    ``_failure``, ``_exit_code_for`` and ``_public``, fails no problem."""
+    ``_failure``, ``_exit_code_for`` and ``_public``, fails no problem, and its
+    per-coordinate sweep fails none but by the refusals it names."""
     import importlib.util
     from pathlib import Path
     monkeypatch.setattr(sys, "path", list(sys.path))  # the tool adds bench/ and src/
@@ -298,3 +347,4 @@ def test_the_scale_sweep_reads_no_failure(monkeypatch, capsys):
     out = capsys.readouterr().out
     assert "wide sweep, seeds [1]: 0 of 144 failed, 0 silent" in out
     assert "scale_probe, seeds [1]: 0 of 21 failed" in out
+    assert "per-coordinate sweep, seeds [1]: 238 ok, 0 failed, 0 silent, 14 refused" in out

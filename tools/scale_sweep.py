@@ -1,5 +1,6 @@
 """The wide scale sweep: every non-bridge pencil command at d = 4 over scales
-1e-4 ... 1e4, run in-process and checked by the benchmark's checker.
+1e-4 ... 1e4, and the per-coordinate sweep, run in-process and checked by the
+benchmark's checker.
 
     python3 tools/scale_sweep.py --seeds 1 2 3 [--root PATH]
 
@@ -14,8 +15,21 @@ CLI would give.  A failure is silent when the exit code is 0 and the
 checker rejects the report.  The bench's 21-problem ``scale_probe`` is
 counted as well.
 
+The per-coordinate sweep applies ``x = D y`` with ``D = diag(c)``, one axis
+at a time and ``c = 10^±2, ±4, ±6``, to the scale-1 problem of each seed and
+command: ``A_k`` becomes ``c_k A_k``, every point ``p`` becomes ``D^-1 p``,
+kernel vectors stay, and ``k-const``'s expected ``K`` is recomputed.  The
+commands that carry transform records (``verify-replay``, ``bundle-check``)
+are left out, since their stored constant parts would need each step redone.
+The refusals the mathematics asks for are counted by name and not as
+failures: ``canon2`` and ``structure`` on axis 1, where ``A1 = c J`` is not
+the canonical shape (exit 4), and a command refusing two points that
+``c0 = 1e-6`` brings within the match tolerance of each other once
+normalized (``SamePoint``, as ``type1`` and ``conint`` do).
+
 Prints one line per failure, a markdown table of the failures per command
-(the scales, and how each failed) and the totals.  Exits 0 either way.
+(the scales, and how each failed) and the totals of both sweeps.  Exits 0
+either way.
 """
 
 from __future__ import annotations
@@ -24,7 +38,7 @@ import argparse
 import importlib
 import json
 import sys
-from collections import defaultdict
+from collections import Counter, defaultdict
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -37,6 +51,9 @@ import problems as pr  # noqa: E402
 KINDS = tuple(k for k in pr.PENCIL_KINDS if k != "bridge")
 LOG10_SCALES = tuple(range(-4, 5))
 DEGREE = 4
+AXIS_KINDS = tuple(k for k in KINDS if k not in ("verify-replay", "bundle-check"))
+AXIS_LOG10 = (-6, -4, -2, 2, 4, 6)
+POINT_FIELDS = ("point", "lambda", "mu")
 
 
 def sweep(seed: int) -> list[tuple[str, int, dict]]:
@@ -47,6 +64,49 @@ def sweep(seed: int) -> list[tuple[str, int, dict]]:
             rng = np.random.default_rng((seed, pr._TAGS["scale-probe"], k))
             out.append((kind, e, pr.build_pencil_problem(kind, DEGREE, 10.0 ** e, rng)))
     return out
+
+
+def rescaled(item: dict, c) -> dict:
+    """``item`` under ``x = D y``, ``D = diag(c)``: ``A_k -> c_k A_k``, ``p -> D^-1 p``."""
+    pay = dict(item["doc"]["payload"])
+    A = [ck * Ak for ck, Ak in zip(c, pr.dec_pencil(pay["pencil"]))]
+    pay["pencil"] = pr.enc_pencil(A)
+    for name in POINT_FIELDS:
+        if name in pay:
+            pay[name] = pr.enc_v(pr.dec_v(pay[name]) / c)
+    if "points" in pay:
+        pay["points"] = [pr.enc_v(pr.dec_v(p) / c) for p in pay["points"]]
+    expect = dict(item["expect"])
+    if "k" in expect:
+        lam, mu, v, u = (pr.dec_v(pay[n]) for n in ("lambda", "mu", "v", "u"))
+        expect["k"] = pr.enc_c(pr.k_value(A, lam, v, mu, u, pr.dec_c(pay["t1"]),
+                                          pr.dec_c(pay["t2"])))
+    return {"doc": {**item["doc"], "payload": pay}, "expect": expect}
+
+
+def axis_sweep(seed: int) -> list[tuple[str, int, int, dict]]:
+    """The ``(command, axis, log10 c, item)`` problems of one seed."""
+    out = []
+    for k, kind in enumerate(KINDS):
+        if kind not in AXIS_KINDS:
+            continue
+        rng = np.random.default_rng((seed, pr._TAGS["scale-probe"], k))
+        base = pr.build_pencil_problem(kind, DEGREE, 1.0, rng)
+        for axis in range(3):
+            for e in AXIS_LOG10:
+                c = np.ones(3)
+                c[axis] = 10.0 ** e
+                out.append((kind, axis, e, rescaled(base, c)))
+    return out
+
+
+def refusal(kind: str, axis: int, e: int, how: str) -> str | None:
+    """The name of the refusal ``how`` is, if the mathematics asks for it there."""
+    if kind in ("canon2", "structure") and axis == 1 and how.startswith("exit 4 "):
+        return f"{kind} on axis 1 (exit 4)"
+    if (axis, e) == (0, -6) and "(SamePoint:" in how:
+        return f"{kind} SamePoint at c0 = 1e-6"
+    return None
 
 
 def run(cli, errors, item: dict) -> tuple[str, str]:
@@ -105,6 +165,33 @@ def main(argv=None) -> int:
     print(f"scale_probe, seeds {args.seeds}: " + ", ".join(
         f"{n} of {len(pr.SCALE_PROBE_KINDS) * len(pr.SCALE_PROBE_LOG10)} failed"
         for n in probe))
+
+    counts, refused = Counter(), Counter()
+    axis_failed: dict[str, list] = defaultdict(list)
+    for seed in args.seeds:
+        for kind, axis, e, item in axis_sweep(seed):
+            status, how = run(cli, errors, item)
+            name = refusal(kind, axis, e, how) if status == "failed" else None
+            if name:
+                refused[name] += 1
+                continue
+            counts[status] += 1
+            if status != "ok":
+                axis_failed[kind].append((axis, e, status))
+                print(f"seed {seed} {kind} axis {axis} 1e{e:+d}: {status}: {how}"[:200])
+    print()
+    print("| command | failed | silent | on axes |")
+    print("|---|---|---|---|")
+    for kind in AXIS_KINDS:
+        if axis_failed[kind]:
+            axes = ", ".join(str(a) for a in sorted({a for a, _, _ in axis_failed[kind]}))
+            n_silent = sum(s == "silent" for _, _, s in axis_failed[kind])
+            print(f"| `{kind}` | {len(axis_failed[kind]) - n_silent} | {n_silent} | {axes} |")
+    print(f"\nper-coordinate sweep, seeds {args.seeds}: {counts['ok']} ok, "
+          f"{counts['failed']} failed, {counts['silent']} silent, "
+          f"{sum(refused.values())} refused by name")
+    for name, n in sorted(refused.items()):
+        print(f"  refused: {name}: {n}")
     return 0
 
 
