@@ -177,15 +177,15 @@ def main(argv=None) -> int:
                 continue
             counts[status] += 1
             if status != "ok":
-                axis_failed[kind].append((axis, e, status))
+                axis_failed[kind].append((axis, status))
                 print(f"seed {seed} {kind} axis {axis} 1e{e:+d}: {status}: {how}"[:200])
     print()
     print("| command | failed | silent | on axes |")
     print("|---|---|---|---|")
     for kind in AXIS_KINDS:
         if axis_failed[kind]:
-            axes = ", ".join(str(a) for a in sorted({a for a, _, _ in axis_failed[kind]}))
-            n_silent = sum(s == "silent" for _, _, s in axis_failed[kind])
+            axes = ", ".join(str(a) for a in sorted({a for a, _ in axis_failed[kind]}))
+            n_silent = sum(s == "silent" for _, s in axis_failed[kind])
             print(f"| `{kind}` | {len(axis_failed[kind]) - n_silent} | {n_silent} | {axes} |")
     print(f"\nper-coordinate sweep, seeds {args.seeds}: {counts['ok']} ok, "
           f"{counts['failed']} failed, {counts['silent']} silent, "
