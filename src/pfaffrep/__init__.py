@@ -29,8 +29,8 @@ _EXPORTS = {
                "SingularTransform", "SkewSymmetryViolation", "SpanFailure",
                "TangencyCheckFailed", "VectorNotInKernel"),
     "incidence": ("CurvePoint", "PairClassification", "classify_pair", "curve_point",
-                  "k_constant", "line_through", "partner_points", "sample_curve_points",
-                  "tangent_line"),
+                  "k_constant", "line_points", "line_through", "partner_points",
+                  "sample_curve_points", "tangent_line"),
     "pencil": ("DetRep", "KernelBasis", "SkewPencil", "congruence", "decomposable_from",
                "kernel_at", "pfaffian_adjoint_at", "pfaffian_minor", "pfaffian_numeric",
                "wedge_to_matrix"),

@@ -12,9 +12,10 @@ non-convergence as a first-class outcome.
 
 Two candidate sources feed each greedy step:
 
-* sampled moves: kernel vectors at curve points drawn by intersecting
-  the curve with random lines, each scored with its least-squares
-  optimal constant;
+* sampled moves: six kernel vectors at each point where ``ceil(32/d)``
+  seeded lines through a seeded centre meet the curve, read off the current
+  pencil by :func:`incidence.line_points` (a refused line is skipped), each
+  scored with its least-squares optimal constant;
 * a structured move that rank-1 factors the current off-pattern blocks,
   reconstructs the kernel vector responsible (up to the sign ambiguity
   of a square root) and its base point from the null space of the
@@ -30,12 +31,12 @@ import numpy as np
 
 from .canonical import (negligible, negligible_norm, off_pattern_blocks, off_pattern_norm,
                         validate_second_canonical)
-from .errors import PreconditionError, RankDeficiency, VectorNotInKernel
-from .incidence import _require_kernel, sample_curve_points
-from .pencil import SkewPencil, kernel_at
+from .errors import PreconditionError, RepeatedRoots, SpanFailure, VectorNotInKernel
+from .incidence import _require_kernel, line_points
+from .pencil import SkewPencil, _gauge
 from .poly import ProjPoint, close_pair
 from .tolerances import (BRIDGE_FIT_TOL, BRIDGE_STEP_TOL, DEFAULT_POLICY, Record,
-                         TolerancePolicy, null_space)
+                         TolerancePolicy, draws, null_space)
 from .transforms import TransformRecord, _gamma_update, type2
 
 _DECREASE_FACTOR = 1.0 - BRIDGE_STEP_TOL
@@ -143,12 +144,8 @@ def _structured_candidates(P: SkewPencil, ps: np.ndarray,
     elif fit_top and negligible(bot, P, policy):
         b, _ = fit_top
         trials.append(np.concatenate([np.zeros(d, dtype=complex), b]))
-    out = []
-    for v in trials:
-        pt = _point_for_vector(P, v, policy)
-        if pt is not None:
-            out.append((pt, v))
-    return out
+    points = [_point_for_vector(P, v, policy) for v in trials]
+    return [(pt, v) for pt, v in zip(points, trials) if pt is not None]
 
 
 def bridge_to_decomposable(P: SkewPencil, budget: int = 50, seed: int = 0,
@@ -166,7 +163,6 @@ def bridge_to_decomposable(P: SkewPencil, budget: int = 50, seed: int = 0,
     if close_pair(ps, policy) is not None:
         raise PreconditionError("diagonal entries must be pairwise distinct")
     target = negligible_norm(P, policy)
-    F = P.pfaffian()
     cur = P
     records: list[TransformRecord] = []
     off = off_pattern_norm(cur.gamma, d)
@@ -174,19 +170,18 @@ def bridge_to_decomposable(P: SkewPencil, budget: int = 50, seed: int = 0,
     while off > target and len(records) < budget:
         G = _pattern_vector(cur.gamma, d)
         candidates = _structured_candidates(cur, ps, policy)
-        try:
-            pts = sample_curve_points(F, _CANDIDATE_POINTS, seed=seed + 977 * len(records),
-                                      policy=policy)
-        except PreconditionError:
-            pts = []
-        for cp in pts:
+        center, *lines = draws(seed + 977 * len(records))(1 - (-_CANDIDATE_POINTS // d), 3)
+        for direction in lines:
             try:
-                kb = kernel_at(cur, cp.pt, policy)
-            except RankDeficiency:
-                continue
-            b1, b2 = kb.v1, kb.v2
-            for v in (b1, b2, b1 + b2, b1 - b2, b1 + 1j * b2, b1 - 1j * b2):
-                candidates.append((cp.pt, v))
+                found = line_points(cur, center, direction, policy)
+            except (RepeatedRoots, SpanFailure):
+                continue  # a refused line is skipped, not redrawn
+            for t, K in found:
+                pt = ProjPoint(*(center + t * direction), policy=policy)
+                if pt.in_chart(policy):
+                    b1, b2 = _gauge(K.T)
+                    candidates += [(pt, v) for v in
+                                   (b1, b2, b1 + b2, b1 - b2, b1 + 1j * b2, b1 - 1j * b2)]
         best = None
         for pt, v in candidates:
             U = _pattern_vector(_gamma_update(cur, v[:, None], _RHO_ONE), d)

@@ -14,9 +14,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import NotInCanonicalForm, NotUnimodular, RepeatedRoots, SpanFailure
+from .errors import NotInCanonicalForm, NotUnimodular, SpanFailure
+from .incidence import line_points
 from .pencil import SkewPencil, congruence
-from .poly import close_pair
 from .tolerances import DEFAULT_POLICY, Record, TolerancePolicy, null_space
 
 
@@ -49,47 +49,27 @@ def _shape_residual(P: SkewPencil, ps, rows, cols) -> float:
     return max(float(np.max(np.abs(P.A1 - J))), float(np.max(np.abs(P.A2 - D))) / scale)
 
 
-def _roots_on_line(P: SkewPencil, policy: TolerancePolicy) -> list[complex]:
-    """The ``p`` where the curve meets ``x0 = 0``, at ``(0, p, 1)``: the eigenvalues
-    of ``-A1^-1 A2``, each double since ``det = Pf^2``, paired by nearest neighbour."""
-    if len(null_space(P.A1, policy.rank_tol)[0]):
-        raise SpanFailure("A1 is singular: the curve passes through (0, 1, 0)")
-    left = list(np.linalg.eigvals(-np.linalg.solve(P.A1, P.A2)))
-    roots = []
-    while left:
-        z = left.pop()
-        roots.append(complex(z + left.pop(int(np.argmin(np.abs(np.array(left) - z))))) / 2)
-    if (close := close_pair(roots, policy)) is not None:
-        raise RepeatedRoots("roots {:.6g} and {:.6g} closer than {:.2g}".format(*close))
-    return sorted(roots, key=lambda z: (z.real, z.imag))
-
-
 def to_canonical(P: SkewPencil, policy: TolerancePolicy = DEFAULT_POLICY) -> CanonicalReport:
     """Congruence to the first canonical form.
 
-    Requires the curve ``Pf A = 0`` to meet ``x0 = 0`` in ``half_deg``
-    distinct points; each root contributes the 2-dimensional kernel of
-    ``p_i A1 + A2``, and stacking those kernel bases (scaled so the A1
-    block is exactly ``[[0, 1], [-1, 0]]``, the two vectors by powers of two
-    to a like size, which keeps the basis well conditioned at any scale)
-    gives the basis change.  Roots are sorted by (real, imaginary) part.
-    A unitary change of the orthonormal kernel basis multiplies the A1 pairing
-    by a determinant of modulus one, so no other basis rescues a degenerate one.
+    Requires the curve ``Pf A = 0`` to meet ``x0 = 0`` in ``half_deg`` distinct
+    points ``(0, p_i, 1)``, read with their kernels by :func:`incidence.line_points`.
+    Each kernel basis ``K`` becomes ``K K[[i, j]]^-1``, rows ``i < j`` holding its
+    largest 2x2 minor, which depends on the kernel plane alone; scaled so the A1
+    block is ``[[0, 1], [-1, 0]]``, and by powers of two to a like size, its two
+    vectors are that root's rows of the basis change.
     """
-    d = P.half_deg
-    roots = _roots_on_line(P, policy)
-    rows = []
-    a1_scale = float(np.max(np.abs(P.A1)))
-    for p in roots:
-        kernel, _ = null_space(p * P.A1 + P.A2, policy.rank_tol)
-        if len(kernel) != 2:
-            raise SpanFailure(
-                f"kernel at root {p:.6g} has dimension {len(kernel)}, expected 2")
-        u, v = kernel
-        pairing = u @ P.A1 @ v
-        if abs(pairing) <= policy.rank_tol * a1_scale:
+    d, roots, rows = P.half_deg, [], []
+    for p, K in line_points(P, (0, 0, 1), (0, 1, 0), policy):
+        k0, k1 = K.T
+        if abs(k0 @ P.A1 @ k1) <= policy.rank_tol * np.max(np.abs(P.A1)):
             raise SpanFailure(f"A1 pairing degenerates on the kernel at root {p:.6g}")
+        minors = np.triu(np.abs(np.outer(k0, k1) - np.outer(k1, k0)), 1)
+        i, j = np.unravel_index(np.argmax(minors), minors.shape)
+        u, v = (K @ np.linalg.inv(K[[i, j]])).T
+        pairing = u @ P.A1 @ v
         pow2 = np.ldexp(1.0, -round(np.log2(abs(pairing)) / 2))
+        roots.append(p)
         rows += [pow2 * u, v / (pow2 * pairing)]
     B = np.array(rows)
     if len(null_space(B, policy.rank_tol)[0]):
@@ -116,11 +96,8 @@ def second_canonical_transform(d: int) -> np.ndarray:
     Row ``i`` (0-based, i < d) is ``e_{2i} - e_{2i+1}``; row ``d+i`` is
     ``e_{2i+1}``.  Its determinant is ``(-1)^{d(d-1)/2}``.
     """
-    Q = np.zeros((2 * d, 2 * d), dtype=complex)
-    for i in range(d):
-        Q[i, 2 * i] = 1.0
-        Q[i, 2 * i + 1] = -1.0
-        Q[d + i, 2 * i + 1] = 1.0
+    Q, i = np.zeros((2 * d, 2 * d), dtype=complex), np.arange(d)
+    Q[i, 2 * i], Q[i, 2 * i + 1], Q[d + i, 2 * i + 1] = 1.0, -1.0, 1.0
     return Q
 
 

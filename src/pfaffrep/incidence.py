@@ -16,9 +16,9 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import (DegenerateDenominator, NoAdmissiblePartner, PreconditionError,
-                     SamePoint, VectorNotInKernel)
+                     RepeatedRoots, SamePoint, SpanFailure, VectorNotInKernel)
 from .pencil import KernelBasis, SkewPencil, kernel_at
-from .poly import HomPoly, LinearForm, ProjPoint, univariate_roots
+from .poly import HomPoly, LinearForm, ProjPoint, close_pair, univariate_roots
 from .tolerances import DEFAULT_POLICY, Record, TolerancePolicy, draws, null_space
 
 
@@ -68,6 +68,34 @@ def sample_curve_points(F: HomPoly, count: int, seed: int = 0,
     return out
 
 
+def line_points(P: SkewPencil, base, direction,
+                policy: TolerancePolicy = DEFAULT_POLICY) -> list[tuple[complex, np.ndarray]]:
+    """The ``(t, K)`` where ``base + t * direction`` meets ``Pf P = 0``, sorted by (real,
+    imaginary) part, ``K`` an orthonormal ``(n, 2)`` kernel basis there: with ``B + t M``
+    the pencil on the line, each ``t`` is a double eigenvalue of ``-M^-1 B`` (``det =
+    Pf^2``) and the pair's eigenvectors span the kernel.  A singular ``M`` or eigenvectors
+    off the kernel raise :class:`SpanFailure`, two points within the separation of
+    :func:`poly.close_pair` :class:`RepeatedRoots`."""
+    base, direction = np.asarray(base, dtype=complex), np.asarray(direction, dtype=complex)
+    B, M = P(base), P(direction)
+    if len(null_space(M, policy.rank_tol)[0]):
+        raise SpanFailure(f"the line's direction {ProjPoint(*direction)} lies on the curve")
+    w, V = np.linalg.eig(-np.linalg.solve(M, B))
+    left, pairs = list(range(len(w))), []
+    while left:
+        i = left.pop()
+        j = left.pop(int(np.argmin(np.abs(w[left] - w[i]))))
+        pairs.append((complex(w[i] + w[j]) / 2, np.linalg.qr(V[:, [i, j]])[0]))
+    if (close := close_pair([t for t, _ in pairs], policy)) is not None:
+        raise RepeatedRoots("points t = {:.6g} and {:.6g} closer than {:.2g}".format(*close))
+    for t, K in pairs:
+        try:
+            _require_kernel(P, base + t * direction, K, policy)
+        except VectorNotInKernel as exc:
+            raise SpanFailure(f"the eigenvectors at t = {t:.6g} miss the kernel: {exc}") from None
+    return sorted(pairs, key=lambda pair: (pair[0].real, pair[0].imag))
+
+
 def line_through(P: SkewPencil, lam: ProjPoint, v: np.ndarray,
                  mu: ProjPoint, u: np.ndarray,
                  policy: TolerancePolicy = DEFAULT_POLICY) -> LinearForm:
@@ -91,8 +119,8 @@ def tangent_line(P: SkewPencil, lam: ProjPoint,
     return line_through(P, lam, kb.v2, lam, kb.v1, policy)
 
 
-def _require_kernel(P: SkewPencil, pt: ProjPoint, v: np.ndarray,
-                    policy: TolerancePolicy) -> None:
+def _require_kernel(P: SkewPencil, pt, v: np.ndarray, policy: TolerancePolicy) -> None:
+    """The kernel-membership rule ``|A(pt) v| <= rank_tol |A(pt)| |v|``, Frobenius for a matrix."""
     A = P(pt)
     nv = float(np.linalg.norm(v))
     if nv == 0.0:

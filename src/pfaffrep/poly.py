@@ -302,11 +302,11 @@ def univariate_roots(coeffs: Iterable[complex],
 
 
 def close_pair(roots, policy: TolerancePolicy = DEFAULT_POLICY):
-    """The first two ``roots`` closer than ``sep = rank_tol * max(1, max |r|)``,
-    and ``sep``; ``None`` when every two roots are at least ``sep`` apart."""
+    """The first two ``roots`` at most ``sep = rank_tol * max |r|`` apart, and ``sep``;
+    ``None`` when every two are farther apart (two zero roots are not)."""
     r = np.asarray(roots, dtype=complex)
-    sep = policy.rank_tol * max(1.0, float(np.max(np.abs(r), initial=0.0)))
-    i, j = np.nonzero(np.triu(np.abs(r[:, None] - r) < sep, 1))
+    sep = policy.rank_tol * float(np.max(np.abs(r), initial=0.0))
+    i, j = np.nonzero(np.triu(np.abs(r[:, None] - r) <= sep, 1))
     return (r[i[0]], r[j[0]], sep) if len(i) else None
 
 

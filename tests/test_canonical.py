@@ -82,6 +82,42 @@ def test_singular_a1_is_refused(rng):
         to_canonical(_hidden(rng, SkewPencil(P.A0, A1, P.A2)))
 
 
+@pytest.mark.parametrize("c1, c2", [(1e8, 1.0), (1.0, 1e-8), (1e6, 1e-6)])
+def test_small_roots_on_x0_are_told_apart(c1, c2):
+    # x1 -> c1 x1, x2 -> c2 x2 scales the roots by c2 / c1, and their separation with them
+    P = random_pencil(np.random.default_rng(1), 8)
+    roots = np.array(to_canonical(P).roots) * c2 / c1
+    rep = to_canonical(SkewPencil(P.A0, c1 * P.A1, c2 * P.A2))
+    assert rep.residual <= 1e-12
+    match_multiset(rep.roots, roots, 1e-12 * float(np.max(np.abs(roots))))
+
+
+def test_canonical_basis_depends_on_the_kernel_planes_alone(rng, monkeypatch):
+    import pfaffrep.canonical as canonical
+    from pfaffrep.incidence import line_points
+    P = random_pencil(rng, 8)
+    before = to_canonical(P)
+
+    def rotated(*args):
+        unitary = [np.linalg.qr(random_skew(rng, 2) + rng.standard_normal((2, 2)))[0]
+                   for _ in range(P.half_deg)]
+        return [(t, K @ U) for (t, K), U in zip(line_points(*args), unitary)]
+
+    monkeypatch.setattr(canonical, "line_points", rotated)
+    after = to_canonical(P)
+    for a, b in [(after.basis_change, before.basis_change), (after.pencil.A0, before.pencil.A0)]:
+        assert np.abs(a - b).max() <= 1e-12 * np.abs(b).max()
+
+
+def test_canonical_basis_survives_a_change_in_the_last_bits():
+    # A1 -> (1 + 2^-50) A1 moves every root in its last bits and keeps every kernel plane
+    for seed in range(5):
+        P = random_pencil(np.random.default_rng(seed), 8)
+        B = to_canonical(P).basis_change
+        C = to_canonical(SkewPencil(P.A0, (1 + 2.0 ** -50) * P.A1, P.A2)).basis_change
+        assert np.abs(C - B).max() <= 1e-12 * np.abs(B).max()
+
+
 def test_second_canonical_d1_fixed(rng):
     P = canonical_pencil(rng, [0.7])
     out = to_second_canonical(P)

@@ -2,11 +2,12 @@ import numpy as np
 import pytest
 
 from pfaffrep import (DegenerateDenominator, DetRep, NoAdmissiblePartner,
-                      ProjPoint, SamePoint, VectorNotInKernel, classify_pair,
-                      curve_point, decomposable_from, k_constant, kernel_at,
-                      line_through, partner_points, sample_curve_points,
-                      tangent_line)
+                      ProjPoint, RepeatedRoots, SamePoint, SpanFailure, VectorNotInKernel,
+                      classify_pair, curve_point, decomposable_from, k_constant, kernel_at,
+                      line_points, line_through, partner_points, sample_curve_points,
+                      tangent_line, univariate_roots)
 from conftest import random_pencil
+from test_poly import match_multiset
 
 
 @pytest.fixture
@@ -254,3 +255,51 @@ def test_tangent_of_block_pencil_matches_gradient(m_theta, theta_lambda):
     cos = abs(np.vdot(ell.coeffs, grad)) / (np.linalg.norm(ell.coeffs)
                                             * np.linalg.norm(grad))
     assert cos >= 1 - 1e-6
+
+
+def _random_line(rng):
+    return rng.standard_normal((2, 3)) + 1j * rng.standard_normal((2, 3))
+
+
+@pytest.mark.parametrize("d", [2, 3, 5, 8])
+def test_line_points_are_the_roots_of_the_restricted_pfaffian(rng, d):
+    P = random_pencil(rng, 2 * d)
+    base, direction = _random_line(rng)
+    ts = [t for t, _ in line_points(P, base, direction)]
+    expected = univariate_roots(P.pfaffian().restrict_line(base, direction))
+    assert len(ts) == len(expected) == d
+    match_multiset(ts, expected, 1e-8 * max(1.0, float(np.max(np.abs(expected)))))
+    assert ts == sorted(ts, key=lambda t: (t.real, t.imag))
+
+
+@pytest.mark.parametrize("d", [4, 8, 12, 16])
+def test_line_point_kernels_are_orthonormal_kernel_bases(rng, d):
+    P = random_pencil(rng, 2 * d)
+    base, direction = _random_line(rng)
+    found = line_points(P, base, direction)
+    assert len(found) == d
+    for t, K in found:
+        A = P(base + t * direction)
+        assert K.shape == (2 * d, 2)
+        assert np.abs(K.conj().T @ K - np.eye(2)).max() <= 1e-12
+        assert np.linalg.norm(A @ K, 2) <= 1e-12 * np.linalg.norm(A, 2)
+
+
+def test_a_tangent_line_is_refused(rng):
+    # M = x0 C0 + x1 I - x2 J with a Jordan block of J at 0.5: the line x0 = 0
+    # touches the curve det M = 0 at the smooth point (0, 0.5, 1)
+    J = np.diag([0.5, 0.5, -1.0 + 0.4j, 2.0])
+    J[0, 1] = 1.0
+    C0 = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+    P = decomposable_from(DetRep(C0, np.eye(4), -J))
+    assert kernel_at(P, ProjPoint(0, 0.5, 1)).vectors.shape == (8, 2)
+    with pytest.raises(RepeatedRoots):
+        line_points(P, (0, 0, 1), (0, 1, 0))
+
+
+def test_a_direction_on_the_curve_is_refused(rng):
+    P = random_pencil(rng, 6)
+    base, direction = _random_line(rng)
+    t, _ = line_points(P, base, direction)[0]
+    with pytest.raises(SpanFailure, match="lies on the curve"):
+        line_points(P, base, base + t * direction)

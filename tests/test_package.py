@@ -34,8 +34,8 @@ EXPORTS = {
                "SchemaError", "SingularGamma", "SingularTransform", "SkewSymmetryViolation",
                "SpanFailure", "TangencyCheckFailed", "VectorNotInKernel"],
     "incidence": ["CurvePoint", "PairClassification", "classify_pair", "curve_point",
-                  "k_constant", "line_through", "partner_points", "sample_curve_points",
-                  "tangent_line"],
+                  "k_constant", "line_points", "line_through", "partner_points",
+                  "sample_curve_points", "tangent_line"],
     "pencil": ["DetRep", "KernelBasis", "SkewPencil", "congruence", "decomposable_from",
                "kernel_at", "pfaffian_adjoint_at", "pfaffian_minor", "pfaffian_numeric",
                "wedge_to_matrix"],
@@ -255,16 +255,32 @@ def test_one_canonical_shape_comparison():
 
 def test_one_root_separation_rule():
     """Roots count as distinct by one rule, ``poly.close_pair``, and the
-    curve's roots on ``x0 = 0`` (``canonical._roots_on_line``), the
-    three-line roots and the bridge's diagonal all use it."""
+    curve's points on a line (``incidence.line_points``), the three-line
+    roots and the bridge's diagonal all use it."""
     src = Path(pfaffrep.__file__).parent
-    sites = {p.name: _functions_containing(p, r"rank_tol \* max\(1\.0, float\(np\.max")
+    sites = {p.name: _functions_containing(p, r"rank_tol \* float\(np\.max\(np\.abs")
              for p in sorted(src.glob("*.py"))}
     assert {name: f for name, f in sites.items() if f} == {"poly.py": ["close_pair"]}
     users = {p.name: _functions_containing(p, r"\bclose_pair\(") for p in sorted(src.glob("*.py"))}
     assert {name: f for name, f in users.items() if f} == {
-        "bridge.py": ["bridge_to_decomposable"], "canonical.py": ["_roots_on_line"],
+        "bridge.py": ["bridge_to_decomposable"], "incidence.py": ["line_points"],
         "poly.py": ["close_pair"], "quartic.py": ["factor_three_lines"]}
+
+
+def test_one_eigenproblem_for_curve_points():
+    """Curve points and their kernels on a line come from one ``eig`` in
+    ``incidence.line_points``; no other function calls ``np.linalg.eig*``."""
+    src = Path(pfaffrep.__file__).parent
+    sites = {p.name: _functions_containing(p, r"np\.linalg\.eig") for p in sorted(src.glob("*.py"))}
+    assert {name: f for name, f in sites.items() if f} == {"incidence.py": ["line_points"]}
+
+
+def test_bridge_reads_points_and_kernels_off_the_pencil():
+    """The bridge's sampled candidates come from ``incidence.line_points`` on the
+    current pencil: no pfaffian polynomial, polynomial sampling or SVD per point."""
+    text = (Path(pfaffrep.__file__).parent / "bridge.py").read_text()
+    assert "line_points(" in text
+    assert [w for w in (".pfaffian(", "sample_curve_points", "kernel_at(") if w in text] == []
 
 
 def test_canonical_form_asks_for_no_pfaffian():
@@ -319,14 +335,16 @@ def _calls(name: str) -> list:
 
 def test_only_the_bridge_draws_from_a_seed():
     """Every generic choice but the bridge's comes from the fixed stream
-    ``draws(0)``: ``draws`` takes a variable only in ``sample_curve_points``,
-    and only the bridge passes that function a seed."""
+    ``draws(0)``: ``draws`` takes a variable only in ``sample_curve_points``
+    and in the bridge's own line draws, and no module passes
+    ``sample_curve_points`` a seed."""
     variable = [(f, fn) for f, fn, call in _calls("draws")
                 if not (isinstance(call.args[0], ast.Constant) and call.args[0].value == 0)]
-    assert variable == [("incidence.py", "sample_curve_points")]
+    assert sorted(variable) == [("bridge.py", "bridge_to_decomposable"),
+                                ("incidence.py", "sample_curve_points")]
     seeded = {f for f, _, call in _calls("sample_curve_points")
               if len(call.args) > 2 or any(k.arg == "seed" for k in call.keywords)}
-    assert seeded == {"bridge.py"}
+    assert seeded == set()
 
 
 def test_canonical_form_draws_nothing():

@@ -348,3 +348,27 @@ def test_the_scale_sweep_reads_no_failure(monkeypatch, capsys):
     assert "wide sweep, seeds [1]: 0 of 144 failed, 0 silent" in out
     assert "scale_probe, seeds [1]: 0 of 21 failed" in out
     assert "per-coordinate sweep, seeds [1]: 238 ok, 0 failed, 0 silent, 14 refused" in out
+
+
+def test_the_scale_sweep_exits_1_on_a_failure_it_does_not_name(monkeypatch, capsys):
+    """A failure or a silent failure makes ``tools/scale_sweep.py`` exit 1; a refusal
+    the per-coordinate sweep names (``canon2`` on axis 1, exit 4) does not."""
+    import importlib.util
+    from pathlib import Path
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    path = Path(__file__).resolve().parent.parent / "tools" / "scale_sweep.py"
+    spec = importlib.util.spec_from_file_location("scale_sweep", path)
+    sweep = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(sweep)
+    item = sweep.sweep(1)[0][2]
+    monkeypatch.setattr(sweep.pr, "scale_probe", lambda seed: [])
+    monkeypatch.setattr(sweep, "sweep", lambda seed: [])
+    monkeypatch.setattr(sweep, "axis_sweep", lambda seed: [("canon2", 1, 2, item)])
+    monkeypatch.setattr(sweep, "run", lambda cli, errors, item: ("failed", "exit 4 (refused)"))
+    assert sweep.main(["--seeds", "1"]) == 0
+    for status in ("failed", "silent"):
+        monkeypatch.setattr(sweep, "run", lambda cli, errors, item: (status, "exit 3 (x)"))
+        assert sweep.main(["--seeds", "1"]) == 1
+    monkeypatch.setattr(sweep, "axis_sweep", lambda seed: [])
+    monkeypatch.setattr(sweep, "sweep", lambda seed: [("canon", 0, item)])
+    assert sweep.main(["--seeds", "1"]) == 1

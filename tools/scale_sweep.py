@@ -28,8 +28,9 @@ the canonical shape (exit 4), and a command refusing two points that
 normalized (``SamePoint``, as ``type1`` and ``conint`` do).
 
 Prints one line per failure, a markdown table of the failures per command
-(the scales, and how each failed) and the totals of both sweeps.  Exits 0
-either way.
+(the scales, and how each failed) and the totals of both sweeps.  Exits 1
+when any sweep or ``scale_probe`` has a failure, silent or not, other than
+the refusals named above; 0 otherwise.
 """
 
 from __future__ import annotations
@@ -192,7 +193,7 @@ def main(argv=None) -> int:
           f"{sum(refused.values())} refused by name")
     for name, n in sorted(refused.items()):
         print(f"  refused: {name}: {n}")
-    return 0
+    return int(bool(n_failed or any(probe) or counts["failed"] or counts["silent"]))
 
 
 if __name__ == "__main__":
