@@ -33,7 +33,7 @@ from .canonical import (negligible, negligible_norm, off_pattern_blocks, off_pat
                         validate_second_canonical)
 from .errors import PreconditionError, RepeatedRoots, SpanFailure, VectorNotInKernel
 from .incidence import _require_kernel, line_points
-from .pencil import SkewPencil, _gauge
+from .pencil import SkewPencil
 from .poly import ProjPoint, close_pair
 from .tolerances import (BRIDGE_FIT_TOL, BRIDGE_STEP_TOL, DEFAULT_POLICY, Record,
                          TolerancePolicy, draws, null_space)
@@ -179,7 +179,7 @@ def bridge_to_decomposable(P: SkewPencil, budget: int = 50, seed: int = 0,
             for t, K in found:
                 pt = ProjPoint(*(center + t * direction), policy=policy)
                 if pt.in_chart(policy):
-                    b1, b2 = _gauge(K.T)
+                    b1, b2 = K.T
                     candidates += [(pt, v) for v in
                                    (b1, b2, b1 + b2, b1 - b2, b1 + 1j * b2, b1 - 1j * b2)]
         best = None

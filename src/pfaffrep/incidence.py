@@ -16,7 +16,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import (DegenerateDenominator, NoAdmissiblePartner, PreconditionError,
-                     RepeatedRoots, SamePoint, SpanFailure, VectorNotInKernel)
+                     RankDeficiency, RepeatedRoots, SamePoint, SpanFailure, VectorNotInKernel)
 from .pencil import KernelBasis, SkewPencil, kernel_at
 from .poly import HomPoly, LinearForm, ProjPoint, close_pair, univariate_roots
 from .tolerances import DEFAULT_POLICY, Record, TolerancePolicy, draws, null_space
@@ -71,29 +71,30 @@ def sample_curve_points(F: HomPoly, count: int, seed: int = 0,
 def line_points(P: SkewPencil, base, direction,
                 policy: TolerancePolicy = DEFAULT_POLICY) -> list[tuple[complex, np.ndarray]]:
     """The ``(t, K)`` where ``base + t * direction`` meets ``Pf P = 0``, sorted by (real,
-    imaginary) part, ``K`` an orthonormal ``(n, 2)`` kernel basis there: with ``B + t M``
-    the pencil on the line, each ``t`` is a double eigenvalue of ``-M^-1 B`` (``det =
-    Pf^2``) and the pair's eigenvectors span the kernel.  A singular ``M`` or eigenvectors
-    off the kernel raise :class:`SpanFailure`, two points within the separation of
-    :func:`poly.close_pair` :class:`RepeatedRoots`."""
+    imaginary) part, ``K`` the :func:`pencil.kernel_at` basis there: with ``B + t M`` the
+    pencil on the line, each ``t`` is a double eigenvalue of ``-M^-1 B`` (``det = Pf^2``).
+    A singular ``M`` or a point without a 2-dimensional kernel raise :class:`SpanFailure`,
+    two points within the separation of :func:`poly.close_pair` :class:`RepeatedRoots`."""
     base, direction = np.asarray(base, dtype=complex), np.asarray(direction, dtype=complex)
     B, M = P(base), P(direction)
     if len(null_space(M, policy.rank_tol)[0]):
         raise SpanFailure(f"the line's direction {ProjPoint(*direction)} lies on the curve")
-    w, V = np.linalg.eig(-np.linalg.solve(M, B))
-    left, pairs = list(range(len(w))), []
+    w = np.linalg.eigvals(-np.linalg.solve(M, B))
+    left, ts = list(range(len(w))), []
     while left:
         i = left.pop()
         j = left.pop(int(np.argmin(np.abs(w[left] - w[i]))))
-        pairs.append((complex(w[i] + w[j]) / 2, np.linalg.qr(V[:, [i, j]])[0]))
-    if (close := close_pair([t for t, _ in pairs], policy)) is not None:
+        ts.append(complex(w[i] + w[j]) / 2)
+    if (close := close_pair(ts, policy)) is not None:
         raise RepeatedRoots("points t = {:.6g} and {:.6g} closer than {:.2g}".format(*close))
-    for t, K in pairs:
+    out = []
+    for t in sorted(ts, key=lambda t: (t.real, t.imag)):
+        pt = ProjPoint(*(base + t * direction), policy=policy)
         try:
-            _require_kernel(P, base + t * direction, K, policy)
-        except VectorNotInKernel as exc:
-            raise SpanFailure(f"the eigenvectors at t = {t:.6g} miss the kernel: {exc}") from None
-    return sorted(pairs, key=lambda pair: (pair[0].real, pair[0].imag))
+            out.append((t, kernel_at(P, pt, policy).vectors))
+        except RankDeficiency as exc:
+            raise SpanFailure(f"no kernel plane at t = {t:.6g}: {exc}") from None
+    return out
 
 
 def line_through(P: SkewPencil, lam: ProjPoint, v: np.ndarray,
@@ -120,7 +121,7 @@ def tangent_line(P: SkewPencil, lam: ProjPoint,
 
 
 def _require_kernel(P: SkewPencil, pt, v: np.ndarray, policy: TolerancePolicy) -> None:
-    """The kernel-membership rule ``|A(pt) v| <= rank_tol |A(pt)| |v|``, Frobenius for a matrix."""
+    """The kernel-membership rule ``|A(pt) v| <= rank_tol |A(pt)| |v|``."""
     A = P(pt)
     nv = float(np.linalg.norm(v))
     if nv == 0.0:
@@ -160,13 +161,17 @@ def k_constant(P: SkewPencil, lam: ProjPoint, v: np.ndarray,
     return complex(num / den)
 
 
+def _operator_scale(P: SkewPencil) -> float:
+    """``max(|sigma1|_2, |sigma2|_2)``, the size of the pencil's non-constant part."""
+    return max(np.linalg.norm(P.sigma1, 2), np.linalg.norm(P.sigma2, 2))
+
+
 def _admissibility_scale(P: SkewPencil, lam: ProjPoint, mu: ProjPoint,
                          policy: TolerancePolicy) -> float:
     """The size of a genuine K between unit kernel vectors at ``lam`` and ``mu``."""
-    opscale = max(np.linalg.norm(P.sigma1, 2), np.linalg.norm(P.sigma2, 2))
     l1, l2 = lam.affine(policy)
     m1, m2 = mu.affine(policy)
-    return opscale / max(abs(l1 - m1), abs(l2 - m2), policy.zero_tol)
+    return _operator_scale(P) / max(abs(l1 - m1), abs(l2 - m2), policy.zero_tol)
 
 
 _KINDS = ("inadmissible", "semiadmissible", "admissible")
@@ -222,38 +227,31 @@ def classify_pair(P: SkewPencil, lam: ProjPoint, mu: ProjPoint,
 
 def partner_points(P: SkewPencil, lam: ProjPoint, v: np.ndarray, u: np.ndarray,
                    policy: TolerancePolicy = DEFAULT_POLICY) -> list[CurvePoint]:
-    """Points ``mu`` on the curve with ``u`` in the kernel there, coupled to ``v``.
+    """The point ``mu`` on the curve, if any, with ``u`` in the kernel there, coupled to ``v``.
 
-    Candidate points sit on the line ``mu_i(s) = lam_i - s * (v^t sigma_i u)``
-    (the step divided by its largest entry, so ``s`` does not depend on the
-    pencil's scale); substituting into the curve equation leaves a
-    univariate polynomial with at most ``half_deg`` roots.  Every returned
-    point is re-verified on the curve and against ``A(mu) u = 0``; an
-    empty list is a legitimate outcome.
+    A partner sits on the line ``mu_i(s) = lam_i - s * (v^t sigma_i u)`` (the step
+    divided by its largest entry, so ``s`` does not depend on the pencil's scale),
+    where ``A(mu) u = A(lam) u + s A(direction) u`` is linear in ``s``: its
+    least-squares ``s`` is the only candidate besides ``lam`` itself (``s = 0``).
+    The point is checked against ``A(mu) u = 0`` and on the curve; an empty list
+    is a legitimate outcome.
     """
     _require_kernel(P, lam, v, policy)
     q1 = complex(v @ P.sigma1 @ u)
     q2 = complex(v @ P.sigma2 @ u)
-    opscale = max(np.linalg.norm(P.sigma1, 2), np.linalg.norm(P.sigma2, 2))
     nv = float(np.linalg.norm(v) * np.linalg.norm(u))
     qmax = max(abs(q1), abs(q2))
-    if qmax <= policy.rank_tol * opscale * nv:
+    if qmax <= policy.rank_tol * _operator_scale(P) * nv:
         raise NoAdmissiblePartner("the coupling of v and u vanishes identically")
     l1, l2 = lam.affine(policy)
-    F = P.pfaffian()
     base = np.array([1.0, l1, l2], dtype=complex)
     direction = np.array([0.0, -q1, -q2], dtype=complex) / qmax
-    coeffs = F.restrict_line(base, direction)
-    out = []
-    for s in univariate_roots(coeffs, policy):
-        if abs(s) <= policy.rank_tol * max(1.0, abs(l1), abs(l2)):
-            continue  # s = 0 reproduces lam itself
-        raw = base + s * direction
-        pt = ProjPoint(*raw, policy=policy)
-        try:
-            cp = curve_point(F, pt, policy)
-            _require_kernel(P, pt, u, policy)
-        except (PreconditionError, VectorNotInKernel):
-            continue
-        out.append(cp)
-    return out
+    s = np.linalg.lstsq((P(direction) @ u)[:, None], -(P(base) @ u), rcond=None)[0][0]
+    if abs(s) <= policy.rank_tol * max(1.0, abs(l1), abs(l2)):
+        return []  # s = 0 reproduces lam itself
+    pt = ProjPoint(*(base + s * direction), policy=policy)
+    try:
+        _require_kernel(P, pt, u, policy)
+        return [curve_point(P.pfaffian(), pt, policy)]
+    except PreconditionError:  # VectorNotInKernel, or off the curve
+        return []

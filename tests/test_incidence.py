@@ -178,20 +178,22 @@ def test_partner_points_plant_and_recover(pencil_and_points):
     assert any(pp.pt.close_to(mu) for pp in partners)
 
 
-def test_partner_points_bounded_by_degree(rng):
-    trials = 0
-    found = []
-    while trials < 20:
+def test_partner_points_is_the_planted_point_alone(rng):
+    # A(mu) u is linear in s on the partner line, so s = 0 (lam) aside there is
+    # at most one partner: the mu whose kernel u was taken from
+    for trial in range(20):
         P = random_pencil(rng, 6)
-        pts = sample_curve_points(P.pfaffian(), 2, seed=trials)
+        pts = sample_curve_points(P.pfaffian(), 2, seed=trial)
         lam, mu = pts[0].pt, pts[1].pt
         v = kernel_at(P, lam).v1
         u = kernel_at(P, mu).v1
-        partners = partner_points(P, lam, v, u)
-        assert len(partners) <= P.half_deg
-        found.append(len(partners))
-        trials += 1
-    assert max(found) >= 1
+        assert [pp.pt.close_to(mu) for pp in partner_points(P, lam, v, u)] == [True]
+
+
+def test_partner_points_of_a_vector_at_lambda_is_empty(pencil_and_points):
+    P, pts = pencil_and_points
+    kb = kernel_at(P, pts[0])
+    assert partner_points(P, pts[0], kb.v1, kb.v2) == []
 
 
 def test_partner_points_degenerate_direction_raises(rng):

@@ -268,8 +268,8 @@ def test_one_root_separation_rule():
 
 
 def test_one_eigenproblem_for_curve_points():
-    """Curve points and their kernels on a line come from one ``eig`` in
-    ``incidence.line_points``; no other function calls ``np.linalg.eig*``."""
+    """Curve points on a line come from one ``eigvals`` in ``incidence.line_points``;
+    no other function calls ``np.linalg.eig*``."""
     src = Path(pfaffrep.__file__).parent
     sites = {p.name: _functions_containing(p, r"np\.linalg\.eig") for p in sorted(src.glob("*.py"))}
     assert {name: f for name, f in sites.items() if f} == {"incidence.py": ["line_points"]}
@@ -277,10 +277,26 @@ def test_one_eigenproblem_for_curve_points():
 
 def test_bridge_reads_points_and_kernels_off_the_pencil():
     """The bridge's sampled candidates come from ``incidence.line_points`` on the
-    current pencil: no pfaffian polynomial, polynomial sampling or SVD per point."""
+    current pencil: no pfaffian polynomial, no polynomial sampling and no
+    ``kernel_at`` of its own."""
     text = (Path(pfaffrep.__file__).parent / "bridge.py").read_text()
     assert "line_points(" in text
     assert [w for w in (".pfaffian(", "sample_curve_points", "kernel_at(") if w in text] == []
+
+
+def test_line_points_reads_kernels_with_kernel_at():
+    """``incidence.line_points`` reads each point's kernel with ``pencil.kernel_at``,
+    the one ``null_space`` rule, and orthonormalizes no eigenvectors of its own."""
+    path = Path(pfaffrep.__file__).parent / "incidence.py"
+    assert ("incidence.py", "line_points") in {(f, fn) for f, fn, _ in _calls("kernel_at")}
+    assert "line_points" not in _functions_containing(path, r"np\.linalg\.qr")
+
+
+def test_partner_points_takes_no_roots():
+    """``incidence.partner_points`` solves one equation linear in its line's parameter:
+    it restricts no polynomial to the line and takes no roots."""
+    path = Path(pfaffrep.__file__).parent / "incidence.py"
+    assert "partner_points" not in _functions_containing(path, r"univariate_roots|restrict_line")
 
 
 def test_canonical_form_asks_for_no_pfaffian():

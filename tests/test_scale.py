@@ -135,8 +135,8 @@ def _run(kind, **payload) -> dict:
 def test_commands_survive_a_diagonal_change_of_coordinates(seed, k, u):
     """``x = D y`` with ``D = diag(c)``, ``c_k = 10^u`` and the other two 1, sends
     ``A_k`` to ``c_k A_k`` and a point ``p`` to ``D^-1 p``; no answer may depend
-    on it beyond that.  ``structure`` needs ``A1`` in its canonical shape, so
-    it is checked off axis 1."""
+    on it beyond that: ``partners`` must find the planted ``mu`` at ``D^-1 mu``.
+    ``structure`` needs ``A1`` in its canonical shape, so it is checked off axis 1."""
     rng = np.random.default_rng(seed)
     c = np.ones(3)
     c[k] = 10.0 ** u
@@ -148,10 +148,14 @@ def test_commands_survive_a_diagonal_change_of_coordinates(seed, k, u):
     expected = HomPoly.from_array(F.c * c[0] ** np.maximum(4 - i - j, 0) * c[1] ** i * c[2] ** j)
     # the report leaves out terms at or below zero_tol = 1e-9 of the largest
     assert _rel_dev(io.dec_poly(_run("pf", pencil=pen)["pfaffian"]), expected) <= 1e-9
-    p = sample_curve_points(F, 1, seed=seed % 997)[0].pt.coords
-    kernel = _run("kernel", pencil=pen, point=io.enc_vector(p / c))["kernel"]["vectors"]
-    there = kernel_at(P, ProjPoint(*p)).vectors
+    lam, mu = (cp.pt for cp in sample_curve_points(F, 2, seed=seed % 997))
+    kernel = _run("kernel", pencil=pen, point=io.enc_vector(lam.coords / c))["kernel"]["vectors"]
+    there = kernel_at(P, lam).vectors
     assert np.max(np.abs(_projector(io.dec_matrix(kernel).T) - _projector(there))) <= 1e-8
+    v, u = there[:, 0], kernel_at(P, mu).v1
+    points = _run("partners", pencil=pen, v=io.enc_vector(v), u=io.enc_vector(u),
+                  **{"lambda": io.enc_vector(lam.coords / c)})["points"]
+    assert [ProjPoint(*(c * io.dec_point(q).coords)).close_to(mu) for q in points] == [True]
     roots = io.dec_vector(_run("canon", pencil=pen)["report"]["roots"])
     assert np.allclose(roots, c[2] / c[1] * np.array(to_canonical(P).roots),
                        rtol=1e-6, atol=1e-6 * np.max(np.abs(roots)))

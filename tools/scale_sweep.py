@@ -12,8 +12,9 @@ with ``rng = default_rng((seed, <scale-probe tag>, k))``, so one seed and
 command give the same pencil at every scale, as in ``scale_probe``.  Each
 report goes through ``bench/checker.py``'s ``check`` with the exit code the
 CLI would give.  A failure is silent when the exit code is 0 and the
-checker rejects the report.  The bench's 21-problem ``scale_probe`` is
-counted as well.
+checker rejects the report, or when a ``partners`` report lists no point:
+every problem plants a partner, which the checker does not ask for.  The
+bench's 21-problem ``scale_probe`` is counted as well.
 
 The per-coordinate sweep applies ``x = D y`` with ``D = diag(c)``, one axis
 at a time and ``c = 10^±2, ±4, ±6``, to the scale-1 problem of each seed and
@@ -121,10 +122,11 @@ def run(cli, errors, item: dict) -> tuple[str, str]:
         return "failed", f"crash ({type(exc).__name__}: {exc})"
     code = cli._exit_code_for(report)
     outcome = checker.check(item, code, json.dumps(cli._public(report), sort_keys=True))
-    if outcome.ok:
+    lost = item["doc"]["kind"] == "partners" and not report["outputs"]["points"]
+    if outcome.ok and not lost:
         return "ok", ""
     if code == 0:
-        return "silent", f"exit 0, {outcome.reason}"
+        return "silent", f"exit 0, {'no partner point' if outcome.ok else outcome.reason}"
     bad = [n for n, r in report["residuals"].items() if not r["ok"]]
     return "failed", f"exit {code} (residuals {bad})"
 
