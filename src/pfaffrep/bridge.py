@@ -14,15 +14,16 @@ Two candidate sources feed each greedy step:
 
 * sampled moves: six kernel vectors at each point where ``ceil(32/d)``
   seeded lines through a seeded centre meet the curve, read off the current
-  pencil by :func:`incidence.line_points` (a refused line is skipped), each
-  scored with its least-squares optimal constant;
+  pencil by :func:`incidence.line_points` (a refused line is skipped);
 * a structured move that rank-1 factors the current off-pattern blocks,
   reconstructs the kernel vector responsible (up to the sign ambiguity
   of a square root) and its base point from the null space of the
   columns ``C_k v``, and cancels it in one exact step.
 
-Every accepted move is an ordinary one-point transformation with its
-record, so the pfaffian is preserved along the whole path.
+A step scores all its candidates in one pass of :func:`transforms._gamma_update`
+over the stack of their vectors, each at its least-squares constant.  Every
+accepted move is an ordinary one-point transformation with its record, so the
+pfaffian is preserved along the whole path.
 """
 
 from __future__ import annotations
@@ -39,9 +40,9 @@ from .tolerances import (BRIDGE_FIT_TOL, BRIDGE_STEP_TOL, DEFAULT_POLICY, Record
                          TolerancePolicy, draws, null_space)
 from .transforms import TransformRecord, _gamma_update, type2
 
-_DECREASE_FACTOR = 1.0 - BRIDGE_STEP_TOL
 _CANDIDATE_POINTS = 32
 _RHO_ONE = np.array([[2.0]])  # the inverse coupling of a one-point step with rho = 1
+_MIXES = np.array([[1, 0, 1, 1, 1, 1], [0, 1, 1, -1, 1j, -1j]])  # b1, b2, b1 +/- b2, b1 +/- i b2
 
 
 class BridgeResult(Record):
@@ -52,18 +53,27 @@ class BridgeResult(Record):
     history: list[float]
 
 
-def _pattern_vector(gamma: np.ndarray, d: int) -> np.ndarray:
-    top, bot = off_pattern_blocks(gamma, d)
-    return np.concatenate([top.ravel(), bot.ravel()])
+def _pattern(gamma: np.ndarray) -> np.ndarray:
+    """The two off-pattern blocks side by side, of a constant part or each of a stack."""
+    return np.concatenate(off_pattern_blocks(gamma, gamma.shape[-1] // 2), axis=-1)
 
 
-def _optimal_rho(G: np.ndarray, U: np.ndarray) -> tuple[complex, float]:
-    """Least-squares constant minimizing ``|G + rho U|`` and the new norm."""
-    uu = np.vdot(U, U).real
-    if uu <= 0:
-        return 0j, float(np.linalg.norm(G))
-    rho = -np.vdot(U, G) / uu
-    return complex(rho), float(np.linalg.norm(G + rho * U))
+def _best_step(P: SkewPencil, V: np.ndarray,
+               policy: TolerancePolicy) -> tuple[int, complex, float] | None:
+    """The row ``k`` of ``V`` whose one-point step, at the least-squares constant
+    ``rho``, leaves the least off-pattern norm, as ``(k, rho, norm)``; the first
+    row wins a tie.  A row whose step moves the pattern by at most ``zero_tol``
+    of its norm is skipped; None when every row is."""
+    G = _pattern(P.gamma)
+    U = _pattern(_gamma_update(P, V[:, :, None], _RHO_ONE))
+    nu = np.linalg.norm(U, axis=(1, 2))
+    rho = -(U.conj() * G).sum(axis=(1, 2)) / np.where(nu > 0, nu ** 2, 1.0)
+    new_off = np.linalg.norm(G + rho[:, None, None] * U, axis=(1, 2))
+    moves = np.abs(rho) * nu > policy.zero_tol * np.linalg.norm(G)
+    if not moves.any():
+        return None
+    k = int(np.argmin(np.where(moves, new_off, np.inf)))
+    return k, complex(rho[k]), float(new_off[k])
 
 
 def _rank1_from_block(block: np.ndarray, ps: np.ndarray) -> tuple[np.ndarray, complex] | None:
@@ -168,7 +178,6 @@ def bridge_to_decomposable(P: SkewPencil, budget: int = 50, seed: int = 0,
     off = off_pattern_norm(cur.gamma, d)
     history = [off]
     while off > target and len(records) < budget:
-        G = _pattern_vector(cur.gamma, d)
         candidates = _structured_candidates(cur, ps, policy)
         center, *lines = draws(seed + 977 * len(records))(1 - (-_CANDIDATE_POINTS // d), 3)
         for direction in lines:
@@ -179,21 +188,11 @@ def bridge_to_decomposable(P: SkewPencil, budget: int = 50, seed: int = 0,
             for t, K in found:
                 pt = ProjPoint(*(center + t * direction), policy=policy)
                 if pt.in_chart(policy):
-                    b1, b2 = K.T
-                    candidates += [(pt, v) for v in
-                                   (b1, b2, b1 + b2, b1 - b2, b1 + 1j * b2, b1 - 1j * b2)]
-        best = None
-        for pt, v in candidates:
-            U = _pattern_vector(_gamma_update(cur, v[:, None], _RHO_ONE), d)
-            rho, new_off = _optimal_rho(G, U)
-            if abs(rho) * float(np.linalg.norm(U)) <= policy.zero_tol * max(off, 1.0):
-                continue
-            if best is None or new_off < best[0]:
-                best = (new_off, pt, v, rho)
-        if best is None or best[0] > _DECREASE_FACTOR * off:
+                    candidates += [(pt, v) for v in (K @ _MIXES).T]
+        best = _best_step(cur, np.reshape([v for _, v in candidates], (-1, 2 * d)), policy)
+        if best is None or best[2] > (1.0 - BRIDGE_STEP_TOL) * off:
             break
-        _, pt, v, rho = best
-        cur, rec = type2(cur, pt, v, rho, policy)
+        cur, rec = type2(cur, *candidates[best[0]], best[1], policy)
         records.append(rec)
         off = off_pattern_norm(cur.gamma, d)
         history.append(off)

@@ -152,8 +152,9 @@ def gauge_action(P: SkewPencil, R_blocks: list[np.ndarray],
 
 
 def off_pattern_blocks(gamma: np.ndarray, d: int) -> tuple[np.ndarray, np.ndarray]:
-    """The two diagonal d-by-d blocks that vanish on decomposable pencils."""
-    return gamma[:d, :d], gamma[d:, d:]
+    """The two diagonal d-by-d blocks that vanish on decomposable pencils (of
+    each constant part of a stack)."""
+    return gamma[..., :d, :d], gamma[..., d:, d:]
 
 
 def off_pattern_norm(gamma: np.ndarray, d: int) -> float:

@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import (DegenerateDenominator, NoAdmissiblePartner, PreconditionError,
                      RankDeficiency, RepeatedRoots, SamePoint, SpanFailure, VectorNotInKernel)
-from .pencil import KernelBasis, SkewPencil, kernel_at
+from .pencil import KernelBasis, SkewPencil, kernel_at, pfaffian_numeric
 from .poly import HomPoly, LinearForm, ProjPoint, close_pair, univariate_roots
 from .tolerances import DEFAULT_POLICY, Record, TolerancePolicy, draws, null_space
 
@@ -233,8 +233,9 @@ def partner_points(P: SkewPencil, lam: ProjPoint, v: np.ndarray, u: np.ndarray,
     divided by its largest entry, so ``s`` does not depend on the pencil's scale),
     where ``A(mu) u = A(lam) u + s A(direction) u`` is linear in ``s``: its
     least-squares ``s`` is the only candidate besides ``lam`` itself (``s = 0``).
-    The point is checked against ``A(mu) u = 0`` and on the curve; an empty list
-    is a legitimate outcome.
+    The point is checked against ``A(mu) u = 0``; an empty list is a legitimate
+    outcome.  Its ``curve_residual`` is ``|Pf A(mu)| / sigma_max(A(mu))^d``, at
+    most the kernel residual, since the singular values of a skew matrix pair up.
     """
     _require_kernel(P, lam, v, policy)
     q1 = complex(v @ P.sigma1 @ u)
@@ -252,6 +253,8 @@ def partner_points(P: SkewPencil, lam: ProjPoint, v: np.ndarray, u: np.ndarray,
     pt = ProjPoint(*(base + s * direction), policy=policy)
     try:
         _require_kernel(P, pt, u, policy)
-        return [curve_point(P.pfaffian(), pt, policy)]
-    except PreconditionError:  # VectorNotInKernel, or off the curve
+    except VectorNotInKernel:
         return []
+    A = P(pt)
+    return [CurvePoint(pt=pt, curve_residual=abs(pfaffian_numeric(A))
+                       / np.linalg.norm(A, 2) ** P.half_deg)]

@@ -47,10 +47,11 @@ class TransformRecord(Record):
 def _gamma_update(P: SkewPencil, W: np.ndarray, Ginv: np.ndarray) -> np.ndarray:
     """The constant-part change ``X - X^t``, ``X = (s1 W) Ginv (W^t s2)``, of
     every elementary step: ``W`` holds one kernel vector per base point as
-    columns and ``Ginv`` is the symmetric inverse coupling matrix.  The
-    grouping keeps the cost at O(n^2 m) for m base points."""
-    X = (P.sigma1 @ W) @ Ginv @ (W.T @ P.sigma2)
-    return X - X.T
+    columns and ``Ginv`` is the symmetric inverse coupling matrix; a stack of
+    ``W`` gives the stack of changes.  The grouping keeps the cost at O(n^2 m)
+    for m base points."""
+    X = (P.sigma1 @ W) @ Ginv @ (W.mT @ P.sigma2)
+    return X - X.mT
 
 
 def _step(P: SkewPencil, W: np.ndarray, Ginv: np.ndarray, policy: TolerancePolicy,

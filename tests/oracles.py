@@ -7,7 +7,12 @@ summation over perfect matchings with explicit permutation signs, and
 Laplace expansion of the determinant.  Their cost grows exponentially
 with the dimension, so keep them to dimension 8, or 14 for the row
 expansion.
+
+The bridge's step is scored here one candidate at a time, from the wedge
+formula of a one-point step rather than the library's stacked update.
 """
+
+import numpy as np
 
 from pfaffrep import HomPoly, SkewPencil
 
@@ -137,3 +142,36 @@ def coeff_rel_dev(a: HomPoly, b: HomPoly) -> float:
         return 0.0
     ta, tb = a.terms, b.terms
     return max(abs(ta.get(e, 0j) - tb.get(e, 0j)) for e in ta.keys() | tb.keys()) / scale
+
+
+def best_step_one_by_one(P: SkewPencil, V, zero_tol: float):
+    """The bridge's choice among the rows ``v`` of ``V``, scored one by one.
+
+    A one-point step with constant ``rho`` adds ``2 rho (s2 v ^ s1 v)`` to the
+    constant part; ``U`` is that wedge's off-pattern entries at ``rho = 1`` and
+    ``G`` the current ones.  Each row takes the least-squares ``rho`` minimizing
+    ``|G + rho U|``; a row with ``|rho| |U| <= zero_tol |G|`` is skipped, and the
+    first row with the least new norm wins.  Returns ``(row, rho, new norm)``,
+    or None when every row is skipped.
+    """
+    d = P.half_deg
+
+    def pattern(M):
+        return np.concatenate([M[:d, :d].ravel(), M[d:, d:].ravel()])
+
+    G = pattern(P.gamma)
+    off = np.linalg.norm(G)
+    best = None
+    for k, v in enumerate(V):
+        a, b = P.sigma2 @ v, P.sigma1 @ v
+        U = pattern(2.0 * (np.outer(a, b) - np.outer(b, a)))
+        uu = np.vdot(U, U).real
+        if uu <= 0:
+            continue
+        rho = -np.vdot(U, G) / uu
+        if abs(rho) * np.sqrt(uu) <= zero_tol * off:
+            continue
+        new_off = float(np.linalg.norm(G + rho * U))
+        if best is None or new_off < best[2]:
+            best = (k, complex(rho), new_off)
+    return best

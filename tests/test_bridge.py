@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
 
-from pfaffrep import (DetRep, PreconditionError, SkewPencil, bridge_to_decomposable,
-                      decomposable_from, kernel_at, off_pattern_norm,
-                      sample_curve_points, structure_report, type2)
-from conftest import random_skew
+from pfaffrep import (DEFAULT_POLICY, DetRep, PreconditionError, SkewPencil,
+                      bridge_to_decomposable, decomposable_from, kernel_at, line_points,
+                      off_pattern_norm, sample_curve_points, structure_report, type2)
+from pfaffrep.bridge import _MIXES, _best_step
+from conftest import bench_problems, random_skew
+from oracles import best_step_one_by_one
 
 
 def decomposable_d4(rng, symmetric=False):
@@ -88,3 +90,39 @@ def test_repeated_diagonal_rejected(rng):
     P = SkewPencil(random_skew(rng, 2 * d), A1, A2)
     with pytest.raises(PreconditionError):
         bridge_to_decomposable(P)
+
+
+@pytest.mark.parametrize("c", [1e-12, 1e-4, 1.0])
+def test_planted_d2_step_converges_at_every_scale_of_x0(c):
+    """``x0 -> c x0`` sends ``A0`` to ``c A0`` and keeps the second canonical form;
+    the bridge skips a candidate by a rule relative to the off-pattern norm, so
+    the scale changes no decision."""
+    A0, A1, A2 = bench_problems().planted_bridge(np.random.default_rng(0), 2, 1)
+    res = bridge_to_decomposable(SkewPencil(c * A0, A1, A2), budget=30)
+    assert res.converged and res.records
+    assert all(b < a for a, b in zip(res.history, res.history[1:]))
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5])
+def test_batched_scoring_matches_one_by_one(d):
+    """The bridge's one-pass scoring of a step's candidates picks the oracle's
+    candidate, or one as good to 1e-12, with the oracle's constant for it."""
+    rng = np.random.default_rng(100 + d)
+    ps = rng.standard_normal(d) + 1j * rng.standard_normal(d)
+    Z, I = np.zeros((d, d)), np.eye(d)
+    P = SkewPencil(random_skew(rng, 2 * d), np.block([[Z, I], [-I, Z]]),
+                   np.block([[Z, -np.diag(ps)], [np.diag(ps), Z]]))
+    center = rng.standard_normal(3) + 1j * rng.standard_normal(3)
+    rows = [np.zeros(2 * d)]  # a vector that moves nothing is skipped
+    for _ in range(4):
+        direction = rng.standard_normal(3) + 1j * rng.standard_normal(3)
+        rows += [v for _, K in line_points(P, center, direction) for v in (K @ _MIXES).T]
+    V = np.array(rows)
+    k, rho, new_off = _best_step(P, V, DEFAULT_POLICY)
+    ko, _, off_o = best_step_one_by_one(P, V, DEFAULT_POLICY.zero_tol)
+    assert k == ko or abs(new_off - off_o) <= 1e-12 * off_o
+    _, rho_k, off_k = best_step_one_by_one(P, V[k:k + 1], DEFAULT_POLICY.zero_tol)
+    assert abs(rho - rho_k) <= 1e-12 * abs(rho_k)
+    assert abs(new_off - off_k) <= 1e-12 * off_k
+    assert _best_step(P, V[:1], DEFAULT_POLICY) is None
+    assert _best_step(P, V[:0], DEFAULT_POLICY) is None

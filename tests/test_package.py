@@ -299,6 +299,13 @@ def test_partner_points_takes_no_roots():
     assert "partner_points" not in _functions_containing(path, r"univariate_roots|restrict_line")
 
 
+def test_partner_points_asks_for_no_pfaffian():
+    """``incidence.partner_points`` reports its point's residual from the numeric
+    pfaffian of ``A(mu)``: it builds no pfaffian polynomial."""
+    path = Path(pfaffrep.__file__).parent / "incidence.py"
+    assert "partner_points" not in _functions_containing(path, r"\.pfaffian\(")
+
+
 def test_canonical_form_asks_for_no_pfaffian():
     """``to_canonical`` reads its roots off the pencil, as eigenvalues of
     ``-A1^-1 A2``: the canonical module computes no pfaffian polynomial."""

@@ -336,10 +336,8 @@ def test_replay_start_check_is_relative_to_the_pencil(rng):
     assert proc.returncode == 4, proc.stdout
 
 
-def test_the_scale_sweep_reads_no_failure(monkeypatch, capsys):
-    """``tools/scale_sweep.py``, run in-process on seed 1 through ``cli.dispatch``,
-    ``_failure``, ``_exit_code_for`` and ``_public``, fails no problem, and its
-    per-coordinate sweep fails none but by the refusals it names."""
+def _load_sweep(monkeypatch):
+    """``tools/scale_sweep.py`` as a module; the path entries it adds are undone."""
     import importlib.util
     from pathlib import Path
     monkeypatch.setattr(sys, "path", list(sys.path))  # the tool adds bench/ and src/
@@ -347,32 +345,50 @@ def test_the_scale_sweep_reads_no_failure(monkeypatch, capsys):
     spec = importlib.util.spec_from_file_location("scale_sweep", path)
     sweep = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(sweep)
+    return sweep
+
+
+def test_the_scale_sweep_reads_no_failure(monkeypatch, capsys):
+    """``tools/scale_sweep.py``, run in-process on seed 1 through ``cli.dispatch``,
+    ``_failure``, ``_exit_code_for`` and ``_public``, fails no problem, and its
+    per-coordinate sweep, the cli-small bridges included, fails none but by the
+    refusals it names."""
+    sweep = _load_sweep(monkeypatch)
     assert sweep.main(["--seeds", "1"]) == 0
     out = capsys.readouterr().out
     assert "wide sweep, seeds [1]: 0 of 144 failed, 0 silent" in out
     assert "scale_probe, seeds [1]: 0 of 21 failed" in out
-    assert "per-coordinate sweep, seeds [1]: 238 ok, 0 failed, 0 silent, 14 refused" in out
+    assert "per-coordinate sweep, seeds [1]: 286 ok, 0 failed, 0 silent, 38 refused" in out
+    assert "refused: bridge on axis 1 (exit 4): 24" in out
 
 
 def test_the_scale_sweep_exits_1_on_a_failure_it_does_not_name(monkeypatch, capsys):
     """A failure or a silent failure makes ``tools/scale_sweep.py`` exit 1; a refusal
     the per-coordinate sweep names (``canon2`` on axis 1, exit 4) does not."""
-    import importlib.util
-    from pathlib import Path
-    monkeypatch.setattr(sys, "path", list(sys.path))
-    path = Path(__file__).resolve().parent.parent / "tools" / "scale_sweep.py"
-    spec = importlib.util.spec_from_file_location("scale_sweep", path)
-    sweep = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(sweep)
+    sweep = _load_sweep(monkeypatch)
     item = sweep.sweep(1)[0][2]
     monkeypatch.setattr(sweep.pr, "scale_probe", lambda seed: [])
     monkeypatch.setattr(sweep, "sweep", lambda seed: [])
-    monkeypatch.setattr(sweep, "axis_sweep", lambda seed: [("canon2", 1, 2, item)])
+    monkeypatch.setattr(sweep, "axis_sweep", lambda seed, cli: [("canon2", 1, 2, item)])
     monkeypatch.setattr(sweep, "run", lambda cli, errors, item: ("failed", "exit 4 (refused)"))
     assert sweep.main(["--seeds", "1"]) == 0
     for status in ("failed", "silent"):
         monkeypatch.setattr(sweep, "run", lambda cli, errors, item: (status, "exit 3 (x)"))
         assert sweep.main(["--seeds", "1"]) == 1
-    monkeypatch.setattr(sweep, "axis_sweep", lambda seed: [])
+    monkeypatch.setattr(sweep, "axis_sweep", lambda seed, cli: [])
     monkeypatch.setattr(sweep, "sweep", lambda seed: [("canon", 0, item)])
     assert sweep.main(["--seeds", "1"]) == 1
+
+
+def test_the_scale_sweep_fails_a_bridge_that_stops_converging(monkeypatch):
+    """A cli-small bridge that converges at ``c = 1`` and not at ``c`` is a failure
+    of the per-coordinate sweep, though its report passes the checker (exit 3)."""
+    import pfaffrep.cli as cli
+    from pfaffrep import errors
+    sweep = _load_sweep(monkeypatch)
+    item = next(it for kind, axis, e, it in sweep.axis_sweep(1, cli)
+                if kind == "bridge" and axis == 0 and it["expect"]["converged"])
+    assert sweep.run(cli, errors, item) == ("ok", "")
+    pay = {**item["doc"]["payload"], "budget": 0}
+    stalled = {**item, "doc": {**item["doc"], "payload": pay}}
+    assert sweep.run(cli, errors, stalled) == ("failed", "exit 3 (residuals ['off_pattern_norm'])")

@@ -22,11 +22,14 @@ command: ``A_k`` becomes ``c_k A_k``, every point ``p`` becomes ``D^-1 p``,
 kernel vectors stay, and ``k-const``'s expected ``K`` is recomputed.  The
 commands that carry transform records (``verify-replay``, ``bundle-check``)
 are left out, since their stored constant parts would need each step redone.
-The refusals the mathematics asks for are counted by name and not as
-failures: ``canon2`` and ``structure`` on axis 1, where ``A1 = c J`` is not
-the canonical shape (exit 4), and a command refusing two points that
-``c0 = 1e-6`` brings within the match tolerance of each other once
-normalized (``SamePoint``, as ``type1`` and ``conint`` do).
+The per-coordinate sweep also runs ``bridge`` on each seed's cli-small
+bridge problems (``bench/problems.py``'s ``problem("cli-small", seed, i)``
+for the bridge slots); a bridge that converges at ``c = 1`` and not at ``c``
+counts as a failure.  The refusals the mathematics asks for are counted by
+name and not as failures: ``canon2``, ``structure`` and ``bridge`` on axis 1,
+where ``A1 = c J`` is not the canonical shape (exit 4), and a command refusing
+two points that ``c0 = 1e-6`` brings within the match tolerance of each other
+once normalized (``SamePoint``, as ``type1`` and ``conint`` do).
 
 Prints one line per failure, a markdown table of the failures per command
 (the scales, and how each failed) and the totals of both sweeps.  Exits 1
@@ -53,7 +56,9 @@ import problems as pr  # noqa: E402
 KINDS = tuple(k for k in pr.PENCIL_KINDS if k != "bridge")
 LOG10_SCALES = tuple(range(-4, 5))
 DEGREE = 4
-AXIS_KINDS = tuple(k for k in KINDS if k not in ("verify-replay", "bundle-check"))
+AXIS_KINDS = tuple(k for k in KINDS if k not in ("verify-replay", "bundle-check")) + ("bridge",)
+BRIDGE_SLOTS = tuple(i for i, (slot, _) in enumerate(pr.CLI_SMALL_SLOTS)
+                     if slot.startswith("bridge"))  # "bridge" and "bridge-random"
 AXIS_LOG10 = (-6, -4, -2, 2, 4, 6)
 POINT_FIELDS = ("point", "lambda", "mu")
 
@@ -86,14 +91,21 @@ def rescaled(item: dict, c) -> dict:
     return {"doc": {**item["doc"], "payload": pay}, "expect": expect}
 
 
-def axis_sweep(seed: int) -> list[tuple[str, int, int, dict]]:
-    """The ``(command, axis, log10 c, item)`` problems of one seed."""
-    out = []
+def axis_sweep(seed: int, cli) -> list[tuple[str, int, int, dict]]:
+    """The ``(command, axis, log10 c, item)`` problems of one seed; a bridge's
+    item expects ``converged`` when it converges at ``c = 1``."""
+    bases = []
     for k, kind in enumerate(KINDS):
-        if kind not in AXIS_KINDS:
-            continue
-        rng = np.random.default_rng((seed, pr._TAGS["scale-probe"], k))
-        base = pr.build_pencil_problem(kind, DEGREE, 1.0, rng)
+        if kind in AXIS_KINDS:
+            rng = np.random.default_rng((seed, pr._TAGS["scale-probe"], k))
+            bases.append((kind, pr.build_pencil_problem(kind, DEGREE, 1.0, rng)))
+    for i in BRIDGE_SLOTS:
+        base = pr.problem("cli-small", seed, i)
+        report = cli.dispatch(cli.parse_problem(base["doc"]))
+        bases.append(("bridge", {**base, "expect": {
+            **base["expect"], "converged": report["outputs"]["converged"]}}))
+    out = []
+    for kind, base in bases:
         for axis in range(3):
             for e in AXIS_LOG10:
                 c = np.ones(3)
@@ -104,7 +116,7 @@ def axis_sweep(seed: int) -> list[tuple[str, int, int, dict]]:
 
 def refusal(kind: str, axis: int, e: int, how: str) -> str | None:
     """The name of the refusal ``how`` is, if the mathematics asks for it there."""
-    if kind in ("canon2", "structure") and axis == 1 and how.startswith("exit 4 "):
+    if kind in ("canon2", "structure", "bridge") and axis == 1 and how.startswith("exit 4 "):
         return f"{kind} on axis 1 (exit 4)"
     if (axis, e) == (0, -6) and "(SamePoint:" in how:
         return f"{kind} SamePoint at c0 = 1e-6"
@@ -122,7 +134,8 @@ def run(cli, errors, item: dict) -> tuple[str, str]:
         return "failed", f"crash ({type(exc).__name__}: {exc})"
     code = cli._exit_code_for(report)
     outcome = checker.check(item, code, json.dumps(cli._public(report), sort_keys=True))
-    lost = item["doc"]["kind"] == "partners" and not report["outputs"]["points"]
+    lost = (item["doc"]["kind"] == "partners" and not report["outputs"]["points"]
+            or item["expect"].get("converged") and not report["outputs"]["converged"])
     if outcome.ok and not lost:
         return "ok", ""
     if code == 0:
@@ -172,7 +185,7 @@ def main(argv=None) -> int:
     counts, refused = Counter(), Counter()
     axis_failed: dict[str, list] = defaultdict(list)
     for seed in args.seeds:
-        for kind, axis, e, item in axis_sweep(seed):
+        for kind, axis, e, item in axis_sweep(seed, cli):
             status, how = run(cli, errors, item)
             name = refusal(kind, axis, e, how) if status == "failed" else None
             if name:
