@@ -1,29 +1,30 @@
 """Driving a second-canonical-form pencil toward the decomposable shape.
 
 A pencil in the second canonical form is decomposable exactly when the
-two diagonal d-by-d blocks of its constant part vanish.  One-point
-elementary transformations change those blocks by rank-2 wedges
-``2 rho (s2 v ^ s1 v)`` whose block entries are
-``v_n v_l (p_l - p_n)`` (bottom) and ``v_{d+n} v_{d+l} (p_l - p_n)``
-(top), so linear combinations of such wedges span everything supported
-on the two blocks.  No constructive selection rule with a convergence
-guarantee exists; this module runs a greedy descent and reports
-non-convergence as a first-class outcome.
+two diagonal d-by-d blocks of its constant part vanish.  A one-point step
+``gamma + 2 rho (s2 v ^ s1 v)`` with ``v = (a; b)`` changes those blocks by
+``2 rho (b ^ D b)`` (top) and ``2 rho (a ^ D a)`` (bottom), ``D = diag(ps)``,
+so linear combinations of such wedges span everything supported on the two
+blocks.  No constructive selection rule with a convergence guarantee exists;
+this module runs a greedy descent and reports non-convergence as a
+first-class outcome.
 
 Two candidate sources feed each greedy step:
 
 * sampled moves: six kernel vectors at each point where ``ceil(32/d)``
   seeded lines through a seeded centre meet the curve, read off the current
   pencil by :func:`incidence.line_points` (a refused line is skipped);
-* a structured move that rank-1 factors the current off-pattern blocks,
-  reconstructs the kernel vector responsible (up to the sign ambiguity
-  of a square root) and its base point from the null space of the
-  columns ``C_k v``, and cancels it in one exact step.
+* a structured move: each off-pattern block factors as ``c (b ^ D b)`` by two
+  null spaces, the factors join into the kernel vector whose step cancels
+  both blocks (up to the sign of a square root), and the null space of the
+  columns ``C_k v`` gives its base point.
 
-A step scores all its candidates in one pass of :func:`transforms._gamma_update`
-over the stack of their vectors, each at its least-squares constant.  Every
-accepted move is an ordinary one-point transformation with its record, so the
-pfaffian is preserved along the whole path.
+Lines and base points live in sized coordinates, where every ``A_k`` has
+largest entry one, and a step needs no affine chart, so scaling one
+coordinate changes no decision.  A step scores all its candidates in one pass
+of :func:`transforms._gamma_update`, each at its least-squares constant.
+Every accepted move is an ordinary one-point transformation with its record,
+so the pfaffian is preserved along the whole path.
 """
 
 from __future__ import annotations
@@ -76,57 +77,45 @@ def _best_step(P: SkewPencil, V: np.ndarray,
     return k, complex(rho[k]), float(new_off[k])
 
 
-def _rank1_from_block(block: np.ndarray, ps: np.ndarray) -> tuple[np.ndarray, complex] | None:
-    """Factor ``block[n,l] = c * b_n b_l (p_l - p_n)`` into (unit b, c).
+def _sizes(P: SkewPencil) -> np.ndarray:
+    """``max|A_k|`` for k = 0, 1, 2; sized coordinates ``y`` are ``x = y / sizes``."""
+    return np.max(np.abs(P.coeffs), axis=(1, 2))
 
-    Needs dimension at least 3 to complete the diagonal of the symmetric
-    rank-1 matrix ``c b b^t``; returns None when the data does not fit.
-    The entries of ``ps`` are pairwise apart, as checked on entry.
+
+def _wedge_factor(block: np.ndarray, ps: np.ndarray) -> tuple[np.ndarray, complex] | None:
+    """Factor ``block = c (b ^ D b)``, ``D = diag(ps)``, into (unit b, c), or None.
+
+    The kernel rows ``k`` of such a block are those with ``k b = k D b = 0``, so
+    ``b`` spans the kernel of their stack with the rows ``k D``.  ``D`` enters
+    centred and normalised, which leaves that kernel alone but keeps both halves
+    of the stack one size.  None when the block has no kernel (d < 3), when that
+    kernel is not one line, or when ``c (b ^ D b)`` misses the block by more than
+    half its norm.  The entries of ``ps`` are pairwise apart, as checked on entry.
     """
-    d = len(ps)
-    if d < 3:
+    kernel = null_space(block, BRIDGE_FIT_TOL)[0]
+    if not len(kernel):
         return None
-    scale = float(np.max(np.abs(block)))
-    if scale == 0:
+    shift = ps - ps.mean()
+    line = null_space(np.vstack([kernel, kernel * (shift / np.max(np.abs(shift)))]),
+                      BRIDGE_FIT_TOL)[0]
+    if len(line) != 1:
         return None
-    H = np.zeros((d, d), dtype=complex)
-    for n in range(d):
-        for l in range(d):
-            if n != l:
-                H[n, l] = block[n, l] / (ps[l] - ps[n])
-    hscale = float(np.max(np.abs(H)))
-    for n in range(d):
-        others = [l for l in range(d) if l != n]
-        best = None
-        for i, l in enumerate(others):
-            for m in others[i + 1:]:
-                if abs(H[l, m]) > BRIDGE_STEP_TOL * hscale:
-                    cand = H[n, l] * H[n, m] / H[l, m]
-                    if best is None or abs(cand) > abs(best):
-                        best = cand
-        H[n, n] = best if best is not None else 0.0
-    col = int(np.argmax(np.linalg.norm(H, axis=0)))
-    b = H[:, col]
-    nb = np.linalg.norm(b)
-    if nb <= BRIDGE_FIT_TOL * hscale:
-        return None
-    b = b / nb
-    B = np.outer(b, b)
-    c = np.vdot(B, H) / np.vdot(B, B)
-    if np.linalg.norm(H - c * B) > 0.5 * np.linalg.norm(H):
+    b = line[0]
+    W = np.outer(b, shift * b)  # b ^ D b, centred so that no large p_l cancels
+    W = W - W.T
+    c = np.vdot(W, block) / np.vdot(W, W)
+    if np.linalg.norm(block - c * W) > 0.5 * np.linalg.norm(block):
         return None
     return b, complex(c)
 
 
-def _point_for_vector(P: SkewPencil, v: np.ndarray,
+def _point_for_vector(P: SkewPencil, v: np.ndarray, sizes: np.ndarray,
                       policy: TolerancePolicy) -> ProjPoint | None:
-    """The point (if any) at which ``v`` lies in the kernel of the pencil."""
-    kernel, s = null_space((P.coeffs @ v).T, BRIDGE_FIT_TOL)
+    """The point (if any) where ``v`` is a kernel vector, solved for in sized coordinates."""
+    kernel, s = null_space((P.coeffs @ v).T / sizes, BRIDGE_FIT_TOL)
     if s[0] == 0 or not len(kernel):
         return None
-    pt = ProjPoint(*kernel[-1], policy=policy)
-    if not pt.in_chart(policy):
-        return None
+    pt = ProjPoint(*(kernel[-1] / sizes), policy=policy)
     try:
         _require_kernel(P, pt, v, policy)
     except VectorNotInKernel:
@@ -134,27 +123,18 @@ def _point_for_vector(P: SkewPencil, v: np.ndarray,
     return pt
 
 
-def _structured_candidates(P: SkewPencil, ps: np.ndarray,
+def _structured_candidates(P: SkewPencil, ps: np.ndarray, sizes: np.ndarray,
                            policy: TolerancePolicy) -> list[tuple[ProjPoint, np.ndarray]]:
-    d = P.half_deg
-    top, bot = off_pattern_blocks(P.gamma, d)
-    fit_top = _rank1_from_block(top, ps)
-    fit_bot = _rank1_from_block(bot, ps)
-    trials: list[np.ndarray] = []
-    if fit_top and fit_bot:
-        b, cb = fit_top
-        a, ca = fit_bot
-        if abs(ca) > 0:
-            r = np.sqrt(cb / ca)
-            trials.append(np.concatenate([a, r * b]))
-            trials.append(np.concatenate([a, -r * b]))
-    elif fit_bot and negligible(top, P, policy):
-        a, _ = fit_bot
-        trials.append(np.concatenate([a, np.zeros(d, dtype=complex)]))
-    elif fit_top and negligible(bot, P, policy):
-        b, _ = fit_top
-        trials.append(np.concatenate([np.zeros(d, dtype=complex), b]))
-    points = [_point_for_vector(P, v, policy) for v in trials]
+    """The kernel vectors ``v = (sqrt(c_bot) a, +-sqrt(c_top) b)`` with their points,
+    whose steps cancel the blocks ``c_top (b ^ D b)`` and ``c_bot (a ^ D a)`` together
+    (``c = 0`` for a negligible block); none when another block does not factor."""
+    fits = [(np.zeros(len(ps)), 0j) if negligible(block, P, policy) else _wedge_factor(block, ps)
+            for block in off_pattern_blocks(P.gamma, P.half_deg)]
+    if any(fit is None for fit in fits):
+        return []
+    (b, c_top), (a, c_bot) = fits
+    trials = [np.concatenate([np.sqrt(c_bot) * a, sign * np.sqrt(c_top) * b]) for sign in (1, -1)]
+    points = [_point_for_vector(P, v, sizes, policy) for v in trials]
     return [(pt, v) for pt, v in zip(points, trials) if pt is not None]
 
 
@@ -178,17 +158,16 @@ def bridge_to_decomposable(P: SkewPencil, budget: int = 50, seed: int = 0,
     off = off_pattern_norm(cur.gamma, d)
     history = [off]
     while off > target and len(records) < budget:
-        candidates = _structured_candidates(cur, ps, policy)
-        center, *lines = draws(seed + 977 * len(records))(1 - (-_CANDIDATE_POINTS // d), 3)
+        sizes = _sizes(cur)
+        candidates = _structured_candidates(cur, ps, sizes, policy)
+        center, *lines = draws(seed + 977 * len(records))(1 - (-_CANDIDATE_POINTS // d), 3) / sizes
         for direction in lines:
             try:
                 found = line_points(cur, center, direction, policy)
             except (RepeatedRoots, SpanFailure):
                 continue  # a refused line is skipped, not redrawn
-            for t, K in found:
-                pt = ProjPoint(*(center + t * direction), policy=policy)
-                if pt.in_chart(policy):
-                    candidates += [(pt, v) for v in (K @ _MIXES).T]
+            candidates += [(ProjPoint(*(center + t * direction), policy=policy), v)
+                           for t, K in found for v in (K @ _MIXES).T]
         best = _best_step(cur, np.reshape([v for _, v in candidates], (-1, 2 * d)), policy)
         if best is None or best[2] > (1.0 - BRIDGE_STEP_TOL) * off:
             break

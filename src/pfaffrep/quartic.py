@@ -150,7 +150,8 @@ def integrate_polar(w: CubicCoeffs,
     ``d_j F`` has coefficient ``a_j F_a`` at ``x^(a - e_j)``, so each partial
     that reaches ``x^a`` reads off ``F_a``.  The polar map sends ``x^a`` to
     equal entries ``a0! a1! a2! / 6``: the mean reading is the least-squares
-    preimage, and ``match_tol`` bounds the orthogonal residual.
+    preimage, and ``match_tol`` times the data's norm bounds the orthogonal
+    residual, so no scale of the data changes the verdict.
     """
     b = w.flatten()  # raises PreconditionError unless every entry is a linear form
     total, count = np.zeros((5, 5), dtype=complex), np.zeros((5, 5))
@@ -161,7 +162,7 @@ def integrate_polar(w: CubicCoeffs,
             count[i, k] += 1
     F = HomPoly.from_array(total / np.maximum(count, 1))
     resid = float(np.linalg.norm(polar_cubic(F).flatten() - b))
-    if resid > policy.match_tol * max(1.0, float(np.linalg.norm(b))):
+    if resid > policy.match_tol * float(np.linalg.norm(b)):
         raise InconsistentPolarData(f"no quartic preimage (residual {resid:.3g})")
     return F
 

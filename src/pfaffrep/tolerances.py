@@ -167,8 +167,8 @@ DEFAULT_POLICY = TolerancePolicy()
 PF_TOL = 1e-7
 BUNDLE_TOL = 1e-6
 TRANSPORT_ANGLE_TOL = 1e-5
-# The bridge's fixed relative thresholds: the decrease a step must make and the
-# rank-1 fit's pivot; the rank of a kernel vector's point and the fit-norm floor.
+# The bridge's fixed relative thresholds: the decrease a step must make; the rank
+# of the null spaces that factor an off-pattern block and find a kernel vector's point.
 BRIDGE_STEP_TOL = 1e-3
 BRIDGE_FIT_TOL = 1e-6
 

@@ -4,7 +4,7 @@ import pytest
 from pfaffrep import (DEFAULT_POLICY, DetRep, PreconditionError, SkewPencil,
                       bridge_to_decomposable, decomposable_from, kernel_at, line_points,
                       off_pattern_norm, sample_curve_points, structure_report, type2)
-from pfaffrep.bridge import _MIXES, _best_step
+from pfaffrep.bridge import _MIXES, _best_step, _wedge_factor
 from conftest import bench_problems, random_skew
 from oracles import best_step_one_by_one
 
@@ -92,15 +92,41 @@ def test_repeated_diagonal_rejected(rng):
         bridge_to_decomposable(P)
 
 
-@pytest.mark.parametrize("c", [1e-12, 1e-4, 1.0])
-def test_planted_d2_step_converges_at_every_scale_of_x0(c):
-    """``x0 -> c x0`` sends ``A0`` to ``c A0`` and keeps the second canonical form;
-    the bridge skips a candidate by a rule relative to the off-pattern norm, so
-    the scale changes no decision."""
-    A0, A1, A2 = bench_problems().planted_bridge(np.random.default_rng(0), 2, 1)
-    res = bridge_to_decomposable(SkewPencil(c * A0, A1, A2), budget=30)
+@pytest.mark.parametrize("c", [1e-12, 1e-4, 1.0, 1e12])
+@pytest.mark.parametrize("axis", [0, 2])
+@pytest.mark.parametrize("d", [2, 3])
+def test_planted_step_converges_at_every_scale_of_x0_and_x2(d, axis, c):
+    """``x_k -> c x_k`` sends ``A_k`` to ``c A_k`` and, for k = 0 and 2, keeps the
+    second canonical form.  The bridge draws its lines and solves for its points
+    in sized coordinates, needs no affine chart, and skips a candidate by a rule
+    relative to the off-pattern norm, so the scale changes no decision."""
+    A = bench_problems().planted_bridge(np.random.default_rng(0), d, 1)
+    A[axis] = c * A[axis]
+    res = bridge_to_decomposable(SkewPencil(*A), budget=30)
     assert res.converged and res.records
     assert all(b < a for a, b in zip(res.history, res.history[1:]))
+
+
+@pytest.mark.parametrize("d", [3, 4, 5, 6])
+def test_wedge_factor_recovers_the_planted_wedge(d):
+    """A block ``c (b ^ D b)`` gives back ``c b b^t`` (``b`` and ``c`` are fixed up to
+    ``b -> s b, c -> c / s^2``), also with the roots far from 0 or of any size."""
+    rng = np.random.default_rng(200 + d)
+    p, b = (rng.standard_normal((d, 2)) @ [1, 1j] for _ in range(2))
+    c = complex(rng.standard_normal(2) @ [1, 1j])
+    want = c * np.outer(b, b)
+    for shift in (0.0, 1e6):
+        for size in (1e-6, 1.0, 1e6):
+            ps = size * (p + shift)
+            block = c * (np.outer(b, ps * b) - np.outer(ps * b, b))
+            bf, cf = _wedge_factor(block, ps)
+            assert np.linalg.norm(cf * np.outer(bf, bf) - want) <= 1e-8 * np.linalg.norm(want)
+    assert _wedge_factor(np.zeros((d, d)), p) is None
+
+
+def test_wedge_factor_needs_three_roots():
+    ps, b = np.array([0.9, -1.3 + 0.2j]), np.array([0.6, 1.1j])
+    assert _wedge_factor(np.outer(b, ps * b) - np.outer(ps * b, b), ps) is None
 
 
 @pytest.mark.parametrize("d", [2, 3, 4, 5])

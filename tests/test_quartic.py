@@ -154,7 +154,7 @@ def test_integrate_noisy_data_is_the_least_squares_preimage(rng):
     noise -= A @ np.linalg.lstsq(A, noise, rcond=None)[0]
     noise /= np.linalg.norm(noise)
     for size in (0.5, 0.99):
-        bn = b + size * DEFAULT_POLICY.match_tol * max(1.0, np.linalg.norm(b)) * noise
+        bn = b + size * DEFAULT_POLICY.match_tol * np.linalg.norm(b) * noise
         w = CubicCoeffs(*(LinearForm(*bn[k:k + 3]) for k in range(0, 30, 3)))
         F = integrate_polar(w)
         sol = np.linalg.lstsq(A, bn, rcond=None)[0]
@@ -163,11 +163,14 @@ def test_integrate_noisy_data_is_the_least_squares_preimage(rng):
 
 
 def test_integrate_inconsistent_rejected(rng):
+    """The residual is judged against the data's own norm, so inconsistent data
+    is refused at every scale."""
     w = polar_cubic(random_quartic(rng))
     values = w.values()
     values[3] = LinearForm(values[3].c0 + 1.0, values[3].c1, values[3].c2 + 0.5)
-    with pytest.raises(InconsistentPolarData):
-        integrate_polar(CubicCoeffs(*values))
+    for s in (1.0, 1e-9, 1e-12):
+        with pytest.raises(InconsistentPolarData):
+            integrate_polar(CubicCoeffs(*(LinearForm(*(s * f.coeffs)) for f in values)))
 
 
 # -- triangles -------------------------------------------------------------------

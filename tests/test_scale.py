@@ -358,8 +358,8 @@ def test_the_scale_sweep_reads_no_failure(monkeypatch, capsys):
     out = capsys.readouterr().out
     assert "wide sweep, seeds [1]: 0 of 144 failed, 0 silent" in out
     assert "scale_probe, seeds [1]: 0 of 21 failed" in out
-    assert "per-coordinate sweep, seeds [1]: 286 ok, 0 failed, 0 silent, 38 refused" in out
-    assert "refused: bridge on axis 1 (exit 4): 24" in out
+    assert "per-coordinate sweep, seeds [1]: 318 ok, 0 failed, 0 silent, 54 refused" in out
+    assert "refused: bridge on axis 1 (exit 4): 40" in out
 
 
 def test_the_scale_sweep_exits_1_on_a_failure_it_does_not_name(monkeypatch, capsys):

@@ -24,8 +24,8 @@ commands that carry transform records (``verify-replay``, ``bundle-check``)
 are left out, since their stored constant parts would need each step redone.
 The per-coordinate sweep also runs ``bridge`` on each seed's cli-small
 bridge problems (``bench/problems.py``'s ``problem("cli-small", seed, i)``
-for the bridge slots); a bridge that converges at ``c = 1`` and not at ``c``
-counts as a failure.  The refusals the mathematics asks for are counted by
+for the bridge slots), at ``c = 10^±9, ±12`` as well; a bridge that
+converges at ``c = 1`` and not at ``c`` counts as a failure.  The refusals the mathematics asks for are counted by
 name and not as failures: ``canon2``, ``structure`` and ``bridge`` on axis 1,
 where ``A1 = c J`` is not the canonical shape (exit 4), and a command refusing
 two points that ``c0 = 1e-6`` brings within the match tolerance of each other
@@ -60,6 +60,7 @@ AXIS_KINDS = tuple(k for k in KINDS if k not in ("verify-replay", "bundle-check"
 BRIDGE_SLOTS = tuple(i for i, (slot, _) in enumerate(pr.CLI_SMALL_SLOTS)
                      if slot.startswith("bridge"))  # "bridge" and "bridge-random"
 AXIS_LOG10 = (-6, -4, -2, 2, 4, 6)
+BRIDGE_LOG10 = (-12, -9) + AXIS_LOG10 + (9, 12)
 POINT_FIELDS = ("point", "lambda", "mu")
 
 
@@ -107,7 +108,7 @@ def axis_sweep(seed: int, cli) -> list[tuple[str, int, int, dict]]:
     out = []
     for kind, base in bases:
         for axis in range(3):
-            for e in AXIS_LOG10:
+            for e in BRIDGE_LOG10 if kind == "bridge" else AXIS_LOG10:
                 c = np.ones(3)
                 c[axis] = 10.0 ** e
                 out.append((kind, axis, e, rescaled(base, c)))
