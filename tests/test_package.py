@@ -330,11 +330,13 @@ def test_one_decomposability_threshold():
 
 
 def test_one_affine_chart_rule():
-    """Only ``ProjPoint.in_chart`` compares a point's ``x0`` with a tolerance."""
+    """Only ``ProjPoint.in_chart`` compares a point's ``x0`` with a tolerance, and the
+    bridge, whose steps need only kernel vectors, asks for no chart at all."""
     src = Path(pfaffrep.__file__).parent
     x0_test = re.compile(r"abs\([\w.]+\[0\]\)\s*[<>]=?\s*policy\.\w+_tol")
     sites = {p.name: len(x0_test.findall(p.read_text())) for p in sorted(src.glob("*.py"))}
     assert {name: n for name, n in sites.items() if n} == {"poly.py": 1}
+    assert "in_chart" not in (src / "bridge.py").read_text()
 
 def test_bridge_computes_no_kernel_residual():
     """The bridge checks kernel membership with ``incidence._require_kernel``."""

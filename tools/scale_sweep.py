@@ -25,11 +25,12 @@ are left out, since their stored constant parts would need each step redone.
 The per-coordinate sweep also runs ``bridge`` on each seed's cli-small
 bridge problems (``bench/problems.py``'s ``problem("cli-small", seed, i)``
 for the bridge slots), at ``c = 10^±9, ±12`` as well; a bridge that
-converges at ``c = 1`` and not at ``c`` counts as a failure.  The refusals the mathematics asks for are counted by
-name and not as failures: ``canon2``, ``structure`` and ``bridge`` on axis 1,
-where ``A1 = c J`` is not the canonical shape (exit 4), and a command refusing
-two points that ``c0 = 1e-6`` brings within the match tolerance of each other
-once normalized (``SamePoint``, as ``type1`` and ``conint`` do).
+converges at ``c = 1`` and not at ``c`` counts as a failure.  The refusals
+the mathematics asks for are counted by name and not as failures:
+``canon2``, ``structure`` and ``bridge`` on axis 1, where ``A1 = c J`` is
+not the canonical shape (exit 4), and a command refusing two points that
+``c0 = 1e-6`` brings within the match tolerance of each other once
+normalized (``SamePoint``, as ``type1`` and ``conint`` do).
 
 Prints one line per failure, a markdown table of the failures per command
 (the scales, and how each failed) and the totals of both sweeps.  Exits 1
