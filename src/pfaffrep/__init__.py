@@ -32,8 +32,8 @@ _EXPORTS = {
                   "k_constant", "line_points", "line_through", "partner_points",
                   "sample_curve_points", "tangent_line"),
     "pencil": ("DetRep", "KernelBasis", "SkewPencil", "congruence", "decomposable_from",
-               "kernel_at", "pfaffian_adjoint_at", "pfaffian_minor", "pfaffian_numeric",
-               "wedge_to_matrix"),
+               "kernel_at", "pf_deviation", "pfaffian_adjoint_at", "pfaffian_minor",
+               "pfaffian_numeric", "wedge_to_matrix"),
     "poly": ("HomPoly", "LinearForm", "ProjPoint", "equal_up_to_scale", "univariate_roots"),
     "quartic": ("CubicCoeffs", "PolarTriangle", "ScorzaRelation", "SymDetRep",
                 "ThetaIdentification", "aronhold_invariant", "aronhold_matrix",

@@ -54,6 +54,7 @@ import numpy as np
 
 from . import jsonio as io
 from .errors import NumericalError, PfaffrepError, PreconditionError, SchemaError
+from .pencil import pf_deviation
 from .poly import equal_up_to_scale, relative_deviation
 from .tolerances import BUNDLE_TOL, DEFAULT_POLICY, PF_TOL, TRANSPORT_ANGLE_TOL, TolerancePolicy
 
@@ -102,23 +103,20 @@ def _carried(a: dict, result, name: str, attr: str, tol, guard: str = "") -> dic
 # adding any output they derive
 
 def _pf_invariance(a, out) -> dict:
-    return {"pf_invariance": _residual(
-        relative_deviation(a["pencil"].pfaffian(), out["pencil"].pfaffian()), PF_TOL)}
+    return {"pf_invariance": _residual(pf_deviation(a["pencil"], out["pencil"]), PF_TOL)}
 
 
 def _pf_scaling(a, out) -> dict:
-    """``Pf(out) = det Q * Pf(P)`` for the basis change ``Q``, relative to
-    ``|det Q|``; ``canon`` reports ``Q``, ``canon2`` adds its fixed one's determinant."""
-    P, policy = a["pencil"], a["policy"]
+    """``Pf(out) = det Q * Pf(P)`` for the basis change ``Q``; ``canon`` reports
+    ``Q``, ``canon2`` adds its fixed one's determinant."""
+    P = a["pencil"]
     if "report" in out:
         pencil, det = out["report"].pencil, np.linalg.det(out["report"].basis_change)
     else:
         from .canonical import second_canonical_transform
         pencil = out["pencil"]
         det = out["det_q"] = float(np.linalg.det(second_canonical_transform(P.half_deg)).real)
-    scale = equal_up_to_scale(P.pfaffian(), pencil.pfaffian(), policy)
-    dev = abs(scale - det) / max(abs(det), 1e-300) if scale is not None else float("inf")
-    return {"pf_scaling": _residual(dev, policy.match_tol)}
+    return {"pf_scaling": _residual(pf_deviation(P, pencil, det), a["policy"].match_tol)}
 
 
 def _vanishing(a, out) -> dict:

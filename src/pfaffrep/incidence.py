@@ -184,16 +184,6 @@ class PairClassification(Record):
     basis_mu: KernelBasis
     special_vectors: tuple[np.ndarray, np.ndarray] | None
 
-    def partner_direction(self, v_coeffs: np.ndarray) -> np.ndarray:
-        """For an admissible pair: the kernel direction at mu coupled to
-        ``v = basis_lambda.vectors @ v_coeffs`` by ``K(v, u) = 0``."""
-        if self.kind != "admissible":
-            raise PreconditionError("partner directions need an admissible pair")
-        row = np.asarray(v_coeffs, dtype=complex) @ self.kappa
-        u_coeffs = np.array([row[1], -row[0]])
-        u_coeffs /= np.linalg.norm(u_coeffs)
-        return self.basis_mu.vectors @ u_coeffs
-
 
 def classify_pair(P: SkewPencil, lam: ProjPoint, mu: ProjPoint,
                   policy: TolerancePolicy = DEFAULT_POLICY) -> PairClassification:

@@ -16,7 +16,8 @@ roots of unity ``w = exp(2 pi i/(d+1))`` by a two-sided inverse DFT,
 O(d^5) in all; the pencil is first scaled by one common power of two,
 which is exact and keeps the grid on the unit torus.  Pfaffian minors,
 the adjoint and the determinant of a :class:`DetRep` use the same two
-steps.
+steps.  Two pencils' pfaffians are compared by their values at fixed
+points (:func:`pf_deviation`), with no polynomial.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ import numpy as np
 
 from .errors import PreconditionError, RankDeficiency, SingularTransform, SkewSymmetryViolation
 from .poly import HomPoly, LinearForm, ProjPoint
-from .tolerances import (DEFAULT_POLICY, Held, Record, TolerancePolicy, null_space,
+from .tolerances import (DEFAULT_POLICY, Held, Record, TolerancePolicy, draws, null_space,
                          require_finite_array)
 
 
@@ -260,6 +261,24 @@ def pfaffian_numeric(A) -> complex:
     A = np.asarray(A, dtype=complex)
     _check_skew(A, "A", DEFAULT_POLICY.zero_tol, float(np.max(np.abs(A), initial=0.0)))
     return complex(_pf_stack(A[None])[0])
+
+
+def pf_deviation(P: SkewPencil, Q: SkewPencil, scale: complex = 1.0) -> float:
+    """How far ``Pf Q`` is from ``scale * Pf P``: ``max |Pf Q(x) - scale Pf P(x)|``
+    over ``max |scale Pf P(x)|``, the larger of its values on two sets of four
+    fixed points: ``y = draws(0)(4, 3)`` as drawn, and sized by both pencils,
+    ``x_k = y_k / s_k`` with ``s_k`` the largest entry of ``A_k`` in either.
+
+    Each pencil is evaluated at the eight points as ``P(x)`` does and takes one
+    elimination of its stack.  Why both sets: README, "Command line".
+    """
+    s = np.maximum(np.max(np.abs(P.coeffs), axis=(1, 2)), np.max(np.abs(Q.coeffs), axis=(1, 2)))
+    y = draws(0)(4, 3)
+    # shape (3, 8, 1, 1), so that P(x) is the stack of the pencil's eight values
+    x = np.concatenate([y, y / np.where(s > 0, s, 1.0)]).T[:, :, None, None]
+    want = (scale * _pf_stack(P(x))).reshape(2, 4)
+    dev = np.max(np.abs(_pf_stack(Q(x)).reshape(2, 4) - want), axis=1)
+    return float(np.max(dev / np.maximum(np.max(np.abs(want), axis=1), 1e-300)))
 
 
 # -- derived operations ---------------------------------------------------------

@@ -60,25 +60,12 @@ class CubicCoeffs(Record):
     def is_pencil(self) -> bool:
         return any(isinstance(v, LinearForm) for v in self.values())
 
-    def at_point(self, pt) -> "CubicCoeffs":
-        """Substitute a point into linear-form entries; scalars pass through."""
-        vals = {n: (v(pt) if isinstance(v, LinearForm) else complex(v))
-                for n, v in zip(CUBIC_FIELDS, self.values())}
-        return CubicCoeffs(**vals)
-
     def as_poly(self) -> HomPoly:
         """The cubic itself (scalar entries only)."""
         if self.is_pencil():
             raise PreconditionError("pencil-valued coefficients do not define one cubic")
         return HomPoly(3, {exp: mult * complex(getattr(self, name))
                            for name, (exp, mult) in _MONOMIAL.items()})
-
-    @staticmethod
-    def from_poly(cubic: HomPoly) -> "CubicCoeffs":
-        if cubic.degree != 3:
-            raise ValueError("expected a cubic")
-        return CubicCoeffs(**{name: cubic.coeff(exp) / mult
-                              for name, (exp, mult) in _MONOMIAL.items()})
 
     def flatten(self) -> np.ndarray:
         """30-vector of the three linear coefficients of each entry."""

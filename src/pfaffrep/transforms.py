@@ -13,7 +13,7 @@ rank-one factor pair per base point (:func:`bundle_maps_check`).
 Each returns the new pencil together with a :class:`TransformRecord`
 that captures enough data to replay, verify and invert the step.  The
 pfaffian of the pencil is preserved exactly; tests pin this coefficient-
-wise.
+wise, and :func:`verify_replay` checks it at fixed points.
 """
 
 from __future__ import annotations
@@ -26,8 +26,8 @@ import numpy as np
 from .errors import (NotAdmissible, PreconditionError, SampleOnExceptionalLine,
                      SingularGamma)
 from .incidence import _admissibility_scale, _require_kernel, k_constant
-from .pencil import SkewPencil, kernel_at
-from .poly import ProjPoint, relative_deviation
+from .pencil import SkewPencil, kernel_at, pf_deviation
+from .poly import ProjPoint
 from .tolerances import DEFAULT_POLICY, Record, TolerancePolicy, draws, null_space
 
 
@@ -182,15 +182,14 @@ def verify_replay(P: SkewPencil, records: Sequence[TransformRecord],
                   policy: TolerancePolicy = DEFAULT_POLICY) -> list[float]:
     """Replay a sequence of records and return per-step pfaffian deviations.
 
-    Each deviation is the coefficient-wise difference of the pfaffian
-    before and after the step, relative to the dominant coefficient.
+    Each deviation is ``pf_deviation(P, cur)`` of the starting pencil and
+    the pencil after the step: the pfaffians compared at four fixed points.
     """
     residuals = []
-    pf0 = P.pfaffian()
     cur = P
     for rec in records:
         cur = apply_record(cur, rec, policy)
-        residuals.append(relative_deviation(pf0, cur.pfaffian()))
+        residuals.append(pf_deviation(P, cur))
     return residuals
 
 

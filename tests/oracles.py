@@ -10,11 +10,19 @@ expansion.
 
 The bridge's step is scored here one candidate at a time, from the wedge
 formula of a one-point step rather than the library's stacked update.
+A cubic's ten coefficients are read off its monomials, and the partner
+direction of an admissible pair off its ``kappa``, with no library helper.
+Pfaffian invariance is compared coefficient-wise, on both pfaffian
+polynomials, as the library did before it compared values at points.
 """
+
+import math
 
 import numpy as np
 
-from pfaffrep import HomPoly, SkewPencil
+from pfaffrep import CubicCoeffs, HomPoly, SkewPencil
+from pfaffrep.poly import relative_deviation
+from pfaffrep.quartic import CUBIC_FIELDS
 
 
 def _pfaffian_expand(entry, indices, one):
@@ -129,6 +137,26 @@ def pfaffian_numeric_by_matchings(A) -> complex:
             prod *= A[i, j]
         total += prod
     return total
+
+
+def cubic_coeffs_from_poly(cubic: HomPoly) -> CubicCoeffs:
+    """The ten coefficients of a cubic: ``w_abc`` is the coefficient of the
+    monomial ``x_a x_b x_c`` over its number of orderings, ``3! / prod(e_k!)``."""
+    exps = [tuple(name[1:].count(str(k)) for k in range(3)) for name in CUBIC_FIELDS]
+    return CubicCoeffs(*(cubic.coeff(e) * math.prod(map(math.factorial, e)) / 6 for e in exps))
+
+
+def partner_direction(pc, v_coeffs) -> np.ndarray:
+    """For an admissible pair ``pc``: the kernel direction at mu coupled to
+    ``v = pc.basis_lambda.vectors @ v_coeffs`` by ``K(v, u) = 0``."""
+    row = np.asarray(v_coeffs, dtype=complex) @ pc.kappa
+    u_coeffs = np.array([row[1], -row[0]])
+    return pc.basis_mu.vectors @ (u_coeffs / np.linalg.norm(u_coeffs))
+
+
+def pf_coeff_deviation(P: SkewPencil, Q: SkewPencil, scale: complex = 1.0) -> float:
+    """The largest coefficient of ``Pf P - Pf Q / scale`` relative to ``Pf P``'s."""
+    return relative_deviation(P.pfaffian(), Q.pfaffian(), 1.0 / scale)
 
 
 def coeff_rel_dev(a: HomPoly, b: HomPoly) -> float:

@@ -7,6 +7,7 @@ from pfaffrep import (DegenerateDenominator, DetRep, NoAdmissiblePartner,
                       line_points, line_through, partner_points, sample_curve_points,
                       tangent_line, univariate_roots)
 from conftest import random_pencil
+from oracles import partner_direction
 from test_poly import match_multiset
 
 
@@ -131,7 +132,7 @@ def test_classify_generic_pair_admissible(pencil_and_points):
     assert pc.kind == "admissible"
     # the coupled direction pairs to zero against its source vector
     v = pc.basis_lambda.v1
-    u = pc.partner_direction(np.array([1.0, 0.0]))
+    u = partner_direction(pc, np.array([1.0, 0.0]))
     K = k_constant(P, pts[0], v, pts[1], u, 1.1, 0.3)
     ref = max(np.linalg.norm(P.sigma1, 2), np.linalg.norm(P.sigma2, 2))
     assert abs(K) <= 1e-8 * ref

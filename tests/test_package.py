@@ -37,8 +37,8 @@ EXPORTS = {
                   "k_constant", "line_points", "line_through", "partner_points",
                   "sample_curve_points", "tangent_line"],
     "pencil": ["DetRep", "KernelBasis", "SkewPencil", "congruence", "decomposable_from",
-               "kernel_at", "pfaffian_adjoint_at", "pfaffian_minor", "pfaffian_numeric",
-               "wedge_to_matrix"],
+               "kernel_at", "pf_deviation", "pfaffian_adjoint_at", "pfaffian_minor",
+               "pfaffian_numeric", "wedge_to_matrix"],
     "poly": ["HomPoly", "LinearForm", "ProjPoint", "equal_up_to_scale", "univariate_roots"],
     "quartic": ["CubicCoeffs", "PolarTriangle", "ScorzaRelation", "SymDetRep",
                 "ThetaIdentification", "aronhold_invariant", "aronhold_matrix",
@@ -311,6 +311,45 @@ def test_canonical_form_asks_for_no_pfaffian():
     ``-A1^-1 A2``: the canonical module computes no pfaffian polynomial."""
     text = (Path(pfaffrep.__file__).parent / "canonical.py").read_text()
     assert ".pfaffian(" not in text
+
+
+# The commands whose pfaffian residuals compare two pencils at points.
+PF_AT_POINTS = ["bridge", "canon", "canon2", "conint", "gauge", "type1", "type2",
+                "verify-replay"]
+
+
+def test_one_pfaffian_comparison():
+    """``pencil.pf_deviation`` is the one function that computes two pfaffians
+    (on one path through its conditional expressions), so the only one that
+    compares them; the CLI's residuals and ``verify_replay`` build no pfaffian
+    polynomial."""
+    src = Path(pfaffrep.__file__).parent
+    for name in ("cli.py", "transforms.py"):
+        assert ".pfaffian(" not in (src / name).read_text(), name
+
+    def pfaffian_calls(node):
+        if isinstance(node, ast.IfExp):
+            return pfaffian_calls(node.test) + max(map(pfaffian_calls, (node.body, node.orelse)))
+        own = isinstance(node, ast.Call) and (
+            getattr(node.func, "id", None) in ("_pf_stack", "pfaffian_numeric")
+            or getattr(node.func, "attr", None) == "pfaffian")
+        return own + sum(map(pfaffian_calls, ast.iter_child_nodes(node)))
+    sites = [(path.name, fn.name) for path in sorted(src.glob("*.py"))
+             for fn in ast.walk(ast.parse(path.read_text()))
+             if isinstance(fn, ast.FunctionDef) and pfaffian_calls(fn) > 1]
+    assert sites == [("pencil.py", "pf_deviation")]
+
+
+def test_pfaffian_residuals_build_no_polynomial(problems, monkeypatch):
+    """The commands that check pfaffian invariance or scaling run, and pass that
+    check, with ``SkewPencil.pfaffian`` unavailable."""
+    def refuse(self):
+        raise AssertionError("a pfaffian polynomial was built")
+    monkeypatch.setattr(SkewPencil, "pfaffian", refuse)
+    for kind in PF_AT_POINTS:
+        report = dispatch(parse_problem(problems[kind]))
+        checked = {n: r for n, r in report["residuals"].items() if n.startswith("pf_")}
+        assert checked and all(r["ok"] for r in checked.values()), kind
 
 
 

@@ -13,7 +13,7 @@ from pfaffrep import (DEFAULT_POLICY, CorankNotOne, CubicCoeffs, HomPoly, Incons
 from pfaffrep import jsonio as io
 from pfaffrep.tolerances import draws
 from conftest import CBRT107, bench_problems, theta_rep
-from oracles import coeff_rel_dev, pfaffian_by_matchings
+from oracles import coeff_rel_dev, cubic_coeffs_from_poly, pfaffian_by_matchings
 
 
 def random_quartic(rng):
@@ -60,14 +60,15 @@ def test_polar_cubic_irrational_entries(quartic_example):
 def test_cubic_coeffs_round_trip(rng):
     cubic = HomPoly(3, {(3, 0, 0): 1.5, (1, 1, 1): -2j, (2, 1, 0): 0.25,
                         (0, 2, 1): 3.0, (0, 0, 3): -1.0})
-    w = CubicCoeffs.from_poly(cubic)
+    w = cubic_coeffs_from_poly(cubic)
     assert (w.as_poly() - cubic).max_coeff() <= 1e-12
 
 
 def test_polar_at_point_consistency(quartic_example, theta_lambda):
     w = polar_cubic(quartic_example)
     direct = polar_cubic_at(quartic_example, theta_lambda)
-    assert (w.at_point(theta_lambda).as_poly() - direct).max_coeff() <= 1e-12
+    at_point = CubicCoeffs(*(v(theta_lambda) for v in w.values()))
+    assert (at_point.as_poly() - direct).max_coeff() <= 1e-12
 
 
 # -- the 8x8 arrangement ---------------------------------------------------------
@@ -85,7 +86,7 @@ def test_aronhold_vanishes_on_three_cubes(rng):
         for ell in lines:
             p = ell.as_poly()
             cubic = cubic + p * p * p
-        w = CubicCoeffs.from_poly(cubic)
+        w = cubic_coeffs_from_poly(cubic)
         scale = max(abs(v) for v in w.values()) ** 4
         assert abs(aronhold_invariant(w)) <= 1e-7 * scale
 
