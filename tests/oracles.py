@@ -154,9 +154,9 @@ def partner_direction(pc, v_coeffs) -> np.ndarray:
     return pc.basis_mu.vectors @ (u_coeffs / np.linalg.norm(u_coeffs))
 
 
-def pf_coeff_deviation(P: SkewPencil, Q: SkewPencil, scale: complex = 1.0) -> float:
-    """The largest coefficient of ``Pf P - Pf Q / scale`` relative to ``Pf P``'s."""
-    return relative_deviation(P.pfaffian(), Q.pfaffian(), 1.0 / scale)
+def pf_coeff_deviation(P: SkewPencil, Q: SkewPencil) -> float:
+    """The largest coefficient of ``Pf P - Pf Q`` relative to ``Pf P``'s."""
+    return relative_deviation(P.pfaffian(), Q.pfaffian())
 
 
 def coeff_rel_dev(a: HomPoly, b: HomPoly) -> float:

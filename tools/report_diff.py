@@ -18,9 +18,10 @@ in its own Python process, from its own tree: ``bench/tracer.py``'s
 ``run_inprocess``, and ``bench/checker.py``'s ``check`` judges the report.
 Neither file is changed.
 
-Prints, per workload and command, how many reports are byte-identical and
-how many differ, each side's checker failures, and the first lines that
-differ in the first few differing reports.  The greedy bridge is chaotic
+Prints, per workload and command, how many reports are byte-identical, how
+many differ and how many of those differ only in the values of their
+residuals, each side's checker failures, and the first lines that differ in
+the first few differing reports.  The greedy bridge is chaotic
 in the last bits of its steps, so it also prints per side how many bridge
 problems converged and their total step count.  Exits 0 when every report
 is identical and neither side fails a check, 1 otherwise.  Standard
@@ -77,6 +78,14 @@ def load(path: Path) -> dict:
     return {(r["workload"], r["seed"], r["index"]): r for r in rows}
 
 
+def without_residual_values(row: dict) -> tuple:
+    """The exit code and the report with each residual's ``value`` left out."""
+    doc = json.loads(row["report"]) if row["report"] else None
+    for residual in (doc or {}).get("residuals", {}).values():
+        del residual["value"]
+    return row["code"], doc
+
+
 def bridge_outcome(rows: dict) -> tuple[int, int, int]:
     """Bridge problems, how many converged and their total step count."""
     n = converged = steps = 0
@@ -95,7 +104,7 @@ def compare(sides: dict[str, dict]) -> int:
     parent, change = sides["parent"], sides["change"]
     if parent.keys() != change.keys():
         raise SystemExit("report_diff: the two sides ran different problems")
-    same, differ = Counter(), Counter()
+    same, differ, values_only = Counter(), Counter(), Counter()
     failed = {s: Counter() for s in sides}
     shown = 0
     for key, p in parent.items():
@@ -105,6 +114,7 @@ def compare(sides: dict[str, dict]) -> int:
             same[cmd] += 1
         else:
             differ[cmd] += 1
+            values_only[cmd] += without_residual_values(p) == without_residual_values(c)
             if shown < SHOWN_DIFFS:
                 shown += 1
                 print(f"--- {key[0]} seed {key[1]} problem {key[2]} ({p['kind']}): "
@@ -119,17 +129,18 @@ def compare(sides: dict[str, dict]) -> int:
                 print(f"checker failure, {s}: {key[0]} seed {key[1]} problem {key[2]}: "
                       f"{row['reason']}")
     print(f"{'workload':14s} {'command':16s} {'identical':>9s} {'differ':>6s} "
-          f"{'failed parent':>13s} {'failed change':>13s}")
+          f"{'residual values only':>20s} {'failed parent':>13s} {'failed change':>13s}")
     for cmd in sorted(set(same) | set(differ)):
         print(f"{cmd[0]:14s} {cmd[1]:16s} {same[cmd]:9d} {differ[cmd]:6d} "
-              f"{failed['parent'][cmd]:13d} {failed['change'][cmd]:13d}")
+              f"{values_only[cmd]:20d} {failed['parent'][cmd]:13d} {failed['change'][cmd]:13d}")
     for s, rows in sides.items():
         n, converged, steps = bridge_outcome(rows)
         if n:
             print(f"bridge, {s}: {converged} of {n} converged, {steps} steps in all")
     total, n_same = len(parent), sum(same.values())
     n_failed = {s: sum(f.values()) for s, f in failed.items()}
-    print(f"{n_same} of {total} reports identical, {total - n_same} differ; "
+    print(f"{n_same} of {total} reports identical, {total - n_same} differ, "
+          f"{sum(values_only.values())} of them only in residual values; "
           f"checker failures: parent {n_failed['parent']}, change {n_failed['change']}")
     return 0 if n_same == total and not any(n_failed.values()) else 1
 
