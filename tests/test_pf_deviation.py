@@ -14,9 +14,10 @@ import pytest
 from pfaffrep import (DEFAULT_POLICY, ProjPoint, SkewPencil, classify_pair, congruence, conint,
                       kernel_at, pf_deviation, sample_curve_points, to_canonical, type1, type2)
 from pfaffrep.canonical import CanonicalReport
-from pfaffrep.cli import _pf_invariance, _pf_scaling
+from pfaffrep.cli import _pf_invariance, _pf_scaling, dispatch, parse_problem
+from pfaffrep.jsonio import dec_fields
 from pfaffrep.tolerances import PF_TOL
-from conftest import random_pencil, random_skew
+from conftest import bench_problems, random_pencil, random_skew
 from oracles import pf_coeff_deviation
 
 # (axis, c): the change of coordinates x_axis -> c x_axis, c = 1 once
@@ -93,3 +94,18 @@ def test_point_rule_agrees_with_the_coefficient_rule_on_chains(d):
             for R in (Q, _corrupted(Q)):
                 points, coeffs = pf_deviation(P, R), pf_coeff_deviation(P, R)
                 assert (points <= PF_TOL) == (coeffs <= PF_TOL) == (R is Q), (points, coeffs)
+
+
+def test_a_weakly_coupled_step_reads_its_evaluation_loss():
+    """The benchmark's ``pair_probe`` seed 10 at ``1e-3``: a d = 6 type-I step
+    whose coupling is shrunk a thousandfold leaves a constant part 834 times
+    the input's.  At the points as drawn, rounding the output's value to
+    doubles moves its pfaffian by about ``PF_TOL``, so ``type1`` exits 3 on
+    it (1.24e-7; 2.7e-8 for the exact pfaffian of the stored output), where
+    the coefficient-wise rule read 5.7e-8 (README, "Command line")."""
+    doc = bench_problems().pair_probe(10)[3]["doc"]
+    P, lam, mu, v, u = dec_fields("pencil lambda:point mu:point v:vector u:vector", doc["payload"],
+                                  "$.payload", DEFAULT_POLICY)
+    Q, _ = type1(P, lam, mu, v, u)
+    assert pf_coeff_deviation(P, Q) <= PF_TOL < pf_deviation(P, Q)
+    assert not dispatch(parse_problem(doc))["residuals"]["pf_invariance"]["ok"]
